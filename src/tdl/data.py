@@ -586,6 +586,9 @@ def write_dataset(out_dir, features, annotations) -> Path:
     return manifest
 
 
+_MANIFEST_KEYS = ("id", "features", "annotations")
+
+
 def load_dataset(data_dir):
     """Read a manifest directory back into (features, annotations) lists."""
     data_dir = Path(data_dir)
@@ -597,8 +600,16 @@ def load_dataset(data_dir):
         samples = obj["samples"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
+    if not isinstance(samples, list):
+        raise FormatError(f"{manifest}: samples is not a list")
     features, annotations = [], []
     for entry in samples:
+        if not (isinstance(entry, dict) and all(
+                isinstance(entry.get(key), str) for key in _MANIFEST_KEYS)):
+            raise FormatError(
+                f"{manifest}: sample entry {entry!r} needs string "
+                f"{', '.join(_MANIFEST_KEYS)}"
+            )
         seq = load_feature_file(data_dir / entry["features"])
         ann = load_annotation_file(data_dir / entry["annotations"])
         if ann.sample_id != entry["id"]:

@@ -5,6 +5,11 @@ frame embeddings: same-class pairs (real-real and fake-fake) are pushed
 above ``tau_same``, cross-class pairs below ``tau_diff``. Each term is
 the worst violation over its pair set, so gradients flow only through
 one pair per active term.
+
+The worst pairs come from one cosine Gram matrix per utterance, built
+channel by channel so that every entry equals the pair's sequential dot
+product bit for bit. Functions that take raw arrays accept one utterance
+(D, T) or a block (B, D, T) with classes (B, T).
 """
 
 from __future__ import annotations
@@ -75,7 +80,11 @@ class EsmLoss:
 
 @dataclass
 class EmbeddingSequence:
-    """Unit-norm embedding columns plus a real/fake/padding class per frame."""
+    """Unit-norm embedding columns plus a real/fake/padding class per frame.
+
+    ``values`` is (dim, num_frames) with ``frame_class`` (num_frames,),
+    or a block (B, dim, num_frames) with ``frame_class`` (B, num_frames).
+    """
 
     dim: int
     num_frames: int
@@ -85,14 +94,17 @@ class EmbeddingSequence:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.frame_class = np.asarray(self.frame_class, dtype=np.int8)
-        if self.values.shape != (self.dim, self.num_frames):
+        if (self.values.ndim not in (2, 3)
+                or self.values.shape[-2:] != (self.dim, self.num_frames)):
             raise ShapeError(f"embedding shape {self.values.shape}")
-        if self.frame_class.shape != (self.num_frames,):
+        if self.frame_class.shape != self.values.shape[:-2] + (self.num_frames,):
             raise ShapeError(f"frame_class shape {self.frame_class.shape}")
-        if not np.all(np.isin(self.frame_class, (REAL, FAKE, PADDING))):
+        # the codes are the consecutive integers PADDING < FAKE < REAL
+        if self.frame_class.size and (self.frame_class.min() < PADDING
+                                      or self.frame_class.max() > REAL):
             raise ValidationError("frame_class entries must be real/fake/padding")
         live = self.frame_class != PADDING
-        norms = np.sqrt((self.values[:, live] ** 2).sum(axis=0))
+        norms = np.sqrt((self.values ** 2).sum(axis=-2))[live]
         if norms.size and np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValidationError("non-padding embedding columns must be unit norm")
 
@@ -139,107 +151,145 @@ def align_labels_to_embedding(labels: FrameLabels, t_e: int) -> np.ndarray:
 
 
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-column dot product with a fixed sequential channel order.
+    """Per-column dot product over axis -2 with a fixed sequential channel order.
 
     numpy's reductions switch between sequential and pairwise summation
     depending on strides; accumulating explicitly keeps pair
     similarities bit-stable across array shapes, which the exact
     brute-force oracle equality relies on.
     """
-    acc = a[0] * b[0]
-    for c in range(1, a.shape[0]):
-        acc = acc + a[c] * b[c]
+    acc = a[..., 0, :] * b[..., 0, :]
+    for c in range(1, a.shape[-2]):
+        acc = acc + a[..., c, :] * b[..., c, :]
     return acc
 
 
 def _normalized(values: np.ndarray):
     norms = np.maximum(np.sqrt(_channel_dot(values, values)), _COS_EPS)
-    return values / norms, norms
+    return values / norms[..., None, :], norms
 
 
-def _same_class_pairs(indices: np.ndarray, cfg: EsmConfig,
-                      rng: np.random.Generator):
-    """Unordered distinct pairs (lexicographic order) within one class."""
-    m = indices.size
-    if m < 2:
-        return None, None
-    pi, pj = np.triu_indices(m, k=1)
-    if cfg.pair_budget is not None and pi.size > cfg.pair_budget:
-        keep = np.sort(rng.choice(pi.size, size=cfg.pair_budget, replace=False))
-        pi, pj = pi[keep], pj[keep]
-    return indices[pi], indices[pj]
+def _gram(normed: np.ndarray) -> np.ndarray:
+    """Clipped cosines of every frame pair, (B, T, T) from (B, D, T).
+
+    Channel outer products are added in _channel_dot's order, so entry
+    [b, x, y] equals the sequential dot product of columns x and y.
+    """
+    gram = normed[:, 0, :, None] * normed[:, 0, None, :]
+    term = np.empty_like(gram)
+    for c in range(1, normed.shape[1]):
+        gram += np.multiply(normed[:, c, :, None], normed[:, c, None, :], out=term)
+    return np.clip(gram, -1.0, 1.0, out=gram)
 
 
-def _cross_class_pairs(real_idx: np.ndarray, fake_idx: np.ndarray,
-                       cfg: EsmConfig, rng: np.random.Generator):
-    if real_idx.size == 0 or fake_idx.size == 0:
-        return None, None
+def _keep_only(mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
+    mask[...] = False
+    mask[xs, ys] = True
+
+
+def _sample_pairs(masks, b: int, real_idx: np.ndarray, fake_idx: np.ndarray,
+                  cfg: EsmConfig) -> None:
+    """Cut utterance b's pair sets down to ``pair_budget`` seeded samples.
+
+    Pairs are numbered in lexicographic order; each term with more pairs
+    than the budget draws a sorted sample from one ``sample_seed`` stream
+    per utterance, in the order real, fake, cross.
+    """
+    rng = np.random.default_rng(cfg.sample_seed)
+    for mask, idx in ((masks[0], real_idx), (masks[1], fake_idx)):
+        count = idx.size * (idx.size - 1) // 2
+        if count > cfg.pair_budget:
+            keep = np.sort(rng.choice(count, size=cfg.pair_budget, replace=False))
+            pi, pj = np.triu_indices(idx.size, k=1)
+            _keep_only(mask[b], idx[pi[keep]], idx[pj[keep]])
     total = real_idx.size * fake_idx.size
-    if cfg.pair_budget is not None and total > cfg.pair_budget:
+    if total > cfg.pair_budget:
         flat = np.sort(rng.choice(total, size=cfg.pair_budget, replace=False))
-        return real_idx[flat // fake_idx.size], fake_idx[flat % fake_idx.size]
-    ri = np.repeat(real_idx, fake_idx.size)
-    fi = np.tile(fake_idx, real_idx.size)
-    return ri, fi
+        _keep_only(masks[2][b], real_idx[flat // fake_idx.size],
+                   fake_idx[flat % fake_idx.size])
 
 
-def _pair_sims(normed: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return np.clip(_channel_dot(normed[:, xs], normed[:, ys]), -1.0, 1.0)
+def _candidate_pairs(frame_class: np.ndarray, cfg: EsmConfig):
+    """(B, T, T) masks of the pairs each term scans: real-real and fake-fake
+    pairs x < y, and cross pairs (real x, fake y)."""
+    real = frame_class == REAL
+    fake = frame_class == FAKE
+    upper = np.triu(np.ones((frame_class.shape[-1],) * 2, dtype=bool), k=1)
+    masks = (real[:, :, None] & real[:, None, :] & upper,
+             fake[:, :, None] & fake[:, None, :] & upper,
+             real[:, :, None] & fake[:, None, :])
+    if cfg.pair_budget is not None:
+        for b in range(frame_class.shape[0]):
+            _sample_pairs(masks, b, np.nonzero(real[b])[0], np.nonzero(fake[b])[0],
+                          cfg)
+    return masks
 
 
-def _worst_same(normed, indices, cfg, rng):
-    """(hinge loss, (x, y) or None) for max over pairs of [tau_same - S]+."""
-    xs, ys = _same_class_pairs(indices, cfg, rng)
-    if xs is None:
-        return 0.0, None
-    sims = _pair_sims(normed, xs, ys)
-    w = int(np.argmin(sims))  # first minimum = lowest pair index
-    loss = max(0.0, cfg.tau_same - float(sims[w]))
-    return loss, (int(xs[w]), int(ys[w]))
+def _pair_sims(gram: np.ndarray, candidates: np.ndarray, fill: float) -> np.ndarray:
+    """The Gram with every cell outside the candidate pairs set to ``fill``.
+
+    A function of its own so that the benchmark's traced run can count
+    the cells scanned (bench/probes.py).
+    """
+    return np.where(candidates, gram, fill)
 
 
-def _worst_cross(normed, real_idx, fake_idx, cfg, rng):
-    xs, ys = _cross_class_pairs(real_idx, fake_idx, cfg, rng)
-    if xs is None:
-        return 0.0, None
-    sims = _pair_sims(normed, xs, ys)
-    w = int(np.argmax(sims))
-    loss = max(0.0, float(sims[w]) - cfg.tau_diff)
-    return loss, (int(xs[w]), int(ys[w]))
+def _worst_pairs(gram: np.ndarray, candidates: np.ndarray, lowest: bool):
+    """Per utterance, the first extreme candidate in row-major (x, y) order,
+    which is the lexicographic pair order: (similarity, x, y). An utterance
+    with no candidate reads +-inf."""
+    num, t_len = gram.shape[0], gram.shape[-1]
+    flat = _pair_sims(gram, candidates, np.inf if lowest else -np.inf)
+    flat = flat.reshape(num, -1)
+    w = flat.argmin(axis=1) if lowest else flat.argmax(axis=1)
+    return flat[np.arange(num), w], w // t_len, w % t_len
 
 
 def _components(values: np.ndarray, frame_class: np.ndarray, cfg: EsmConfig):
+    """Hinge terms of a (B, D, T) block.
+
+    Returns the (B, 3) real/fake/diff losses, each term's worst pairs as
+    (similarity, x, y) arrays over the block, and the normalized columns
+    with their norms.
+    """
     normed, norms = _normalized(values)
-    rng = np.random.default_rng(cfg.sample_seed)
-    real_idx = np.nonzero(frame_class == REAL)[0]
-    fake_idx = np.nonzero(frame_class == FAKE)[0]
-    l_real, pair_real = _worst_same(normed, real_idx, cfg, rng)
-    l_fake, pair_fake = _worst_same(normed, fake_idx, cfg, rng)
-    l_diff, pair_diff = _worst_cross(normed, real_idx, fake_idx, cfg, rng)
-    return (EsmLoss(l_real, l_fake, l_diff),
-            (pair_real, pair_fake, pair_diff), normed, norms)
+    gram = _gram(normed)
+    real, fake, cross = _candidate_pairs(frame_class, cfg)
+    worst = (_worst_pairs(gram, real, True), _worst_pairs(gram, fake, True),
+             _worst_pairs(gram, cross, False))
+    losses = np.stack([np.maximum(0.0, cfg.tau_same - worst[0][0]),
+                       np.maximum(0.0, cfg.tau_same - worst[1][0]),
+                       np.maximum(0.0, worst[2][0] - cfg.tau_diff)], axis=1)
+    return losses, worst, normed, norms
+
+
+def _as_block(values: np.ndarray, frame_class: np.ndarray):
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 2:
+        return values[None], np.asarray(frame_class)[None]
+    return values, np.asarray(frame_class)
+
+
+def _summed(losses: np.ndarray) -> EsmLoss:
+    return EsmLoss(*(float(v) for v in losses.sum(axis=0)))
+
+
+def _esm_losses(e: EmbeddingSequence, cfg: EsmConfig) -> EsmLoss:
+    return _summed(_components(*_as_block(e.values, e.frame_class), cfg)[0])
 
 
 def esm_real_loss(e: EmbeddingSequence, cfg: EsmConfig) -> float:
     """Worst same-class hinge over distinct real-frame pairs."""
-    return _components(e.values, e.frame_class, cfg)[0].l_real
+    return _esm_losses(e, cfg).l_real
 
 
 def esm_fake_loss(e: EmbeddingSequence, cfg: EsmConfig) -> float:
-    return _components(e.values, e.frame_class, cfg)[0].l_fake
+    return _esm_losses(e, cfg).l_fake
 
 
 def esm_diff_loss(e: EmbeddingSequence, cfg: EsmConfig) -> float:
     """Worst cross-class hinge: max over (real, fake) of [S - tau_diff]+."""
-    return _components(e.values, e.frame_class, cfg)[0].l_diff
-
-
-def _cosine_pair_grads(values, normed, norms, x: int, y: int):
-    """dS/du and dS/dv for the full cosine (norms not assumed unit)."""
-    s = float(np.clip(normed[:, x] @ normed[:, y], -1.0, 1.0))
-    gu = (normed[:, y] - s * normed[:, x]) / norms[x]
-    gv = (normed[:, x] - s * normed[:, y]) / norms[y]
-    return gu, gv
+    return _esm_losses(e, cfg).l_diff
 
 
 def esm_loss(e: EmbeddingSequence, cfg: EsmConfig):
@@ -254,21 +304,22 @@ def esm_loss(e: EmbeddingSequence, cfg: EsmConfig):
 
 def esm_loss_from_arrays(values: np.ndarray, frame_class: np.ndarray,
                          cfg: EsmConfig):
-    """Validation-free core of esm_loss; columns need not be exactly unit."""
-    losses, pairs, normed, norms = _components(values, frame_class, cfg)
-    grad = np.zeros_like(values)
-    for loss_val, pair, sign in (
-        (losses.l_real, pairs[0], -1.0),
-        (losses.l_fake, pairs[1], -1.0),
-        (losses.l_diff, pairs[2], +1.0),
-    ):
-        if pair is None or loss_val <= 0.0:
-            continue
-        x, y = pair
-        gu, gv = _cosine_pair_grads(values, normed, norms, x, y)
-        grad[:, x] += sign * gu
-        grad[:, y] += sign * gv
-    return losses, grad
+    """Validation-free core of esm_loss; columns need not be exactly unit.
+
+    For a block each component is the sum over its utterances, and the
+    gradient keeps the block's shape.
+    """
+    block, classes = _as_block(values, frame_class)
+    losses, worst, normed, norms = _components(block, classes, cfg)
+    grad = np.zeros_like(block)
+    for term, ((sims, xs, ys), sign) in enumerate(zip(worst, (-1.0, -1.0, 1.0))):
+        # d cos(u, v) / du = (v_hat - cos * u_hat) / |u|, and likewise for v
+        bs = np.nonzero(losses[:, term] > 0.0)[0]
+        x, y, s = xs[bs], ys[bs], sims[bs, None]
+        u, v = normed[bs, :, x], normed[bs, :, y]
+        grad[bs, :, x] += sign * (v - s * u) / norms[bs, x][:, None]
+        grad[bs, :, y] += sign * (u - s * v) / norms[bs, y][:, None]
+    return _summed(losses), grad if np.ndim(values) == 3 else grad[0]
 
 
 def esm_loss_batch(sequences, cfg: EsmConfig) -> EsmLoss:
@@ -276,7 +327,7 @@ def esm_loss_batch(sequences, cfg: EsmConfig) -> EsmLoss:
     sequences = list(sequences)
     if not sequences:
         raise ValidationError("esm_loss_batch: empty batch")
-    parts = [_components(e.values, e.frame_class, cfg)[0] for e in sequences]
+    parts = [_esm_losses(e, cfg) for e in sequences]
     n = len(parts)
     return EsmLoss(
         sum(p.l_real for p in parts) / n,

@@ -11,6 +11,13 @@ Layer stack (time length is preserved throughout):
 Total loss is BCE(scores, labels) plus ``esm_weight`` times the
 embedding-separation loss; gradients flow through both the hinge terms
 and the similarity-modulation path.
+
+One core runs the stack on a block of B padded utterances stacked as a
+(B, C, T) array. Training runs each minibatch through it, dev EER
+forwards the dev set in blocks, and ``forward``/``predict``/``total_loss``
+call it with B = 1. Every primitive computes a block one GEMM per
+utterance, so an utterance's scores do not depend on which other
+utterances share its block.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from .nn import (
     sigmoid_forward,
 )
 from .tconv import (
+    SimilarityMatrix,
     TconvLayer,
     neighbor_similarity,
     neighbor_similarity_backward,
@@ -66,6 +74,12 @@ from .tconv import (
 )
 
 BOUNDARY_BCE_WEIGHT = 100.0
+
+# A block holds whole utterances and at most this many frame columns, or
+# a single utterance that is longer on its own. At full scale (t_max
+# 1050) that is one utterance per block, so the working set does not
+# grow with the batch size.
+BLOCK_FRAMES = 1024
 
 # named sub-streams of the run seed
 _STREAM_INIT = 1
@@ -275,31 +289,41 @@ def _check_input(model: TdlModel, x: FeatureSequence):
         )
 
 
-def _forward_cache(model: TdlModel, xv: np.ndarray, true_frames: int) -> dict:
+def _blocks(indices, t_max: int) -> list:
+    """Consecutive runs of ``indices`` that fit in one block each."""
+    size = max(1, BLOCK_FRAMES // t_max)
+    return [indices[lo:lo + size] for lo in range(0, len(indices), size)]
+
+
+def _stack_block(pairs):
+    """(features (B, C, T) float64, true frame counts, labels) of
+    (FeatureSequence, FrameLabels) pairs."""
+    xv = np.stack([seq.values for seq, _ in pairs]).astype(np.float64)
+    return xv, [seq.true_frames for seq, _ in pairs], [lab for _, lab in pairs]
+
+
+def _forward_block(model: TdlModel, xv: np.ndarray, true_frames) -> dict:
+    """The stack on a block xv (B, C, T); frames past true_frames are padding."""
     cfg = model.config
-    t_len = xv.shape[1]
+    t_len = xv.shape[-1]
     g1 = conv1d_forward(model.conv_a, xv)
     h1 = relu_forward(g1)
     g2 = conv1d_forward(model.conv_b, h1)
-    e_values = l2_normalize_forward(g2)
-
-    sim_class = np.full(t_len, esm_mod.REAL, dtype=np.int8)
-    sim_class[true_frames:] = esm_mod.PADDING
-    e_seq = EmbeddingSequence(cfg.embed_dim, t_len, e_values, sim_class)
+    live = np.arange(t_len) < np.asarray(true_frames)[:, None]
+    sim_class = np.where(live, esm_mod.REAL, esm_mod.PADDING)
+    e_seq = EmbeddingSequence(cfg.embed_dim, t_len, l2_normalize_forward(g2),
+                              sim_class)
     a = neighbor_similarity(e_seq, cfg.kernel, cfg.rectify_similarity)
 
     t1 = tconv_forward(model.tconv_1, xv, a)
     h2 = relu_forward(t1)
     t2 = tconv_forward(model.tconv_2, h2, a)
     h3 = relu_forward(t2)
-    head = conv1d_forward(model.conv_head, h3)
-    flat = head.reshape(-1)
-    logits = fc_forward(model.fc, flat)
-    scores = sigmoid_forward(logits)
+    flat = conv1d_forward(model.conv_head, h3).reshape(len(xv), -1)
+    scores = sigmoid_forward(fc_forward(model.fc, flat))
     return {
-        "xv": xv, "true_frames": true_frames, "g1": g1, "h1": h1, "g2": g2,
-        "e_seq": e_seq, "a": a, "t1": t1, "h2": h2, "t2": t2, "h3": h3,
-        "flat": flat, "scores": scores,
+        "g1": g1, "h1": h1, "g2": g2, "e_seq": e_seq, "a": a, "t1": t1,
+        "h2": h2, "t2": t2, "h3": h3, "flat": flat, "scores": scores,
     }
 
 
@@ -311,11 +335,19 @@ def forward(model: TdlModel, x: FeatureSequence):
     training the label alignment supplies real/fake classes.
     """
     _check_input(model, x)
-    cache = _forward_cache(model, x.values.astype(np.float64), x.true_frames)
-    return cache["scores"], cache["e_seq"], cache["a"]
+    xv, true_frames, _ = _stack_block([(x, None)])
+    cache = _forward_block(model, xv, true_frames)
+    e, a = cache["e_seq"], cache["a"]
+    return (cache["scores"][0],
+            EmbeddingSequence(e.dim, e.num_frames, e.values[0], e.frame_class[0]),
+            SimilarityMatrix(a.kernel, a.num_frames, a.values[0]))
 
 
 def _esm_classes(labels: FrameLabels, true_frames: int, t_len: int) -> np.ndarray:
+    """Per-frame ESM classes; all padding under boundary1, whose labels
+    mark transitions rather than authenticity."""
+    if labels.setting == BOUNDARY1:
+        return np.full(t_len, esm_mod.PADDING, dtype=np.int8)
     classes = esm_mod.align_labels_to_embedding(labels, t_len)
     # feature padding trumps label alignment at the tail
     classes[true_frames:] = esm_mod.PADDING
@@ -335,42 +367,53 @@ def total_loss(model: TdlModel, x: FeatureSequence, labels: FrameLabels):
             f"{labels.sample_id}: {labels.labels.size} labels != label_len "
             f"{model.config.label_len}"
         )
-    return _total_loss_arrays(model, x.values.astype(np.float64),
-                              x.true_frames, labels)
+    losses, grads = _loss_block(model, *_stack_block([(x, labels)]),
+                                input_grad=True)
+    grads["input"] = grads["input"][0]
+    return losses, grads
 
 
-def _total_loss_arrays(model: TdlModel, xv: np.ndarray, true_frames: int,
-                       labels: FrameLabels):
-    """Loss core on a raw float64 feature matrix (gradcheck entry point)."""
+def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
+                input_grad: bool = False):
+    """Loss core on a block xv (B, C, T) with one FrameLabels per utterance.
+
+    Returns the block's TdlLoss, each term summed over its utterances,
+    and the parameter gradients summed over them; with ``input_grad``
+    also the (B, C, T) input gradient under "input".
+    """
     cfg = model.config
-    cache = _forward_cache(model, xv, true_frames)
+    num, t_len = xv.shape[0], xv.shape[-1]
+    cache = _forward_block(model, xv, true_frames)
     scores, e_seq, a = cache["scores"], cache["e_seq"], cache["a"]
 
-    y = labels.labels.astype(np.float64)
-    weights = None
-    if labels.setting == BOUNDARY1:
-        weights = np.where(labels.labels == 1, BOUNDARY_BCE_WEIGHT, 1.0)
+    y = np.stack([lab.labels for lab in labels]).astype(np.float64)
+    boundary = np.array([lab.setting == BOUNDARY1 for lab in labels])
+    weights = np.where(boundary[:, None] & (y == 1), BOUNDARY_BCE_WEIGHT, 1.0)
     bce, grad_scores = bce_loss(scores, y, weights)
 
-    use_esm = cfg.esm_weight > 0 and labels.setting != BOUNDARY1
+    use_esm = cfg.esm_weight > 0 and not boundary.all()
     if use_esm:
-        classes = _esm_classes(labels, true_frames, cfg.t_max)
+        classes = np.stack([_esm_classes(lab, tf, t_len)
+                            for lab, tf in zip(labels, true_frames)])
         esm_losses, grad_e_esm = esm_mod.esm_loss_from_arrays(
             e_seq.values, classes, cfg.esm
         )
     else:
         esm_losses, grad_e_esm = EsmLoss(0.0, 0.0, 0.0), None
 
-    total = bce + cfg.esm_weight * esm_losses.total
+    bce_total = float(bce.sum())
+    total = bce_total + cfg.esm_weight * esm_losses.total
     if not np.isfinite(total):
-        term = "bce" if not np.isfinite(bce) else "esm"
-        raise NumericError(f"{labels.sample_id}: non-finite {term} loss")
+        bad = [lab.sample_id for lab, v in zip(labels, bce) if not np.isfinite(v)]
+        term = "bce" if bad else "esm"
+        ids = ", ".join(bad or [lab.sample_id for lab in labels])
+        raise NumericError(f"{ids}: non-finite {term} loss")
 
     # score head backward
     grad_logits = sigmoid_backward(scores, grad_scores)
     grad_flat, grad_fc_w, grad_fc_b = fc_backward(model.fc, cache["flat"],
                                                   grad_logits)
-    grad_head = grad_flat.reshape(2, cfg.t_max)
+    grad_head = grad_flat.reshape(num, 2, t_len)
     grad_h3, grad_hd_w, grad_hd_b = conv1d_backward(model.conv_head,
                                                     cache["h3"], grad_head)
     grad_t2 = relu_backward(cache["t2"], grad_h3)
@@ -379,7 +422,7 @@ def _total_loss_arrays(model: TdlModel, xv: np.ndarray, true_frames: int,
     )
     grad_t1 = relu_backward(cache["t1"], grad_h2)
     grad_x_t, grad_a1, grad_t1_w, grad_t1_b = tconv_backward(
-        model.tconv_1, cache["xv"], a, grad_t1
+        model.tconv_1, xv, a, grad_t1, input_grad
     )
 
     # both tconv layers share one similarity matrix
@@ -393,8 +436,8 @@ def _total_loss_arrays(model: TdlModel, xv: np.ndarray, true_frames: int,
     grad_h1, grad_cb_w, grad_cb_b = conv1d_backward(model.conv_b, cache["h1"],
                                                     grad_g2)
     grad_g1 = relu_backward(cache["g1"], grad_h1)
-    grad_x_e, grad_ca_w, grad_ca_b = conv1d_backward(model.conv_a, cache["xv"],
-                                                     grad_g1)
+    grad_x_e, grad_ca_w, grad_ca_b = conv1d_backward(model.conv_a, xv,
+                                                     grad_g1, input_grad)
 
     grads = {
         "conv_a.weights": grad_ca_w, "conv_a.bias": grad_ca_b,
@@ -403,9 +446,10 @@ def _total_loss_arrays(model: TdlModel, xv: np.ndarray, true_frames: int,
         "tconv_2.weights": grad_t2_w, "tconv_2.bias": grad_t2_b,
         "conv_head.weights": grad_hd_w, "conv_head.bias": grad_hd_b,
         "fc.weights": grad_fc_w, "fc.bias": grad_fc_b,
-        "input": grad_x_t + grad_x_e,
     }
-    return TdlLoss(total, bce, esm_losses), grads
+    if input_grad:
+        grads["input"] = grad_x_t + grad_x_e
+    return TdlLoss(total, bce_total, esm_losses), grads
 
 
 def predict(model: TdlModel, x: FeatureSequence,
@@ -458,6 +502,26 @@ def encode_checkpoint(model: TdlModel) -> bytes:
     return b"".join(chunks)
 
 
+_TDLC_KEYS = ("adam", "config", "epoch", "params", "param_shapes")
+
+
+def _check_header(header) -> None:
+    """FormatError unless the JSON header has every key, each of its kind."""
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint header is not a JSON object")
+    missing = [key for key in _TDLC_KEYS if key not in header]
+    if missing:
+        raise FormatError(f"checkpoint header lacks {missing}")
+    for key in ("adam", "config", "param_shapes"):
+        if not isinstance(header[key], dict):
+            raise FormatError(f"checkpoint {key} is not a JSON object")
+    adam_keys = set(AdamState().hyperparams()) | {"step"}
+    if set(header["adam"]) != adam_keys:
+        raise FormatError(
+            f"checkpoint adam keys {sorted(header['adam'])} != {sorted(adam_keys)}"
+        )
+
+
 def decode_checkpoint(blob: bytes) -> TdlModel:
     if len(blob) < _TDLC_HEAD.size:
         raise FormatError("checkpoint truncated in fixed header")
@@ -474,6 +538,7 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt checkpoint header: {exc}") from exc
     offset += header_len
+    _check_header(header)
 
     config = TdlConfig.from_dict(header["config"])
     model = build_model(config)
@@ -483,7 +548,8 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
     model.adam = AdamState(step=step, **adam_info)
 
     params = model.param_items()
-    if header["params"] != list(params.keys()):
+    if header["params"] != list(params.keys()) \
+            or set(header["param_shapes"]) != set(params):
         raise FormatError("checkpoint parameter list mismatch")
 
     def read_into(target: np.ndarray, off: int) -> int:
@@ -562,7 +628,10 @@ class TrainResult:
         return decode_checkpoint(self.best_checkpoint)
 
 
-def _validate_set(config: TdlConfig, dataset, name: str):
+def _validate_set(config: TdlConfig, dataset, name: str,
+                  both_classes: bool = False):
+    """Shape checks; with ``both_classes`` the set must also hold frames of
+    both label values, without which its EER is undefined."""
     if not dataset:
         raise ValidationError(f"{name} set is empty")
     for seq, labels in dataset:
@@ -578,12 +647,39 @@ def _validate_set(config: TdlConfig, dataset, name: str):
             raise ShapeError(
                 f"{name}: {labels.sample_id} labels not padded to {config.label_len}"
             )
+    if both_classes:
+        pooled = np.concatenate([lab.labels[:lab.true_labels] for _, lab in dataset])
+        if pooled.min() == pooled.max():
+            raise ValidationError(
+                f"{name} set has only label-{pooled[0]} frames; its EER needs "
+                "both classes"
+            )
 
 
 def dev_eer(model: TdlModel, dev_set) -> float:
-    scores = [predict(model, seq, labels.true_labels) for seq, labels in dev_set]
+    """Frame-level EER (percent) of the dev set, forwarded in blocks."""
+    scores = []
+    for block in _blocks(dev_set, model.config.t_max):
+        xv, true_frames, _ = _stack_block(block)
+        scores.extend(_forward_block(model, xv, true_frames)["scores"])
     pool = metrics_mod.pool_predictions(scores, [lab for _, lab in dev_set])
     return metrics_mod.eer(pool)[0]
+
+
+def _minibatch_step(model: TdlModel, params: dict, batch, epoch: int) -> np.ndarray:
+    """One Adam step on the mean gradient of a minibatch of (features,
+    labels) pairs; returns its summed (bce, real, fake, diff, total)."""
+    grad_sum, sums = {}, np.zeros(5)
+    for block in _blocks(batch, model.config.t_max):
+        losses, grads = _loss_block(model, *_stack_block(block))
+        for key, grad in grads.items():
+            grad_sum[key] = grad_sum[key] + grad if key in grad_sum else grad
+        sums += (losses.bce, losses.esm.l_real, losses.esm.l_fake,
+                 losses.esm.l_diff, losses.total)
+    for grad in grad_sum.values():
+        grad /= len(batch)
+    adam_step(model.adam, params, grad_sum, epoch)
+    return sums
 
 
 def train(config: TdlConfig, train_set, dev_set,
@@ -591,13 +687,15 @@ def train(config: TdlConfig, train_set, dev_set,
     """Seeded full-batch-shuffled minibatch training.
 
     Datasets are lists of (FeatureSequence, FrameLabels), features
-    pre-padded to t_max and labels to label_len. Per-epoch dev EER is
+    pre-padded to t_max and labels to label_len. Each minibatch runs as
+    one block (several when it exceeds BLOCK_FRAMES columns) and its
+    gradients are averaged over its utterances. Per-epoch dev EER is
     recorded and the best-dev-EER checkpoint retained. If the loss goes
     non-finite the run stops and the last completed epoch's parameters
     are restored (diverged=True).
     """
     _validate_set(config, train_set, "train")
-    _validate_set(config, dev_set, "dev")
+    _validate_set(config, dev_set, "dev", both_classes=True)
     model = init_model if init_model is not None else build_model(config)
     if init_model is not None:
         # resuming may extend the epoch budget but nothing else
@@ -624,18 +722,8 @@ def train(config: TdlConfig, train_set, dev_set,
         sums = np.zeros(5)  # bce, real, fake, diff, total
         try:
             for lo in range(0, n, config.batch_size):
-                batch = order[lo:lo + config.batch_size]
-                grad_sum = {k: np.zeros_like(v) for k, v in params.items()}
-                for idx in batch:
-                    seq, labels = train_set[idx]
-                    losses, grads = total_loss(model, seq, labels)
-                    for key in grad_sum:
-                        grad_sum[key] += grads[key]
-                    sums += (losses.bce, losses.esm.l_real, losses.esm.l_fake,
-                             losses.esm.l_diff, losses.total)
-                for key in grad_sum:
-                    grad_sum[key] /= batch.size
-                adam_step(model.adam, params, grad_sum, epoch)
+                batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
+                sums += _minibatch_step(model, params, batch, epoch)
         except NumericError:
             model = decode_checkpoint(last_good)
             diverged = True
@@ -835,9 +923,10 @@ def gradcheck_battery(size: str = "tiny", seed: int = 0,
                          config.label_len, REAL1_FAKE0)
 
     def model_loss():
-        return _total_loss_arrays(model, x64, t, labels)[0].total
+        return _loss_block(model, x64[None], [t], [labels])[0].total
 
-    _, grads = _total_loss_arrays(model, x64, t, labels)
+    _, grads = _loss_block(model, x64[None], [t], [labels], input_grad=True)
+    grads["input"] = grads["input"][0]
     params = dict(model.param_items())
     params["input"] = x64
     analytic = {k: grads[k] for k in params}

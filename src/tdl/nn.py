@@ -3,6 +3,13 @@
 Everything runs in float64 on plain numpy arrays. Each ``*_backward``
 is the exact adjoint of its forward linear map (or exact Jacobian
 product), which a central finite-difference checker verifies.
+
+Every layer primitive takes one utterance or a block of them: an
+optional leading batch axis, (C, T) or (B, C, T) for the convolutions
+and (F,) or (B, F) for the dense layer. A block is computed one GEMM per
+utterance, each the same GEMM a lone utterance runs, so an utterance's
+outputs do not depend on which other utterances share its block. Weight
+and bias gradients come back summed over the block in utterance order.
 """
 
 from __future__ import annotations
@@ -31,13 +38,10 @@ class Conv1dLayer:
     kernel: int
     weights: np.ndarray
     bias: np.ndarray
-    stride: int = 1
 
     def __post_init__(self):
         if self.kernel % 2 != 1:
             raise ConfigError(f"conv kernel must be odd, got {self.kernel}")
-        if self.stride != 1:
-            raise ConfigError(f"conv stride must be 1, got {self.stride}")
         if self.weights.shape != (self.kernel, self.in_channels, self.out_channels):
             raise ShapeError(
                 f"conv weights shape {self.weights.shape} != "
@@ -85,53 +89,89 @@ def fc_init(in_features: int, out_features: int,
 # ---------------------------------------------------------------------------
 
 
-def _taps_view(x_padded: np.ndarray, kernel: int, num_frames: int) -> np.ndarray:
-    """Strided view v[i, c, t] = x_padded[c, t + i]; no copy."""
-    s_c, s_t = x_padded.strides
-    return np.lib.stride_tricks.as_strided(
-        x_padded,
-        shape=(kernel, x_padded.shape[0], num_frames),
-        strides=(s_t, s_c, s_t),
-        writeable=False,
-    )
+def _taps(x: np.ndarray, kernel: int) -> np.ndarray:
+    """Kernel taps of x (..., C, T) as one contiguous (..., kernel, C, T) array.
+
+    taps[..., i, c, t] = x[..., c, t - kernel//2 + i], zero outside the
+    time axis. Each utterance's taps form one contiguous (kernel*C, T)
+    block, the operand of its GEMM.
+    """
+    half, t_len = kernel // 2, x.shape[-1]
+    taps = np.zeros(x.shape[:-2] + (kernel,) + x.shape[-2:])
+    for i in range(kernel):
+        lo, hi = max(0, half - i), min(t_len, t_len + half - i)
+        taps[..., i, :, lo:hi] = x[..., lo + i - half:hi + i - half]
+    return taps
 
 
-def _pad_time(x: np.ndarray, half: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (half, half)))
+def _flat_weights(layer: Conv1dLayer) -> np.ndarray:
+    """(kernel*in, out) view of the weights; row i*in + c is tap i, channel c."""
+    return layer.weights.reshape(-1, layer.out_channels)
+
+
+def _apply_taps(layer: Conv1dLayer, taps: np.ndarray) -> np.ndarray:
+    """bias + weights over a (..., kernel, C, T) tap array."""
+    lead, t_len = taps.shape[:-3], taps.shape[-1]
+    flat = taps.reshape(lead + (-1, t_len))
+    out = np.matmul(_flat_weights(layer).T, flat)
+    out += layer.bias[:, None]
+    return out
+
+
+def _tap_param_grads(layer: Conv1dLayer, taps: np.ndarray,
+                     grad_out: np.ndarray):
+    """(grad_weights, grad_bias), each summed over the block in order."""
+    t_len = taps.shape[-1]
+    flat = taps.reshape(-1, layer.kernel * layer.in_channels, t_len)
+    grad = grad_out.reshape(-1, layer.out_channels, t_len)
+    grad_weights = np.matmul(flat, grad.transpose(0, 2, 1)).sum(axis=0)
+    grad_bias = grad.sum(axis=2).sum(axis=0)
+    return grad_weights.reshape(layer.weights.shape), grad_bias
+
+
+def _grad_taps(layer: Conv1dLayer, grad_out: np.ndarray) -> np.ndarray:
+    """Gradient of the loss with respect to each tap, (..., kernel, C, T)."""
+    g = np.matmul(_flat_weights(layer), grad_out)
+    return g.reshape(grad_out.shape[:-2]
+                     + (layer.kernel, layer.in_channels, grad_out.shape[-1]))
+
+
+def _scatter_taps(grad_taps: np.ndarray) -> np.ndarray:
+    """Adjoint of _taps: add each tap's gradient back onto its source frame."""
+    kernel, t_len = grad_taps.shape[-3], grad_taps.shape[-1]
+    half = kernel // 2
+    grad_xp = np.zeros(grad_taps.shape[:-3] + grad_taps.shape[-2:-1]
+                       + (t_len + kernel - 1,))
+    for i in range(kernel):
+        grad_xp[..., i:i + t_len] += grad_taps[..., i, :, :]
+    return grad_xp[..., half:half + t_len]
 
 
 def conv1d_forward(layer: Conv1dLayer, x: np.ndarray) -> np.ndarray:
     """out[m, t] = bias[m] + sum_{i,c} w[i,c,m] * x[c, t - k//2 + i].
 
     Out-of-range time indices contribute zero, so the output keeps the
-    input's time length.
+    input's time length. x is (C, T) or a block (B, C, T).
     """
-    if x.ndim != 2 or x.shape[0] != layer.in_channels:
+    if x.ndim not in (2, 3) or x.shape[-2] != layer.in_channels:
         raise ShapeError(
             f"conv input has {x.shape} but layer expects {layer.in_channels} channels"
         )
-    t = x.shape[1]
-    view = _taps_view(_pad_time(x, layer.kernel // 2), layer.kernel, t)
-    out = np.tensordot(layer.weights, view, axes=([0, 1], [0, 1]))
-    out += layer.bias[:, None]
-    return out
+    return _apply_taps(layer, _taps(x, layer.kernel))
 
 
-def conv1d_backward(layer: Conv1dLayer, x: np.ndarray, grad_out: np.ndarray):
-    """Adjoint of conv1d_forward; returns (grad_x, grad_weights, grad_bias)."""
-    if grad_out.shape != (layer.out_channels, x.shape[1]):
+def conv1d_backward(layer: Conv1dLayer, x: np.ndarray, grad_out: np.ndarray,
+                    input_grad: bool = True):
+    """Adjoint of conv1d_forward; returns (grad_x, grad_weights, grad_bias).
+
+    grad_x is None when ``input_grad`` is off.
+    """
+    if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
-    k, half, t = layer.kernel, layer.kernel // 2, x.shape[1]
-    view = _taps_view(_pad_time(x, half), k, t)
-
-    grad_bias = grad_out.sum(axis=1)
-    grad_weights = np.tensordot(view, grad_out, axes=([2], [1]))
-    # scatter tap gradients back onto the padded time axis
-    g_view = np.tensordot(layer.weights, grad_out, axes=([2], [0]))
-    grad_xp = np.zeros((layer.in_channels, t + k - 1))
-    for i in range(k):
-        grad_xp[:, i:i + t] += g_view[i]
-    return grad_xp[:, half:half + t], grad_weights, grad_bias
+    grad_weights, grad_bias = _tap_param_grads(layer, _taps(x, layer.kernel),
+                                               grad_out)
+    grad_x = _scatter_taps(_grad_taps(layer, grad_out)) if input_grad else None
+    return grad_x, grad_weights, grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +180,20 @@ def conv1d_backward(layer: Conv1dLayer, x: np.ndarray, grad_out: np.ndarray):
 
 
 def fc_forward(layer: FcLayer, x: np.ndarray) -> np.ndarray:
-    if x.shape != (layer.in_features,):
+    """weights @ x + bias for x (F,) or a block (B, F)."""
+    if x.ndim not in (1, 2) or x.shape[-1] != layer.in_features:
         raise ShapeError(f"fc input shape {x.shape} != ({layer.in_features},)")
-    return layer.weights @ x + layer.bias
+    return np.matmul(layer.weights, x[..., None])[..., 0] + layer.bias
 
 
 def fc_backward(layer: FcLayer, x: np.ndarray, grad_out: np.ndarray):
-    if grad_out.shape != (layer.out_features,):
+    if grad_out.shape != x.shape[:-1] + (layer.out_features,):
         raise ShapeError(f"fc grad shape {grad_out.shape}")
-    return layer.weights.T @ grad_out, np.outer(grad_out, x), grad_out.copy()
+    grad_x = np.matmul(layer.weights.T, grad_out[..., None])[..., 0]
+    grad = grad_out.reshape(-1, layer.out_features)
+    grad_weights = (grad[:, :, None] * x.reshape(-1, layer.in_features)[:, None, :]
+                    ).sum(axis=0)
+    return grad_x, grad_weights, grad.sum(axis=0)
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -178,20 +223,20 @@ NORM_EPS = 1e-12
 
 
 def l2_normalize_forward(x: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Normalize each column (time step) over the channel axis.
+    """Normalize each column (time step) over the channel axis, x (..., C, T).
 
     Columns with norm below eps are divided by eps instead, so the map
     stays differentiable everywhere it is evaluated.
     """
-    norms = np.sqrt((x * x).sum(axis=0))
+    norms = np.sqrt((x * x).sum(axis=-2, keepdims=True))
     return x / np.maximum(norms, eps)
 
 
 def l2_normalize_backward(x: np.ndarray, grad_out: np.ndarray,
                           eps: float = NORM_EPS) -> np.ndarray:
-    norms = np.sqrt((x * x).sum(axis=0))
+    norms = np.sqrt((x * x).sum(axis=-2, keepdims=True))
     denom = np.maximum(norms, eps)
-    dots = (x * grad_out).sum(axis=0)
+    dots = (x * grad_out).sum(axis=-2, keepdims=True)
     grad = grad_out / denom - x * (dots / denom ** 3)
     # below the floor the denominator is the constant eps
     return np.where(norms < eps, grad_out / eps, grad)
@@ -210,17 +255,19 @@ def bce_loss(scores: np.ndarray, labels: np.ndarray,
 
     loss = -(1/L) sum_j w_j [y_j log s_j + (1-y_j) log(1-s_j)]
     with s clamped to [1e-7, 1 - 1e-7]; the gradient is exact for the
-    clamped expression (zero where the clamp is active).
+    clamped expression (zero where the clamp is active). For a block of
+    score rows (B, L) the loss is one mean per row.
     """
     if scores.shape != labels.shape:
         raise ShapeError(f"scores {scores.shape} vs labels {labels.shape}")
-    n = scores.size
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    n = scores.shape[-1]
+    w = (np.ones(scores.shape) if weights is None
+         else np.asarray(weights, dtype=np.float64))
     if w.shape != scores.shape:
         raise ShapeError(f"weights shape {w.shape}")
     y = np.asarray(labels, dtype=np.float64)
     s = np.clip(scores, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    loss = -(w * (y * np.log(s) + (1.0 - y) * np.log1p(-s))).sum() / n
+    loss = -(w * (y * np.log(s) + (1.0 - y) * np.log1p(-s))).sum(axis=-1) / n
     inside = (scores > BCE_CLAMP) & (scores < 1.0 - BCE_CLAMP)
     grad = np.where(inside, -(w / n) * (y / s - (1.0 - y) / (1.0 - s)), 0.0)
     return loss, grad

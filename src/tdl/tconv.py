@@ -5,6 +5,10 @@ neighbor, rectified at zero) scales each input column before the kernel
 is applied, so the convolution attends only to neighbors that look like
 the current frame. Out-of-range or padding neighbors get similarity 0,
 which masks them out entirely.
+
+Like the ``nn`` primitives, everything here takes one utterance or a
+block with a leading batch axis: embeddings (B, D, T), similarity
+matrices (B, k, T), tconv inputs (B, C, T).
 """
 
 from __future__ import annotations
@@ -15,17 +19,27 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .esm import PADDING, EmbeddingSequence, _channel_dot, _normalized
-from .nn import Conv1dLayer, _pad_time, _taps_view
+from .nn import (
+    Conv1dLayer,
+    _apply_taps,
+    _grad_taps,
+    _scatter_taps,
+    _tap_param_grads,
+    _taps,
+)
 
 
 @dataclass
 class SimilarityMatrix:
+    """values[..., i, t]: (kernel, num_frames), or (B, kernel, num_frames)."""
+
     kernel: int
     num_frames: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.kernel, self.num_frames):
+        if (self.values.ndim not in (2, 3)
+                or self.values.shape[-2:] != (self.kernel, self.num_frames)):
             raise ShapeError(f"similarity matrix shape {self.values.shape}")
 
 
@@ -49,6 +63,23 @@ def tconv_init(channels: int, kernel: int, rng: np.random.Generator) -> TconvLay
     return TconvLayer(channels, channels, kernel, w, b)
 
 
+def _neighbor_cells(normed: np.ndarray, live: np.ndarray, off: int,
+                    rectify: bool):
+    """Similarity cells of frames t in [t0, t1) with frames t + off.
+
+    Returns (t0, t1, sims, valid): the cosines, accumulated channel by
+    channel and rectified when asked, and where both frames are live.
+    """
+    t_len = normed.shape[-1]
+    t0, t1 = max(0, -off), min(t_len, t_len - off)
+    sims = np.clip(_channel_dot(normed[..., t0:t1], normed[..., t0 + off:t1 + off]),
+                   -1.0, 1.0)
+    if rectify:
+        sims = np.maximum(sims, 0.0)
+    valid = live[..., t0:t1] & live[..., t0 + off:t1 + off]
+    return t0, t1, sims, valid
+
+
 def neighbor_similarity(e: EmbeddingSequence, k: int,
                         rectify: bool = True) -> SimilarityMatrix:
     """a[i, t] = [S(e_t, e_{t - k//2 + i})]+ over valid, non-padding pairs.
@@ -60,28 +91,18 @@ def neighbor_similarity(e: EmbeddingSequence, k: int,
     """
     if k % 2 != 1:
         raise ConfigError(f"neighbor kernel must be odd, got {k}")
-    values = e.values
-    t_len = e.num_frames
     live = e.frame_class != PADDING
-    normed, _ = _normalized(values)
+    normed, _ = _normalized(e.values)
     half = k // 2
-    a = np.zeros((k, t_len))
+    a = np.zeros(live.shape[:-1] + (k, e.num_frames))
+    a[..., half, :] = live
     for i in range(k):
         off = i - half
-        if off == 0:
-            a[i, live] = 1.0
+        if off == 0 or abs(off) >= e.num_frames:
             continue
-        t0, t1 = max(0, -off), min(t_len, t_len - off)
-        if t1 <= t0:
-            continue
-        ts = np.arange(t0, t1)
-        ns = ts + off
-        sims = np.clip(_channel_dot(normed[:, ts], normed[:, ns]), -1.0, 1.0)
-        if rectify:
-            sims = np.maximum(sims, 0.0)
-        valid = live[ts] & live[ns]
-        a[i, ts[valid]] = sims[valid]
-    return SimilarityMatrix(k, t_len, a)
+        t0, t1, sims, valid = _neighbor_cells(normed, live, off, rectify)
+        a[..., i, t0:t1] = np.where(valid, sims, 0.0)
+    return SimilarityMatrix(k, e.num_frames, a)
 
 
 def neighbor_similarity_backward(e: EmbeddingSequence, k: int,
@@ -92,35 +113,27 @@ def neighbor_similarity_backward(e: EmbeddingSequence, k: int,
     Constant cells (center row, masked borders/padding, rectified
     negatives) pass no gradient.
     """
-    values = e.values
-    t_len = e.num_frames
     live = e.frame_class != PADDING
-    normed, norms = _normalized(values)
+    normed, norms = _normalized(e.values)
     half = k // 2
-    grad = np.zeros_like(values)
+    grad = np.zeros_like(e.values)
     for i in range(k):
         off = i - half
-        if off == 0:
+        if off == 0 or abs(off) >= e.num_frames:
             continue
-        t0, t1 = max(0, -off), min(t_len, t_len - off)
-        if t1 <= t0:
-            continue
-        ts = np.arange(t0, t1)
-        ns = ts + off
-        # same kernel as the forward pass so the rectification mask matches
-        sims = np.clip(_channel_dot(normed[:, ts], normed[:, ns]), -1.0, 1.0)
-        active = live[ts] & live[ns]
+        # same cells as the forward pass, so the rectification mask matches
+        t0, t1, sims, active = _neighbor_cells(normed, live, off, rectify)
         if rectify:
             active &= sims > 0.0
-        if not np.any(active):
-            continue
-        ts, ns, sims = ts[active], ns[active], sims[active]
-        ga = grad_a[i, ts]
-        gu = (normed[:, ns] - sims * normed[:, ts]) / norms[ts]
-        gv = (normed[:, ts] - sims * normed[:, ns]) / norms[ns]
-        # each t (and each n) appears at most once per offset
-        grad[:, ts] += ga * gu
-        grad[:, ns] += ga * gv
+        n0, n1 = t0 + off, t1 + off
+        active, sims = active[..., None, :], sims[..., None, :]
+        ga = grad_a[..., None, i, t0:t1]
+        u, v = normed[..., t0:t1], normed[..., n0:n1]
+        # each t (and each n = t + off) appears once per offset
+        grad[..., t0:t1] += np.where(
+            active, ga * ((v - sims * u) / norms[..., None, t0:t1]), 0.0)
+        grad[..., n0:n1] += np.where(
+            active, ga * ((u - sims * v) / norms[..., None, n0:n1]), 0.0)
     return grad
 
 
@@ -134,34 +147,23 @@ def tconv_forward(layer: TconvLayer, x: np.ndarray,
     """
     if a.kernel != layer.kernel:
         raise ShapeError(f"similarity kernel {a.kernel} != layer {layer.kernel}")
-    if x.ndim != 2 or x.shape[0] != layer.in_channels:
+    if x.ndim not in (2, 3) or x.shape[-2] != layer.in_channels:
         raise ShapeError(f"tconv input shape {x.shape}")
-    t_len = x.shape[1]
-    if a.num_frames != t_len:
-        raise ShapeError(f"similarity frames {a.num_frames} != input {t_len}")
-    view = _taps_view(_pad_time(x, layer.kernel // 2), layer.kernel, t_len)
-    modulated = view * a.values[:, None, :]
-    out = np.tensordot(layer.weights, modulated, axes=([0, 1], [0, 1]))
-    out += layer.bias[:, None]
-    return out
+    if a.values.shape[:-2] + (a.num_frames,) != x.shape[:-2] + x.shape[-1:]:
+        raise ShapeError(f"similarity frames {a.values.shape} != input {x.shape}")
+    return _apply_taps(layer, _taps(x, layer.kernel) * a.values[..., None, :])
 
 
 def tconv_backward(layer: TconvLayer, x: np.ndarray, a: SimilarityMatrix,
-                   grad_out: np.ndarray):
-    """Adjoints for (x, a, weights, bias)."""
-    t_len = x.shape[1]
-    if grad_out.shape != (layer.out_channels, t_len):
+                   grad_out: np.ndarray, input_grad: bool = True):
+    """Adjoints for (x, a, weights, bias); the x adjoint is None when
+    ``input_grad`` is off."""
+    if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
-    k, half = layer.kernel, layer.kernel // 2
-    view = _taps_view(_pad_time(x, half), k, t_len)
-    modulated = view * a.values[:, None, :]
-
-    grad_bias = grad_out.sum(axis=1)
-    grad_weights = np.tensordot(modulated, grad_out, axes=([2], [1]))
-    g_mod = np.tensordot(layer.weights, grad_out, axes=([2], [0]))
-    grad_a = (g_mod * view).sum(axis=1)
-    g_view = g_mod * a.values[:, None, :]
-    grad_xp = np.zeros((layer.in_channels, t_len + k - 1))
-    for i in range(k):
-        grad_xp[:, i:i + t_len] += g_view[i]
-    return grad_xp[:, half:half + t_len], grad_a, grad_weights, grad_bias
+    taps = _taps(x, layer.kernel)
+    scale = a.values[..., None, :]
+    grad_weights, grad_bias = _tap_param_grads(layer, taps * scale, grad_out)
+    grad_mod = _grad_taps(layer, grad_out)
+    grad_a = (grad_mod * taps).sum(axis=-2)
+    grad_x = _scatter_taps(grad_mod * scale) if input_grad else None
+    return grad_x, grad_a, grad_weights, grad_bias

@@ -90,6 +90,31 @@ def test_stats_missing_manifest_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _break_manifest(data_dir):
+    manifest = data_dir / "manifest.json"
+    obj = json.loads(manifest.read_text())
+    del obj["samples"][0]["features"]
+    manifest.write_text(json.dumps(obj))
+
+
+def test_stats_and_eval_malformed_manifest_exit_one(tmp_path, synth_spec_file,
+                                                    capsys):
+    from tdl.model import build_model, save_checkpoint
+
+    out = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
+    _break_manifest(out)
+    checkpoint = tmp_path / "m.tdlc"
+    save_checkpoint(build_model(desk_config()), checkpoint)
+    capsys.readouterr()
+    for argv in (["stats", "--data", str(out)],
+                 ["eval", "--checkpoint", str(checkpoint), "--test", str(out),
+                  "--report", str(tmp_path / "r.json")]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and "features" in err, argv
+        assert "Traceback" not in err, argv
+
+
 # ---------------------------------------------------------------------------
 # gradcheck / params
 # ---------------------------------------------------------------------------

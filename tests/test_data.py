@@ -380,3 +380,25 @@ def test_write_and_load_dataset(tmp_path):
 def test_load_dataset_without_manifest(tmp_path):
     with pytest.raises(FormatError):
         data.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("entry", [
+    {"id": "u0", "annotations": "annotations/u0.json"},
+    {"id": "u0", "features": "features/u0.tdlf"},
+    {"features": "features/u0.tdlf", "annotations": "annotations/u0.json"},
+    ["u0", "features/u0.tdlf", "annotations/u0.json"],
+    "u0",
+    {"id": 7, "features": "features/u0.tdlf", "annotations": "annotations/u0.json"},
+], ids=["no-features", "no-annotations", "no-id", "list", "string", "int-id"])
+def test_load_dataset_malformed_manifest_entry(tmp_path, entry):
+    feats, anns = data.synth_dataset(data.desk_benchmark_spec(num_utterances=1), 0)
+    data.write_dataset(tmp_path, feats, anns)
+    (tmp_path / "manifest.json").write_text(json.dumps({"samples": [entry]}))
+    with pytest.raises(FormatError, match="sample entry"):
+        data.load_dataset(tmp_path)
+
+
+def test_load_dataset_samples_not_a_list(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps({"samples": {"id": "u0"}}))
+    with pytest.raises(FormatError):
+        data.load_dataset(tmp_path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from tdl.data import (
     pad_features,
     synth_dataset,
 )
-from tdl.errors import ConfigError, FormatError, ShapeError
+from tdl.errors import ConfigError, FormatError, ShapeError, ValidationError
 from tdl.nn import bce_loss, count_params
 
 
@@ -243,6 +245,45 @@ def test_checkpoint_truncated_rejected(tmp_path):
         M.decode_checkpoint(b"NOPE" + blob[4:])
 
 
+def _rewrite_header(blob, edit):
+    """The checkpoint with its JSON header passed through ``edit``."""
+    _, _, header_len = M._TDLC_HEAD.unpack_from(blob)
+    start = M._TDLC_HEAD.size
+    header = json.loads(blob[start:start + header_len])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    return (M._TDLC_HEAD.pack(M.TDLC_MAGIC, M.TDLC_VERSION, len(raw)) + raw
+            + blob[start + header_len:])
+
+
+@pytest.mark.parametrize("key", ["adam", "config", "epoch", "params",
+                                 "param_shapes"])
+def test_checkpoint_missing_header_key_is_format_error(key):
+    blob = M.encode_checkpoint(M.build_model(tiny_config()))
+    with pytest.raises(FormatError, match=key):
+        M.decode_checkpoint(_rewrite_header(blob, lambda h: h.pop(key)))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["adam"].update(momentum=0.5),
+    lambda h: h["adam"].pop("step"),
+    lambda h: h.update(config=[1, 2]),
+    lambda h: h.update(config="tiny"),
+    lambda h: h["param_shapes"].pop("fc.bias"),
+], ids=["extra-adam-key", "missing-adam-step", "list-config", "string-config",
+        "missing-shape"])
+def test_checkpoint_malformed_header_is_format_error(edit):
+    blob = M.encode_checkpoint(M.build_model(tiny_config()))
+    with pytest.raises(FormatError):
+        M.decode_checkpoint(_rewrite_header(blob, edit))
+
+
+def test_checkpoint_header_rewrite_round_trips():
+    blob = M.encode_checkpoint(M.build_model(tiny_config()))
+    restored = M.decode_checkpoint(_rewrite_header(blob, lambda h: None))
+    assert M.encode_checkpoint(restored) == blob
+
+
 def test_checkpoint_preserves_predictions(tmp_path):
     cfg = tiny_config()
     mdl = M.build_model(cfg)
@@ -352,6 +393,23 @@ def test_train_loss_decreases_on_separable_data():
     violations = sum(b >= a for a, b in zip(losses, losses[1:]))
     assert violations <= 1, losses
     assert losses[-1] < losses[0]
+
+
+def test_train_rejects_single_class_dev_set_before_any_epoch(monkeypatch):
+    cfg = tiny_config()
+    train_set, dev_set = _tiny_sets(cfg)
+    real_only = [(seq, FrameLabels(lab.sample_id, lab.resolution_s,
+                                   np.where(np.arange(lab.labels.size)
+                                            < lab.true_labels, 1, 0),
+                                   lab.true_labels, lab.setting))
+                 for seq, lab in dev_set]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("an epoch ran before the dev set was checked")
+
+    monkeypatch.setattr(M, "_loss_block", no_training)
+    with pytest.raises(ValidationError, match="both classes"):
+        M.train(cfg, train_set, real_only)
 
 
 def test_train_rejects_unpadded_features():
