@@ -5,6 +5,7 @@ carry the true (pre-padding) frame count so padding can be stripped
 before evaluation.
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -38,3 +39,5 @@ try:
     load_feature_file(bad)
 except FormatError as exc:
     print("truncated file rejected:", exc)
+
+shutil.rmtree(workdir)

@@ -29,7 +29,6 @@ from .data import (
 from .errors import (
     AnnotationError,
     ConfigError,
-    DivergenceError,
     FormatError,
     MetricError,
     NumericError,

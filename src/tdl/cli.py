@@ -89,26 +89,10 @@ def run_synth(args) -> int:
 
     features, annotations = data_mod.synth_dataset(spec, args.seed)
     out_dir = Path(args.out)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    (out_dir / "annotations").mkdir(parents=True, exist_ok=True)
-
-    def write_one(pair):
-        seq, ann = pair
-        data_mod.write_feature_file(seq, out_dir / "features" / f"{seq.sample_id}.tdlf")
-        data_mod.save_annotation_file(ann, out_dir / "annotations" / f"{ann.sample_id}.json")
-
-    _map_maybe_parallel(write_one, list(zip(features, annotations)), args.threads)
-    samples = [
-        {"id": seq.sample_id,
-         "features": f"features/{seq.sample_id}.tdlf",
-         "annotations": f"annotations/{seq.sample_id}.json"}
-        for seq in features
-    ]
-    manifest = out_dir / "manifest.json"
-    manifest.write_text(
-        json.dumps({"samples": samples}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    samples = _map_maybe_parallel(
+        lambda pair: data_mod.write_sample(out_dir, *pair),
+        list(zip(features, annotations)), args.threads)
+    data_mod.write_manifest(out_dir, samples)
     stats = data_mod.dataset_stats(annotations)
     print(f"wrote {len(samples)} utterances to {out_dir}")
     print(f"fake frames: {stats.frame_fake_pct:.2f} %  "

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -345,6 +346,56 @@ def pad_features(seq: FeatureSequence, target_frames: int) -> FeatureSequence:
 
 
 # ---------------------------------------------------------------------------
+# config objects from JSON
+# ---------------------------------------------------------------------------
+
+
+def config_from_dict(cls, obj, section: str):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    Raises ConfigError for a non-object, an unknown key or a value of the
+    wrong JSON type: integer fields take integers but not booleans, float
+    fields any real number, tuple fields arrays of their length, and
+    nested config sections objects.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    try:
+        return cls(**{key: _typed(value, hints[key], f"{section}.{key}")
+                      for key, value in obj.items()})
+    except TypeError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _typed(value, hint, name: str):
+    """``value`` checked against the field type ``hint``."""
+    if is_dataclass(hint):
+        return config_from_dict(hint, value, name)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigError(f"{name} must be an array of {len(args)}, got {value!r}")
+        return tuple(_typed(v, h, name) for v, h in zip(value, args))
+    if type(None) in args:
+        if value is None:
+            return None
+        hint = args[0]
+    if hint is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif hint is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # synthetic corpus generation
 # ---------------------------------------------------------------------------
 
@@ -363,9 +414,9 @@ class SynthSpec:
     dim: int
     num_utterances: int
     frame_rate_hz: float = 25.0
-    duration_range_s: tuple = (1.8, 2.56)
-    fake_segment_count_range: tuple = (1, 3)
-    fake_fraction_range: tuple = (0.43, 0.63)
+    duration_range_s: tuple[float, float] = (1.8, 2.56)
+    fake_segment_count_range: tuple[int, int] = (1, 3)
+    fake_fraction_range: tuple[float, float] = (0.43, 0.63)
     spoof_probability: float = 0.9
     separation: float = 2.0
     noise_scale: float = 1.0
@@ -395,33 +446,11 @@ class SynthSpec:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "num_utterances": self.num_utterances,
-            "frame_rate_hz": self.frame_rate_hz,
-            "duration_range_s": list(self.duration_range_s),
-            "fake_segment_count_range": list(self.fake_segment_count_range),
-            "fake_fraction_range": list(self.fake_fraction_range),
-            "spoof_probability": self.spoof_probability,
-            "separation": self.separation,
-            "noise_scale": self.noise_scale,
-            "sample_prefix": self.sample_prefix,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthSpec":
-        known = {f: obj[f] for f in cls.__dataclass_fields__ if f in obj}
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown generator keys: {sorted(unknown)}")
-        for key in ("duration_range_s", "fake_segment_count_range",
-                    "fake_fraction_range"):
-            if key in known:
-                known[key] = tuple(known[key])
-        try:
-            spec = cls(**known)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec = config_from_dict(cls, obj, "generator")
         spec.validate()
         return spec
 
@@ -560,30 +589,40 @@ def dataset_stats(anns, resolution_s: float = DEFAULT_RESOLUTION_S) -> DatasetSt
 # ---------------------------------------------------------------------------
 
 
-def write_dataset(out_dir, features, annotations) -> Path:
-    """Write TDLF files, annotation sidecars, and a manifest; returns
-    the manifest path."""
+def write_sample(out_dir, seq: FeatureSequence, ann: SegmentAnnotation) -> dict:
+    """Write one utterance's TDLF file and annotation sidecar under
+    ``out_dir``; returns its manifest entry."""
+    if seq.sample_id != ann.sample_id:
+        raise ValidationError(
+            f"feature/annotation id mismatch: {seq.sample_id} vs {ann.sample_id}"
+        )
     out_dir = Path(out_dir)
+    entry = {"id": seq.sample_id, "features": f"features/{seq.sample_id}.tdlf",
+             "annotations": f"annotations/{seq.sample_id}.json"}
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    (out_dir / "annotations").mkdir(parents=True, exist_ok=True)
-    samples = []
-    for seq, ann in zip(features, annotations, strict=True):
-        if seq.sample_id != ann.sample_id:
-            raise ValidationError(
-                f"feature/annotation id mismatch: {seq.sample_id} vs {ann.sample_id}"
-            )
-        feat_rel = f"features/{seq.sample_id}.tdlf"
-        ann_rel = f"annotations/{seq.sample_id}.json"
-        write_feature_file(seq, out_dir / feat_rel)
-        save_annotation_file(ann, out_dir / ann_rel)
-        samples.append({"id": seq.sample_id, "features": feat_rel,
-                        "annotations": ann_rel})
-    manifest = out_dir / "manifest.json"
+    (out_dir / "annotations").mkdir(exist_ok=True)
+    write_feature_file(seq, out_dir / entry["features"])
+    save_annotation_file(ann, out_dir / entry["annotations"])
+    return entry
+
+
+def write_manifest(out_dir, samples) -> Path:
+    """Write the manifest listing ``samples`` (write_sample's entries)."""
+    manifest = Path(out_dir) / "manifest.json"
     manifest.write_text(
         json.dumps({"samples": samples}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return manifest
+
+
+def write_dataset(out_dir, features, annotations) -> Path:
+    """Write TDLF files, annotation sidecars, and a manifest; returns
+    the manifest path."""
+    return write_manifest(out_dir, [
+        write_sample(out_dir, seq, ann)
+        for seq, ann in zip(features, annotations, strict=True)
+    ])
 
 
 _MANIFEST_KEYS = ("id", "features", "annotations")

@@ -37,7 +37,3 @@ class MetricError(TdlError):
 
 class NumericError(TdlError):
     """A computation produced non-finite values."""
-
-
-class DivergenceError(NumericError):
-    """Training loss became non-finite; the last good checkpoint is kept."""

@@ -14,11 +14,11 @@ product bit for bit. Functions that take raw arrays accept one utterance
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import FrameLabels
+from .data import FrameLabels, config_from_dict
 from .errors import ConfigError, ShapeError, ValidationError
 
 # frame_class codes
@@ -52,15 +52,11 @@ class EsmConfig:
             raise ConfigError("pair_budget must be positive when set")
 
     def to_dict(self) -> dict:
-        return {"tau_same": self.tau_same, "tau_diff": self.tau_diff,
-                "pair_budget": self.pair_budget, "sample_seed": self.sample_seed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EsmConfig":
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown esm keys: {sorted(unknown)}")
-        return cls(**obj)
+        return config_from_dict(cls, obj, "esm")
 
 
 @dataclass

@@ -1,12 +1,11 @@
 """The full detection network: assembly, loss, training, checkpoints.
 
-Layer stack (time length is preserved throughout):
-
-    features (D x T) --conv_a k3--> hidden --relu--conv_b k3--> embed
-                                                   --l2 normalize--> e
-    e --neighbor similarity--> a (k x T, shared by both tconv layers)
-    features --tconv_1/a--relu--tconv_2/a--relu--conv_head k1--> (2 x T)
-    flatten --fc--> logits (L) --sigmoid--> per-frame scores
+``NETWORK`` is the one description of the layer stack: an embedding
+branch (conv_a, relu, conv_b, l2 normalize) whose neighbor similarities
+modulate two tconv layers over the features, then a k=1 conv head, fc
+and sigmoid that score every label frame. Time length is preserved up
+to the fc. Forward, backward, layer construction, parameter and
+checkpoint order, and the gradient-check battery all loop over its rows.
 
 Total loss is BCE(scores, labels) plus ``esm_weight`` times the
 embedding-separation loss; gradients flow through both the hinge terms
@@ -25,14 +24,15 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import esm as esm_mod
 from . import metrics as metrics_mod
-from .data import BOUNDARY1, REAL1_FAKE0, FeatureSequence, FrameLabels, LABEL_SETTINGS
+from .data import (BOUNDARY1, LABEL_SETTINGS, REAL1_FAKE0, FeatureSequence,
+                   FrameLabels, config_from_dict)
 from .errors import (
     ConfigError,
     FormatError,
@@ -96,25 +96,14 @@ class OptimizerConfig:
     halving_period_epochs: int = 5
 
     def make_state(self) -> AdamState:
-        return AdamState(
-            beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-            weight_decay=self.weight_decay, base_lr=self.base_lr,
-            halving_period_epochs=self.halving_period_epochs,
-        )
+        return AdamState(**asdict(self))
 
     def to_dict(self) -> dict:
-        return {
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "weight_decay": self.weight_decay, "base_lr": self.base_lr,
-            "halving_period_epochs": self.halving_period_epochs,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OptimizerConfig":
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown optimizer keys: {sorted(unknown)}")
-        return cls(**obj)
+        return config_from_dict(cls, obj, "optimizer")
 
 
 @dataclass
@@ -166,36 +155,16 @@ class TdlConfig:
             raise ConfigError("label_resolution_s must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "feat_dim": self.feat_dim, "t_max": self.t_max,
-            "embed_dim": self.embed_dim, "conv_hidden": self.conv_hidden,
-            "tconv_channels": self.tconv_channels, "kernel": self.kernel,
-            "label_len": self.label_len,
-            "label_resolution_s": self.label_resolution_s,
-            "label_setting": self.label_setting,
-            "esm": self.esm.to_dict(), "lambda": self.esm_weight,
-            "rectify_similarity": self.rectify_similarity,
-            "optimizer": self.optimizer.to_dict(),
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
+        obj = asdict(self)
+        obj["lambda"] = obj.pop("esm_weight")
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TdlConfig":
         obj = dict(obj)
         if "lambda" in obj:
             obj["esm_weight"] = obj.pop("lambda")
-        if "esm" in obj and isinstance(obj["esm"], dict):
-            obj["esm"] = EsmConfig.from_dict(obj["esm"])
-        if "optimizer" in obj and isinstance(obj["optimizer"], dict):
-            obj["optimizer"] = OptimizerConfig.from_dict(obj["optimizer"])
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return config_from_dict(cls, obj, "config")
 
 
 def full_scale_config(**overrides) -> TdlConfig:
@@ -213,6 +182,29 @@ def desk_config(**overrides) -> TdlConfig:
     return TdlConfig(**base)
 
 
+# The layer stack in forward order. Each row is (output, op, inputs,
+# layer): ``op`` names a primitive, ``inputs`` name the feature block "x"
+# or outputs of earlier rows, and ``layer`` names the TdlModel attribute
+# holding the row's parameters. The layer order is also the parameter
+# order of checkpoints and the order of the seeded init draws.
+NETWORK = (
+    ("g1", "conv1d", ("x",), "conv_a"),
+    ("h1", "relu", ("g1",), None),
+    ("g2", "conv1d", ("h1",), "conv_b"),
+    ("e", "l2_normalize", ("g2",), None),
+    # one similarity matrix modulates both tconv layers
+    ("a", "neighbor_similarity", ("e",), None),
+    ("t1", "tconv", ("x", "a"), "tconv_1"),
+    ("h2", "relu", ("t1",), None),
+    ("t2", "tconv", ("h2", "a"), "tconv_2"),
+    ("h3", "relu", ("t2",), None),
+    ("head", "conv1d", ("h3",), "conv_head"),
+    ("logits", "fc", ("head",), "fc"),
+    ("scores", "sigmoid", ("logits",), None),
+)
+LAYERS = tuple(layer for *_, layer in NETWORK if layer is not None)
+
+
 @dataclass
 class TdlModel:
     config: TdlConfig
@@ -226,9 +218,7 @@ class TdlModel:
     epoch: int = 0
 
     def layer_items(self):
-        return [("conv_a", self.conv_a), ("conv_b", self.conv_b),
-                ("tconv_1", self.tconv_1), ("tconv_2", self.tconv_2),
-                ("conv_head", self.conv_head), ("fc", self.fc)]
+        return [(name, getattr(self, name)) for name in LAYERS]
 
     def param_items(self) -> dict:
         out = {}
@@ -252,16 +242,16 @@ def build_model(config: TdlConfig) -> TdlModel:
     """Seeded construction; parameters are uniform in +-sqrt(1/fan_in)."""
     rng = np.random.default_rng([config.seed, _STREAM_INIT])
     k = config.kernel
-    return TdlModel(
-        config=config,
-        conv_a=conv1d_init(config.feat_dim, config.conv_hidden, k, rng),
-        conv_b=conv1d_init(config.conv_hidden, config.embed_dim, k, rng),
-        tconv_1=tconv_init(config.tconv_channels, k, rng),
-        tconv_2=tconv_init(config.tconv_channels, k, rng),
-        conv_head=conv1d_init(config.tconv_channels, 2, 1, rng),
-        fc=fc_init(2 * config.t_max, config.label_len, rng),
-        adam=config.optimizer.make_state(),
-    )
+    init = {
+        "conv_a": lambda: conv1d_init(config.feat_dim, config.conv_hidden, k, rng),
+        "conv_b": lambda: conv1d_init(config.conv_hidden, config.embed_dim, k, rng),
+        "tconv_1": lambda: tconv_init(config.tconv_channels, k, rng),
+        "tconv_2": lambda: tconv_init(config.tconv_channels, k, rng),
+        "conv_head": lambda: conv1d_init(config.tconv_channels, 2, 1, rng),
+        "fc": lambda: fc_init(2 * config.t_max, config.label_len, rng),
+    }
+    return TdlModel(config=config, adam=config.optimizer.make_state(),
+                    **{name: init[name]() for name in LAYERS})
 
 
 def param_count_table(model: TdlModel):
@@ -302,29 +292,101 @@ def _stack_block(pairs):
     return xv, [seq.true_frames for seq, _ in pairs], [lab for _, lab in pairs]
 
 
-def _forward_block(model: TdlModel, xv: np.ndarray, true_frames) -> dict:
-    """The stack on a block xv (B, C, T); frames past true_frames are padding."""
-    cfg = model.config
-    t_len = xv.shape[-1]
-    g1 = conv1d_forward(model.conv_a, xv)
-    h1 = relu_forward(g1)
-    g2 = conv1d_forward(model.conv_b, h1)
-    live = np.arange(t_len) < np.asarray(true_frames)[:, None]
-    sim_class = np.where(live, esm_mod.REAL, esm_mod.PADDING)
-    e_seq = EmbeddingSequence(cfg.embed_dim, t_len, l2_normalize_forward(g2),
-                              sim_class)
-    a = neighbor_similarity(e_seq, cfg.kernel, cfg.rectify_similarity)
+def _embedding(e: np.ndarray, frame_class: np.ndarray) -> EmbeddingSequence:
+    return EmbeddingSequence(e.shape[-2], e.shape[-1], e, frame_class)
 
-    t1 = tconv_forward(model.tconv_1, xv, a)
-    h2 = relu_forward(t1)
-    t2 = tconv_forward(model.tconv_2, h2, a)
-    h3 = relu_forward(t2)
-    flat = conv1d_forward(model.conv_head, h3).reshape(len(xv), -1)
-    scores = sigmoid_forward(fc_forward(model.fc, flat))
-    return {
-        "g1": g1, "h1": h1, "g2": g2, "e_seq": e_seq, "a": a, "t1": t1,
-        "h2": h2, "t2": t2, "h3": h3, "flat": flat, "scores": scores,
-    }
+
+def _similarity(cfg: TdlConfig, a: np.ndarray) -> SimilarityMatrix:
+    return SimilarityMatrix(cfg.kernel, a.shape[-1], a)
+
+
+def _op_forward(cfg: TdlConfig, op: str, layer, args, frame_class):
+    """Output of NETWORK primitive ``op`` of ``layer`` (or None) on ``args``."""
+    if op == "conv1d":
+        return conv1d_forward(layer, args[0])
+    if op == "tconv":
+        return tconv_forward(layer, args[0], _similarity(cfg, args[1]))
+    if op == "fc":
+        return fc_forward(layer, args[0].reshape(len(args[0]), -1))
+    if op == "relu":
+        return relu_forward(args[0])
+    if op == "l2_normalize":
+        return l2_normalize_forward(args[0])
+    if op == "neighbor_similarity":
+        return neighbor_similarity(_embedding(args[0], frame_class), cfg.kernel,
+                                   cfg.rectify_similarity).values
+    if op == "sigmoid":
+        return sigmoid_forward(args[0])
+
+
+def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
+                 frame_class, first_grad: bool):
+    """Adjoint of _op_forward given the gradient of its output ``out``.
+
+    Returns the gradients of ``args`` (the first is None unless
+    ``first_grad``), then of the layer's weights and bias if it has one.
+    """
+    if op == "conv1d":
+        return conv1d_backward(layer, args[0], grad_out, first_grad)
+    if op == "tconv":
+        return tconv_backward(layer, args[0], _similarity(cfg, args[1]), grad_out,
+                              first_grad)
+    if op == "fc":
+        gx, gw, gb = fc_backward(layer, args[0].reshape(len(args[0]), -1), grad_out)
+        return gx.reshape(args[0].shape), gw, gb
+    if op == "relu":
+        return (relu_backward(args[0], grad_out),)
+    if op == "l2_normalize":
+        return (l2_normalize_backward(args[0], grad_out),)
+    if op == "neighbor_similarity":
+        return (neighbor_similarity_backward(_embedding(args[0], frame_class),
+                                             cfg.kernel, grad_out,
+                                             cfg.rectify_similarity),)
+    if op == "sigmoid":
+        return (sigmoid_backward(out, grad_out),)
+
+
+def _run_rows(model: TdlModel, rows, acts: dict) -> dict:
+    """Run ``rows`` forward, adding each output to the activations ``acts``."""
+    for out, op, inputs, layer in rows:
+        acts[out] = _op_forward(model.config, op, layer and getattr(model, layer),
+                                [acts[n] for n in inputs], acts["frame_class"])
+    return acts
+
+
+def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
+                   input_grad: bool) -> dict:
+    """Walk ``rows`` in reverse from the output gradients in ``grads``.
+
+    Each row's output gradient is popped and each input's gradient is
+    added into ``grads``; the feature block "x" gets one only with
+    ``input_grad``. Returns the parameter gradients keyed
+    "<layer>.weights" and "<layer>.bias".
+    """
+    param_grads = {}
+    for out, op, inputs, layer in reversed(rows):
+        row_grads = _op_backward(
+            model.config, op, layer and getattr(model, layer),
+            [acts[n] for n in inputs], acts[out], grads.pop(out),
+            acts["frame_class"], input_grad or inputs[0] != "x")
+        for name, grad in zip(inputs, row_grads):
+            if grad is not None:
+                grads[name] = grads[name] + grad if name in grads else grad
+        if layer is not None:
+            grad_w, grad_b = row_grads[len(inputs):]
+            param_grads[f"{layer}.weights"], param_grads[f"{layer}.bias"] = grad_w, grad_b
+    return param_grads
+
+
+def _forward_block(model: TdlModel, xv: np.ndarray, true_frames) -> dict:
+    """The stack on a block xv (B, C, T); frames past true_frames are padding.
+
+    Returns every activation by its NETWORK name, plus "frame_class",
+    the (B, T) real/padding classes the similarity rows mask with.
+    """
+    live = np.arange(xv.shape[-1]) < np.asarray(true_frames)[:, None]
+    acts = {"x": xv, "frame_class": np.where(live, esm_mod.REAL, esm_mod.PADDING)}
+    return _run_rows(model, NETWORK, acts)
 
 
 def forward(model: TdlModel, x: FeatureSequence):
@@ -336,11 +398,9 @@ def forward(model: TdlModel, x: FeatureSequence):
     """
     _check_input(model, x)
     xv, true_frames, _ = _stack_block([(x, None)])
-    cache = _forward_block(model, xv, true_frames)
-    e, a = cache["e_seq"], cache["a"]
-    return (cache["scores"][0],
-            EmbeddingSequence(e.dim, e.num_frames, e.values[0], e.frame_class[0]),
-            SimilarityMatrix(a.kernel, a.num_frames, a.values[0]))
+    acts = _forward_block(model, xv, true_frames)
+    return (acts["scores"][0], _embedding(acts["e"][0], acts["frame_class"][0]),
+            _similarity(model.config, acts["a"][0]))
 
 
 def _esm_classes(labels: FrameLabels, true_frames: int, t_len: int) -> np.ndarray:
@@ -382,24 +442,24 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
     also the (B, C, T) input gradient under "input".
     """
     cfg = model.config
-    num, t_len = xv.shape[0], xv.shape[-1]
-    cache = _forward_block(model, xv, true_frames)
-    scores, e_seq, a = cache["scores"], cache["e_seq"], cache["a"]
+    t_len = xv.shape[-1]
+    acts = _forward_block(model, xv, true_frames)
 
     y = np.stack([lab.labels for lab in labels]).astype(np.float64)
     boundary = np.array([lab.setting == BOUNDARY1 for lab in labels])
     weights = np.where(boundary[:, None] & (y == 1), BOUNDARY_BCE_WEIGHT, 1.0)
-    bce, grad_scores = bce_loss(scores, y, weights)
+    bce, grad_scores = bce_loss(acts["scores"], y, weights)
+    grads = {"scores": grad_scores}
 
-    use_esm = cfg.esm_weight > 0 and not boundary.all()
-    if use_esm:
+    if cfg.esm_weight > 0 and not boundary.all():
         classes = np.stack([_esm_classes(lab, tf, t_len)
                             for lab, tf in zip(labels, true_frames)])
         esm_losses, grad_e_esm = esm_mod.esm_loss_from_arrays(
-            e_seq.values, classes, cfg.esm
+            acts["e"], classes, cfg.esm
         )
+        grads["e"] = cfg.esm_weight * grad_e_esm
     else:
-        esm_losses, grad_e_esm = EsmLoss(0.0, 0.0, 0.0), None
+        esm_losses = EsmLoss(0.0, 0.0, 0.0)
 
     bce_total = float(bce.sum())
     total = bce_total + cfg.esm_weight * esm_losses.total
@@ -409,47 +469,10 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
         ids = ", ".join(bad or [lab.sample_id for lab in labels])
         raise NumericError(f"{ids}: non-finite {term} loss")
 
-    # score head backward
-    grad_logits = sigmoid_backward(scores, grad_scores)
-    grad_flat, grad_fc_w, grad_fc_b = fc_backward(model.fc, cache["flat"],
-                                                  grad_logits)
-    grad_head = grad_flat.reshape(num, 2, t_len)
-    grad_h3, grad_hd_w, grad_hd_b = conv1d_backward(model.conv_head,
-                                                    cache["h3"], grad_head)
-    grad_t2 = relu_backward(cache["t2"], grad_h3)
-    grad_h2, grad_a2, grad_t2_w, grad_t2_b = tconv_backward(
-        model.tconv_2, cache["h2"], a, grad_t2
-    )
-    grad_t1 = relu_backward(cache["t1"], grad_h2)
-    grad_x_t, grad_a1, grad_t1_w, grad_t1_b = tconv_backward(
-        model.tconv_1, xv, a, grad_t1, input_grad
-    )
-
-    # both tconv layers share one similarity matrix
-    grad_e = neighbor_similarity_backward(
-        e_seq, cfg.kernel, grad_a1 + grad_a2, cfg.rectify_similarity
-    )
-    if use_esm:
-        grad_e = grad_e + cfg.esm_weight * grad_e_esm
-
-    grad_g2 = l2_normalize_backward(cache["g2"], grad_e)
-    grad_h1, grad_cb_w, grad_cb_b = conv1d_backward(model.conv_b, cache["h1"],
-                                                    grad_g2)
-    grad_g1 = relu_backward(cache["g1"], grad_h1)
-    grad_x_e, grad_ca_w, grad_ca_b = conv1d_backward(model.conv_a, xv,
-                                                     grad_g1, input_grad)
-
-    grads = {
-        "conv_a.weights": grad_ca_w, "conv_a.bias": grad_ca_b,
-        "conv_b.weights": grad_cb_w, "conv_b.bias": grad_cb_b,
-        "tconv_1.weights": grad_t1_w, "tconv_1.bias": grad_t1_b,
-        "tconv_2.weights": grad_t2_w, "tconv_2.bias": grad_t2_b,
-        "conv_head.weights": grad_hd_w, "conv_head.bias": grad_hd_b,
-        "fc.weights": grad_fc_w, "fc.bias": grad_fc_b,
-    }
+    param_grads = _backprop_rows(model, NETWORK, acts, grads, input_grad)
     if input_grad:
-        grads["input"] = grad_x_t + grad_x_e
-    return TdlLoss(total, bce_total, esm_losses), grads
+        param_grads["input"] = grads["x"]
+    return TdlLoss(total, bce_total, esm_losses), param_grads
 
 
 def predict(model: TdlModel, x: FeatureSequence,
@@ -601,17 +624,7 @@ class TrainRecord:
     dev_eer_pct: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch, "mean_bce": self.mean_bce,
-            "mean_esm_real": self.mean_esm_real,
-            "mean_esm_fake": self.mean_esm_fake,
-            "mean_esm_diff": self.mean_esm_diff,
-            "mean_esm_total": self.mean_esm_total,
-            "mean_total": self.mean_total,
-            "learning_rate": self.learning_rate,
-            "wall_time_s": self.wall_time_s,
-            "dev_eer_pct": self.dev_eer_pct,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -773,144 +786,80 @@ GRADCHECK_CONFIGS = {
 }
 
 
-def _scalarized(forward_fn, proj):
-    """Reduce an array-valued op to a scalar with a fixed projection."""
-    return lambda: float(np.sum(forward_fn() * proj))
+def _checked(name: str, rng, tolerance: float, loss_fn, params: dict,
+             analytic: dict) -> list:
+    """grad_check entries of ``params``, each named "<name>.<param>"."""
+    rep = grad_check(loss_fn, params, analytic, tolerance=tolerance,
+                     seed=int(rng.integers(1 << 31)))
+    for en in rep.entries:
+        en.name = f"{name}.{en.name}"
+    return rep.entries
 
 
-def _op_reports(rng, tolerance):
-    """Finite-difference checks for each primitive, one entry per input."""
+def _rows_check(model: TdlModel, rows, acts: dict, rng, tolerance: float) -> list:
+    """Finite-difference check of a slice of NETWORK rows at ``acts``.
+
+    The scalar is a fixed random projection of the last row's output; the
+    checked tensors are the first row's inputs and the last row's layer
+    parameters, through the same forward and backward loops as training.
+    """
+    out, op, _, layer = rows[-1]
+    inputs = rows[0][2]
+    proj = rng.standard_normal(acts[out].shape)
+
+    def loss_fn():
+        return float(np.sum(_run_rows(model, rows, dict(acts))[out] * proj))
+
+    grads = {out: proj}
+    layer_grads = _backprop_rows(model, rows, acts, grads, True)
+    params = {name: acts[name] for name in inputs}
+    analytic = {name: grads[name] for name in inputs}
+    if layer is not None:
+        for part in ("weights", "bias"):
+            params[part] = getattr(getattr(model, layer), part)
+            analytic[part] = layer_grads[f"{layer}.{part}"]
+    name = op if layer is None else f"{op}.{layer}"
+    return _checked(name, rng, tolerance, loss_fn, params, analytic)
+
+
+def _op_reports(model: TdlModel, acts: dict, labels: FrameLabels, rng,
+                tolerance: float) -> list:
+    """Checks of every NETWORK row and both loss terms at ``acts``.
+
+    The neighbor-similarity row is checked together with the l2_normalize
+    row that feeds it, so that its perturbed input columns stay unit norm.
+    """
     entries = []
+    for i, (_, op, _, _) in enumerate(NETWORK):
+        lo = i - 1 if op == "neighbor_similarity" else i
+        entries += _rows_check(model, NETWORK[lo:i + 1], acts, rng, tolerance)
 
-    def run(name, loss_fn, params, analytic):
-        rep = grad_check(loss_fn, params, analytic, tolerance=tolerance,
-                         seed=int(rng.integers(1 << 31)))
-        for en in rep.entries:
-            en.name = f"{name}.{en.name}"
-            entries.append(en)
-
-    # conv1d
-    layer = conv1d_init(3, 4, 3, rng)
-    x = rng.standard_normal((3, 7))
-    proj = rng.standard_normal((4, 7))
-    gx, gw, gb = conv1d_backward(layer, x, proj)
-    run("conv1d",
-        _scalarized(lambda: conv1d_forward(layer, x), proj),
-        {"x": x, "weights": layer.weights, "bias": layer.bias},
-        {"x": gx, "weights": gw, "bias": gb})
-
-    # fc
-    fc = fc_init(6, 5, rng)
-    xf = rng.standard_normal(6)
-    pf = rng.standard_normal(5)
-    gx, gw, gb = fc_backward(fc, xf, pf)
-    run("fc",
-        _scalarized(lambda: fc_forward(fc, xf), pf),
-        {"x": xf, "weights": fc.weights, "bias": fc.bias},
-        {"x": gx, "weights": gw, "bias": gb})
-
-    # relu, away from the kink
-    xr = rng.uniform(0.1, 1.0, size=(4, 6)) * rng.choice([-1.0, 1.0], size=(4, 6))
-    pr = rng.standard_normal((4, 6))
-    run("relu",
-        _scalarized(lambda: relu_forward(xr), pr),
-        {"x": xr}, {"x": relu_backward(xr, pr)})
-
-    # sigmoid
-    xs = rng.standard_normal(9)
-    ps = rng.standard_normal(9)
-    run("sigmoid",
-        _scalarized(lambda: sigmoid_forward(xs), ps),
-        {"x": xs}, {"x": sigmoid_backward(sigmoid_forward(xs), ps)})
-
-    # l2 normalize
-    xn = rng.standard_normal((5, 6)) + 0.5
-    pn = rng.standard_normal((5, 6))
-    run("l2_normalize",
-        _scalarized(lambda: l2_normalize_forward(xn), pn),
-        {"x": xn}, {"x": l2_normalize_backward(xn, pn)})
-
-    # bce
-    sc = rng.uniform(0.05, 0.95, size=8)
-    yb = (rng.random(8) < 0.5).astype(np.float64)
-    run("bce",
-        lambda: bce_loss(sc, yb)[0],
-        {"scores": sc}, {"scores": bce_loss(sc, yb)[1]})
-
-    # esm losses on raw embeddings
-    ev = rng.standard_normal((4, 10))
-    cls = np.array([1, 1, 0, 0, 1, 0, 1, 0, -1, -1], dtype=np.int8)
-    cfg = EsmConfig(tau_same=0.9, tau_diff=0.0)
-    run("esm",
-        lambda: esm_mod.esm_loss_from_arrays(ev, cls, cfg)[0].total,
-        {"e": ev}, {"e": esm_mod.esm_loss_from_arrays(ev, cls, cfg)[1]})
-
-    # neighbor similarity on raw (pre-normalization) embedding columns;
-    # the gradient chains through l2_normalize
-    ev2 = rng.standard_normal((4, 8))
-    cls2 = np.full(8, esm_mod.REAL, dtype=np.int8)
-    cls2[-1] = esm_mod.PADDING
-    pa = rng.standard_normal((3, 8))
-
-    def sim_grad():
-        normed = l2_normalize_forward(ev2)
-        e_seq = EmbeddingSequence(4, 8, normed, cls2)
-        ge = neighbor_similarity_backward(e_seq, 3, pa)
-        return l2_normalize_backward(ev2, ge)
-
-    run("neighbor_similarity",
-        _scalarized(lambda: _sim_forward_raw(ev2, cls2), pa),
-        {"e": ev2}, {"e": sim_grad()})
-
-    # tconv chain e -> a -> tconv -> scalar
-    tl = tconv_init(6, 3, rng)
-    xt = rng.standard_normal((6, 9))
-    et = rng.standard_normal((4, 9))
-    ct = np.full(9, esm_mod.REAL, dtype=np.int8)
-    pt = rng.standard_normal((6, 9))
-
-    def tconv_scalar():
-        normed = l2_normalize_forward(et)
-        e_seq = EmbeddingSequence(4, 9, normed, ct)
-        a = neighbor_similarity(e_seq, 3)
-        return float(np.sum(tconv_forward(tl, xt, a) * pt))
-
-    def tconv_grads():
-        normed = l2_normalize_forward(et)
-        e_seq = EmbeddingSequence(4, 9, normed, ct)
-        a = neighbor_similarity(e_seq, 3)
-        gx, ga, gw, gb = tconv_backward(tl, xt, a, pt)
-        ge = neighbor_similarity_backward(e_seq, 3, ga)
-        return gx, l2_normalize_backward(et, ge), gw, gb
-
-    gx, ge, gw, gb = tconv_grads()
-    run("tconv",
-        tconv_scalar,
-        {"x": xt, "e": et, "weights": tl.weights, "bias": tl.bias},
-        {"x": gx, "e": ge, "weights": gw, "bias": gb})
-
+    scores, e = acts["scores"], acts["e"]
+    y = labels.labels[None].astype(np.float64)
+    entries += _checked("bce", rng, tolerance,
+                        lambda: float(bce_loss(scores, y)[0].sum()),
+                        {"scores": scores}, {"scores": bce_loss(scores, y)[1]})
+    classes = _esm_classes(labels, e.shape[-1], e.shape[-1])[None]
+    esm_cfg = model.config.esm
+    entries += _checked(
+        "esm", rng, tolerance,
+        lambda: esm_mod.esm_loss_from_arrays(e, classes, esm_cfg)[0].total,
+        {"e": e}, {"e": esm_mod.esm_loss_from_arrays(e, classes, esm_cfg)[1]})
     return entries
-
-
-def _sim_forward_raw(ev: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    normed = l2_normalize_forward(ev)
-    e_seq = EmbeddingSequence(ev.shape[0], ev.shape[1], normed, classes)
-    return neighbor_similarity(e_seq, 3).values
 
 
 def gradcheck_battery(size: str = "tiny", seed: int = 0,
                       tolerance: float = 1e-4) -> GradReport:
-    """Finite-difference audit of every primitive plus the full model loss.
+    """Finite-difference audit of every NETWORK row, both loss terms and
+    the full model loss, all on one random utterance.
 
-    The model check perturbs all parameters and all input coordinates of
-    a random utterance and compares against the analytic gradients from
-    total_loss.
+    The row and loss-term checks run at the utterance's activations. The
+    model check perturbs all parameters and all input coordinates and
+    compares against the analytic gradients from the block loss.
     """
     if size not in GRADCHECK_CONFIGS:
         raise ConfigError(f"unknown gradcheck size {size!r}")
     rng = np.random.default_rng([seed, 17])
-    entries = _op_reports(rng, tolerance)
-
     dims = GRADCHECK_CONFIGS[size]
     config = TdlConfig(**dims, seed=seed, esm_weight=0.1,
                        esm=EsmConfig(tau_same=0.9, tau_diff=0.0))
@@ -921,6 +870,8 @@ def gradcheck_battery(size: str = "tiny", seed: int = 0,
     lab[: config.label_len // 2] = 1
     labels = FrameLabels("gradcheck", config.label_resolution_s, lab,
                          config.label_len, REAL1_FAKE0)
+    entries = _op_reports(model, _forward_block(model, x64[None], [t]), labels,
+                          rng, tolerance)
 
     def model_loss():
         return _loss_block(model, x64[None], [t], [labels])[0].total

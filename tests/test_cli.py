@@ -166,6 +166,29 @@ def test_params_accepts_key_value_config(tmp_path, capsys):
     assert '"lambda": 0.2' in stdout
 
 
+@pytest.mark.parametrize("command, name, text", [
+    ("params", "c.cfg", 'esm.tau_same = "abc"\n'),
+    ("params", "c.cfg", 'seed = "x"\n'),
+    ("params", "c.cfg", "esm = 5\n"),
+    ("params", "c.cfg", "feat_dim = 16.5\ntconv_channels = 16.5\n"),
+    ("params", "c.cfg", "rectify_similarity = 1\n"),
+    ("params", "c.json", '{"optimizer": {"halving_period_epochs": true}}'),
+    ("synth", "s.json", '{"dim": "x", "num_utterances": 4}'),
+    ("synth", "s.json", '{"dim": 4, "num_utterances": 2.5}'),
+    ("synth", "s.json", '{"dim": 4, "num_utterances": 4, "duration_range_s": 5}'),
+], ids=["tau-str", "seed-str", "esm-int", "dims-float", "bool-int",
+        "period-bool", "dim-str", "count-float", "range-int"])
+def test_wrong_typed_config_value_exits_one(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    flag = "--config" if command == "params" else "--spec"
+    argv = [command, flag, str(path)]
+    if command == "synth":
+        argv += ["--out", str(tmp_path / "out"), "--seed", "1"]
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 # ---------------------------------------------------------------------------

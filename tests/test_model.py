@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +216,14 @@ def test_gradcheck_battery_small_config():
     assert any(n.startswith("model.") for n in names)
 
 
+def test_gradcheck_battery_covers_every_network_row_and_layer():
+    names = {e.name for e in M.gradcheck_battery("tiny").entries}
+    prefixes = {n.split(".")[0] for n in names}
+    assert {op for _, op, _, _ in M.NETWORK} | {"bce", "esm"} <= prefixes
+    for layer in M.LAYERS:
+        assert {f"model.{layer}.weights", f"model.{layer}.bias"} <= names
+
+
 def test_gradcheck_battery_rejects_unknown_size():
     with pytest.raises(ConfigError):
         M.gradcheck_battery("huge")
@@ -292,6 +301,24 @@ def test_checkpoint_preserves_predictions(tmp_path):
     M.save_checkpoint(mdl, tmp_path / "m.tdlc")
     restored = M.load_checkpoint(tmp_path / "m.tdlc")
     assert np.array_equal(M.predict(restored, x, cfg.label_len), before)
+
+
+def test_tdlc_v1_fixture_from_before_the_layer_table_still_loads():
+    # tiny_v1.tdlc: TdlConfig(**GRADCHECK_CONFIGS["tiny"], epochs=1) trained
+    # one epoch on _tiny_sets(n_train=8, n_dev=4, seed=0) by the code before
+    # NETWORK existed; tiny_v1_scores.npy holds its predict scores below.
+    data = Path(__file__).parent / "data"
+    blob = (data / "tiny_v1.tdlc").read_bytes()
+    mdl = M.decode_checkpoint(blob)
+    assert M.encode_checkpoint(mdl) == blob
+    _, _, header_len = M._TDLC_HEAD.unpack_from(blob)
+    start = M._TDLC_HEAD.size
+    header = json.loads(blob[start:start + header_len])
+    assert header["params"] == list(mdl.param_items())
+    x = _input(mdl.config, np.random.default_rng(2024), true_frames=10)
+    np.testing.assert_allclose(M.predict(mdl, x),
+                               np.load(data / "tiny_v1_scores.npy"),
+                               rtol=0, atol=1e-12)
 
 
 def test_checkpoint_carries_adam_state():
