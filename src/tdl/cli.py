@@ -40,7 +40,7 @@ def _print_resolved(config: dict, seed) -> None:
 def _load_train_config(path) -> model_mod.TdlConfig:
     """Read a TdlConfig from JSON or from key=value lines (dotted keys
     nest, values parse as JSON literals when possible)."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = data_mod.read_utf8(path, ConfigError)
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
@@ -63,6 +63,11 @@ def _load_train_config(path) -> model_mod.TdlConfig:
             parts = key.strip().split(".")
             for part in parts[:-1]:
                 node = node.setdefault(part, {})
+                if not isinstance(node, dict):
+                    raise ConfigError(
+                        f"{path}:{ln}: {key.strip()} nests under {part}, "
+                        "which is already set to a value"
+                    )
             node[parts[-1]] = parsed
     return model_mod.TdlConfig.from_dict(obj)
 
@@ -81,7 +86,7 @@ def _map_maybe_parallel(fn, items, threads: int):
 
 def run_synth(args) -> int:
     try:
-        spec_obj = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        spec_obj = json.loads(data_mod.read_utf8(args.spec, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from exc
     spec = data_mod.SynthSpec.from_dict(spec_obj)
@@ -132,7 +137,7 @@ def run_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "best.tdlc").write_bytes(result.best_checkpoint)
+    data_mod.write_atomic(out_dir / "best.tdlc", result.best_checkpoint)
     model_mod.save_checkpoint(result.last_model, out_dir / "last.tdlc")
     with open(out_dir / "train_log.jsonl", "w", encoding="utf-8") as fh:
         for record in result.records:
@@ -157,30 +162,34 @@ def run_eval(args) -> int:
     _print_resolved(config.to_dict(), config.seed)
     features, annotations = data_mod.load_dataset(args.test)
 
-    def score_one(pair):
-        seq, ann = pair
-        if seq.dim != config.feat_dim:
-            raise ConfigError(
-                f"{seq.sample_id}: feature dim {seq.dim} does not match the "
-                f"checkpoint feat_dim {config.feat_dim}"
-            )
-        padded = data_mod.pad_features(seq, config.t_max)
-        labels = data_mod.compile_frame_labels(
-            ann, config.label_resolution_s, config.label_len,
-            config.label_setting,
-        )
-        return model_mod.predict(model, padded, labels.true_labels), labels
+    def score_block(block):
+        # prepared here, block by block, so padded copies of the whole
+        # corpus are never held at once
+        prepared = []
+        for seq, ann in block:
+            if seq.dim != config.feat_dim:
+                raise ConfigError(
+                    f"{seq.sample_id}: feature dim {seq.dim} does not match the "
+                    f"checkpoint feat_dim {config.feat_dim}"
+                )
+            prepared.append((data_mod.pad_features(seq, config.t_max),
+                             data_mod.compile_frame_labels(
+                                 ann, config.label_resolution_s,
+                                 config.label_len, config.label_setting)))
+        return (model_mod.block_scores(model, prepared),
+                [labels for _, labels in prepared])
 
-    scored = _map_maybe_parallel(score_one, list(zip(features, annotations)),
-                                 args.threads)
-    pool = metrics_mod.pool_predictions([s for s, _ in scored],
-                                        [lab for _, lab in scored])
+    blocks = model_mod._blocks(list(zip(features, annotations)), config.t_max)
+    scored = _map_maybe_parallel(score_block, blocks, args.threads)
+    pool = metrics_mod.pool_predictions(
+        [s for scores, _ in scored for s in scores],
+        [lab for _, labels in scored for lab in labels])
     report = metrics_mod.compute_report(pool, threshold=args.threshold)
     text, json_str = metrics_mod.render_report(
         report, metadata={"checkpoint": str(args.checkpoint),
                           "test_dir": str(args.test)},
     )
-    Path(args.report).write_text(json_str, encoding="utf-8")
+    data_mod.write_atomic(args.report, json_str.encode("utf-8"))
     print(text, end="")
     print(f"report written to {args.report}")
     return EXIT_OK
@@ -289,7 +298,7 @@ def main(argv=None) -> int:
     except TdlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,8 +16,10 @@ On-disk formats:
 from __future__ import annotations
 
 import json
+import os
 import struct
 import typing
+import uuid
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -172,6 +174,36 @@ class DatasetStats:
 
 
 # ---------------------------------------------------------------------------
+# text and atomic files
+# ---------------------------------------------------------------------------
+
+
+def read_utf8(path, error=FormatError) -> str:
+    """The text of a UTF-8 file; ``error`` (a TdlError class) when its
+    bytes do not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def write_atomic(path, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` through a temporary file in the same
+    directory and a rename, so a failed or killed write never leaves a
+    truncated file under ``path`` (the data is not fsynced, so this does
+    not guard against a power cut)."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # TDLF feature files
 # ---------------------------------------------------------------------------
 
@@ -252,7 +284,7 @@ def save_annotation_file(ann: SegmentAnnotation, path) -> None:
 
 def load_annotation_file(path) -> SegmentAnnotation:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     return annotation_from_dict(obj)
@@ -635,7 +667,7 @@ def load_dataset(data_dir):
     if not manifest.exists():
         raise FormatError(f"no manifest.json in {data_dir}")
     try:
-        obj = json.loads(manifest.read_text(encoding="utf-8"))
+        obj = json.loads(read_utf8(manifest))
         samples = obj["samples"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise FormatError(f"{manifest}: {exc}") from exc

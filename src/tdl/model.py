@@ -32,7 +32,7 @@ import numpy as np
 from . import esm as esm_mod
 from . import metrics as metrics_mod
 from .data import (BOUNDARY1, LABEL_SETTINGS, REAL1_FAKE0, FeatureSequence,
-                   FrameLabels, config_from_dict)
+                   FrameLabels, config_from_dict, write_atomic)
 from .errors import (
     ConfigError,
     FormatError,
@@ -598,7 +598,7 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
 
 
 def save_checkpoint(model: TdlModel, path) -> None:
-    Path(path).write_bytes(encode_checkpoint(model))
+    write_atomic(path, encode_checkpoint(model))
 
 
 def load_checkpoint(path) -> TdlModel:
@@ -669,12 +669,21 @@ def _validate_set(config: TdlConfig, dataset, name: str,
             )
 
 
+def block_scores(model: TdlModel, block) -> list:
+    """Per-frame scores of one block of prepared (features, labels) pairs,
+    each trimmed to its true label count; bit-identical to ``predict``."""
+    for seq, _ in block:
+        _check_input(model, seq)
+    xv, true_frames, labels = _stack_block(block)
+    scores = _forward_block(model, xv, true_frames)["scores"]
+    return [row[:lab.true_labels].copy() for row, lab in zip(scores, labels)]
+
+
 def dev_eer(model: TdlModel, dev_set) -> float:
     """Frame-level EER (percent) of the dev set, forwarded in blocks."""
     scores = []
     for block in _blocks(dev_set, model.config.t_max):
-        xv, true_frames, _ = _stack_block(block)
-        scores.extend(_forward_block(model, xv, true_frames)["scores"])
+        scores.extend(block_scores(model, block))
     pool = metrics_mod.pool_predictions(scores, [lab for _, lab in dev_set])
     return metrics_mod.eer(pool)[0]
 

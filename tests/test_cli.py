@@ -320,3 +320,212 @@ def test_missing_spec_file_exits_one(tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path / "o"),
                      "--spec", str(tmp_path / "missing.json"),
                      "--seed", "1"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# block eval
+# ---------------------------------------------------------------------------
+
+
+def _eval_corpus(tmp_path, dims):
+    """A desk test corpus (one utterance per entry of ``dims``, mixed true
+    lengths) and an untrained desk checkpoint."""
+    from tdl import data as data_mod
+    from tdl.model import build_model, save_checkpoint
+
+    features, annotations = [], []
+    for i, dim in enumerate(dims):
+        f, a = data_mod.synth_dataset(
+            desk_benchmark_spec(num_utterances=1, dim=dim,
+                                sample_prefix=f"u{i:02d}"), [11, i])
+        features += f
+        annotations += a
+    test_dir = tmp_path / "test"
+    data_mod.write_dataset(test_dir, features, annotations)
+    checkpoint = tmp_path / "m.tdlc"
+    save_checkpoint(build_model(desk_config(seed=3)), checkpoint)
+    return test_dir, checkpoint
+
+
+def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
+                                                         capsys):
+    from tdl import data as data_mod
+    from tdl import metrics as metrics_mod
+    from tdl import model as model_mod
+
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 37)
+    config = desk_config()
+    features, annotations = data_mod.load_dataset(test_dir)
+    assert len({seq.true_frames for seq in features}) > 1
+    assert [len(b) for b in model_mod._blocks(features, config.t_max)] == [16, 16, 5]
+
+    block_sizes = []
+    real_block_scores = model_mod.block_scores
+
+    def counting_block_scores(model, block):
+        block_sizes.append(len(block))
+        return real_block_scores(model, block)
+
+    monkeypatch.setattr(model_mod, "block_scores", counting_block_scores)
+    reports = {}
+    for threads in (1, 2):
+        path = tmp_path / f"report{threads}.json"
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                         str(test_dir), "--report", str(path),
+                         "--threads", str(threads)]) == 0
+        reports[threads] = path.read_bytes()
+    assert sorted(block_sizes) == [5, 5, 16, 16, 16, 16]
+    assert reports[1] == reports[2]
+
+    model = model_mod.load_checkpoint(checkpoint)
+    scores, labels = [], []
+    for seq, ann in zip(features, annotations):
+        lab = data_mod.compile_frame_labels(ann, config.label_resolution_s,
+                                            config.label_len, config.label_setting)
+        scores.append(model_mod.predict(
+            model, data_mod.pad_features(seq, config.t_max), lab.true_labels))
+        labels.append(lab)
+    expected = metrics_mod.compute_report(
+        metrics_mod.pool_predictions(scores, labels)).to_dict()
+    report = json.loads(reports[1])
+    assert set(report) == set(expected) | {"metadata"}
+    for key, value in expected.items():
+        assert report[key] == value, key
+    capsys.readouterr()
+
+
+def test_block_eval_dim_mismatch_in_last_block_writes_no_report(tmp_path, capsys):
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 36 + [24])
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "feature dim 24" in err and "16" in err
+    assert not report.exists()
+
+
+# ---------------------------------------------------------------------------
+# unreadable inputs
+# ---------------------------------------------------------------------------
+
+
+def test_dotted_config_key_under_a_scalar_exits_one(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("esm = 5\nesm.tau_same = 0.8\n")
+    assert cli.main(["params", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{path}:2" in err
+
+
+_NOT_UTF8 = b"\xff\xfe"
+
+
+def _first_sample(data_dir, key):
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    return data_dir / manifest["samples"][0][key]
+
+
+def _break_input(case, tmp_path, data_dir):
+    """Damage one input for ``case``; returns the argv that reads it."""
+    from tdl.model import build_model, save_checkpoint
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(desk_config(epochs=1).to_dict()))
+    checkpoint = tmp_path / "m.tdlc"
+    save_checkpoint(build_model(desk_config()), checkpoint)
+    eval_argv = ["eval", "--checkpoint", str(checkpoint), "--test", str(data_dir),
+                 "--report", str(tmp_path / "r.json")]
+    if case == "config":
+        config.write_bytes(_NOT_UTF8)
+        return ["params", "--config", str(config)]
+    if case == "spec":
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(_NOT_UTF8)
+        return ["synth", "--out", str(tmp_path / "o"), "--spec", str(spec),
+                "--seed", "1"]
+    if case.startswith("manifest"):
+        (data_dir / "manifest.json").write_bytes(_NOT_UTF8)
+        return ["stats", "--data", str(data_dir)] if case == "manifest-stats" \
+            else eval_argv
+    if case.startswith("annotation"):
+        _first_sample(data_dir, "annotations").write_bytes(_NOT_UTF8)
+        return eval_argv if case == "annotation-eval" else \
+            ["train", "--config", str(config), "--train", str(data_dir),
+             "--dev", str(data_dir), "--out", str(tmp_path / "run")]
+    features = _first_sample(data_dir, "features")
+    features.unlink()
+    features.mkdir()
+    return eval_argv
+
+
+@pytest.mark.parametrize("case", ["config", "spec", "manifest-stats",
+                                  "manifest-eval", "annotation-eval",
+                                  "annotation-train", "features-dir"])
+def test_unreadable_input_exits_one(tmp_path, synth_spec_file, capsys, case):
+    data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
+    argv = _break_input(case, tmp_path, data_dir)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+
+def _fail_writes_halfway(monkeypatch):
+    """Make every file ``tdl.data`` opens write half its bytes, then fail."""
+    import builtins
+
+    from tdl import data as data_mod
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, blob):
+            self.fh.write(blob[:len(blob) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(data_mod, "open",
+                        lambda *args, **kw: HalfWrite(builtins.open(*args, **kw)),
+                        raising=False)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    from tdl.model import build_model, save_checkpoint
+
+    path = tmp_path / "last.tdlc"
+    save_checkpoint(build_model(desk_config(seed=1)), path)
+    before = path.read_bytes()
+    _fail_writes_halfway(monkeypatch)
+    with pytest.raises(OSError):
+        save_checkpoint(build_model(desk_config(seed=2)), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["last.tdlc"]
+
+
+def test_failed_report_write_keeps_the_previous_report(tmp_path, monkeypatch,
+                                                       capsys):
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 4)
+    out = tmp_path / "out"
+    out.mkdir()
+    report = out / "r.json"
+    argv = ["eval", "--checkpoint", str(checkpoint), "--test", str(test_dir),
+            "--report", str(report)]
+    assert cli.main(argv) == 0
+    before = report.read_bytes()
+    _fail_writes_halfway(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(argv + ["--threshold", "0.3"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert report.read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["r.json"]
