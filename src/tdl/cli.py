@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import data as data_mod
@@ -44,7 +44,7 @@ def _load_train_config(path) -> model_mod.TdlConfig:
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     else:
         obj = {}
@@ -57,7 +57,7 @@ def _load_train_config(path) -> model_mod.TdlConfig:
             key, _, value = line.partition("=")
             try:
                 parsed = json.loads(value.strip())
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or an integer too long to parse
                 parsed = value.strip()
             node = obj
             parts = key.strip().split(".")
@@ -72,11 +72,34 @@ def _load_train_config(path) -> model_mod.TdlConfig:
     return model_mod.TdlConfig.from_dict(obj)
 
 
-def _map_maybe_parallel(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _prepared(data_dir, config: model_mod.TdlConfig):
+    """Yield each utterance of the dataset in ``data_dir`` as a (features,
+    labels) pair prepared for ``config``: feature dim checked, features
+    padded to t_max and labels compiled to label_len, one at a time."""
+    features, annotations = data_mod.load_dataset(data_dir)
+    for seq, ann in zip(features, annotations):
+        if seq.dim != config.feat_dim:
+            raise ConfigError(
+                f"{seq.sample_id}: feature dim {seq.dim} does not match the "
+                f"model feat_dim {config.feat_dim}"
+            )
+        yield (data_mod.pad_features(seq, config.t_max),
+               data_mod.compile_frame_labels(
+                   ann, config.label_resolution_s, config.label_len,
+                   config.label_setting))
+
+
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed {text} is negative")
+    return int(text)
+
+
+def _resolution(text: str) -> float:
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"resolution {text} is not positive and finite")
+    return float(text)
 
 
 # ---------------------------------------------------------------------------
@@ -87,47 +110,26 @@ def _map_maybe_parallel(fn, items, threads: int):
 def run_synth(args) -> int:
     try:
         spec_obj = json.loads(data_mod.read_utf8(args.spec, ConfigError))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from exc
     spec = data_mod.SynthSpec.from_dict(spec_obj)
     _print_resolved(spec.to_dict(), args.seed)
 
     features, annotations = data_mod.synth_dataset(spec, args.seed)
     out_dir = Path(args.out)
-    samples = _map_maybe_parallel(
-        lambda pair: data_mod.write_sample(out_dir, *pair),
-        list(zip(features, annotations)), args.threads)
-    data_mod.write_manifest(out_dir, samples)
+    data_mod.write_dataset(out_dir, features, annotations)
     stats = data_mod.dataset_stats(annotations)
-    print(f"wrote {len(samples)} utterances to {out_dir}")
+    print(f"wrote {len(features)} utterances to {out_dir}")
     print(f"fake frames: {stats.frame_fake_pct:.2f} %  "
           f"fake utterances: {stats.utterance_fake_pct:.2f} %")
     return EXIT_OK
 
 
-def _load_split(data_dir, config: model_mod.TdlConfig):
-    features, annotations = data_mod.load_dataset(data_dir)
-    pairs = []
-    for seq, ann in zip(features, annotations):
-        if seq.dim != config.feat_dim:
-            raise ConfigError(
-                f"{seq.sample_id}: feature dim {seq.dim} does not match the "
-                f"model feat_dim {config.feat_dim}"
-            )
-        padded = data_mod.pad_features(seq, config.t_max)
-        labels = data_mod.compile_frame_labels(
-            ann, config.label_resolution_s, config.label_len,
-            config.label_setting,
-        )
-        pairs.append((padded, labels))
-    return pairs
-
-
 def run_train(args) -> int:
     config = _load_train_config(args.config)
     _print_resolved(config.to_dict(), config.seed)
-    train_set = _load_split(args.train, config)
-    dev_set = _load_split(args.dev, config)
+    train_set = list(_prepared(args.train, config))
+    dev_set = list(_prepared(args.dev, config))
     init_model = None
     if args.resume:
         init_model = model_mod.load_checkpoint(args.resume)
@@ -139,9 +141,9 @@ def run_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_atomic(out_dir / "best.tdlc", result.best_checkpoint)
     model_mod.save_checkpoint(result.last_model, out_dir / "last.tdlc")
-    with open(out_dir / "train_log.jsonl", "w", encoding="utf-8") as fh:
-        for record in result.records:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+    data_mod.write_atomic(out_dir / "train_log.jsonl", "".join(
+        json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        for record in result.records).encode("utf-8"))
 
     for record in result.records:
         print(f"epoch {record.epoch:3d}  loss {record.mean_total:.6f}  "
@@ -160,30 +162,7 @@ def run_eval(args) -> int:
     model = model_mod.load_checkpoint(args.checkpoint)
     config = model.config
     _print_resolved(config.to_dict(), config.seed)
-    features, annotations = data_mod.load_dataset(args.test)
-
-    def score_block(block):
-        # prepared here, block by block, so padded copies of the whole
-        # corpus are never held at once
-        prepared = []
-        for seq, ann in block:
-            if seq.dim != config.feat_dim:
-                raise ConfigError(
-                    f"{seq.sample_id}: feature dim {seq.dim} does not match the "
-                    f"checkpoint feat_dim {config.feat_dim}"
-                )
-            prepared.append((data_mod.pad_features(seq, config.t_max),
-                             data_mod.compile_frame_labels(
-                                 ann, config.label_resolution_s,
-                                 config.label_len, config.label_setting)))
-        return (model_mod.block_scores(model, prepared),
-                [labels for _, labels in prepared])
-
-    blocks = model_mod._blocks(list(zip(features, annotations)), config.t_max)
-    scored = _map_maybe_parallel(score_block, blocks, args.threads)
-    pool = metrics_mod.pool_predictions(
-        [s for scores, _ in scored for s in scores],
-        [lab for _, labels in scored for lab in labels])
+    pool = model_mod.score_pool(model, _prepared(args.test, config))
     report = metrics_mod.compute_report(pool, threshold=args.threshold)
     text, json_str = metrics_mod.render_report(
         report, metadata={"checkpoint": str(args.checkpoint),
@@ -248,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--spec", required=True, help="generator spec JSON")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=run_synth)
 
     p = sub.add_parser("train", help="train a model")
@@ -265,18 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="test dataset directory")
     p.add_argument("--report", required=True, help="output report JSON path")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=run_eval)
 
     p = sub.add_parser("stats", help="dataset fake-class statistics")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--resolution", type=float, default=data_mod.DEFAULT_RESOLUTION_S)
+    p.add_argument("--resolution", type=_resolution,
+                   default=data_mod.DEFAULT_RESOLUTION_S)
     p.set_defaults(func=run_stats)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--size", choices=sorted(model_mod.GRADCHECK_CONFIGS),
                    default="tiny")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=run_gradcheck)
 

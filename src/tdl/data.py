@@ -16,8 +16,10 @@ On-disk formats:
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import sys
 import typing
 import uuid
 from dataclasses import asdict, dataclass, is_dataclass
@@ -113,8 +115,11 @@ class SegmentAnnotation:
     segments: list
 
     def validate(self):
-        if self.duration_s <= 0:
-            raise AnnotationError(f"{self.sample_id}: non-positive duration")
+        # segments must tile a finite duration, so every time is finite too
+        if not 0 < self.duration_s < math.inf:
+            raise AnnotationError(
+                f"{self.sample_id}: duration {self.duration_s} is not positive "
+                "and finite")
         if not self.segments:
             raise AnnotationError(f"{self.sample_id}: no segments")
         cursor = 0.0
@@ -268,7 +273,7 @@ def annotation_from_dict(obj: dict) -> SegmentAnnotation:
             for s in obj["segments"]
         ]
         ann = SegmentAnnotation(str(obj["sample_id"]), float(obj["duration_s"]), segments)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed annotation object: {exc}") from exc
     ann.validate()
     return ann
@@ -285,7 +290,7 @@ def save_annotation_file(ann: SegmentAnnotation, path) -> None:
 def load_annotation_file(path) -> SegmentAnnotation:
     try:
         obj = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     return annotation_from_dict(obj)
 
@@ -387,8 +392,8 @@ def config_from_dict(cls, obj, section: str):
 
     Raises ConfigError for a non-object, an unknown key or a value of the
     wrong JSON type: integer fields take integers but not booleans, float
-    fields any real number, tuple fields arrays of their length, and
-    nested config sections objects.
+    fields any finite real number, tuple fields arrays of their length,
+    and nested config sections objects.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{section} must be a JSON object, got {obj!r}")
@@ -417,7 +422,9 @@ def _typed(value, hint, name: str):
             return None
         hint = args[0]
     if hint is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # exact comparisons: NaN, infinities and ints beyond float fail
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and -sys.float_info.max <= value <= sys.float_info.max)
     elif hint is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
@@ -669,7 +676,7 @@ def load_dataset(data_dir):
     try:
         obj = json.loads(read_utf8(manifest))
         samples = obj["samples"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
     if not isinstance(samples, list):
         raise FormatError(f"{manifest}: samples is not a list")

@@ -50,6 +50,8 @@ class EsmConfig:
             )
         if self.pair_budget is not None and self.pair_budget < 1:
             raise ConfigError("pair_budget must be positive when set")
+        if self.sample_seed < 0:
+            raise ConfigError(f"sample_seed {self.sample_seed} must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)

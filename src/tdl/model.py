@@ -12,16 +12,18 @@ embedding-separation loss; gradients flow through both the hinge terms
 and the similarity-modulation path.
 
 One core runs the stack on a block of B padded utterances stacked as a
-(B, C, T) array. Training runs each minibatch through it, dev EER
-forwards the dev set in blocks, and ``forward``/``predict``/``total_loss``
-call it with B = 1. Every primitive computes a block one GEMM per
-utterance, so an utterance's scores do not depend on which other
-utterances share its block.
+(B, C, T) array. Training runs each minibatch through it, ``score_pool``
+scores a whole set in blocks for dev EER and ``tdl eval``, and
+``forward``/``predict``/``total_loss`` call it with B = 1. Every
+primitive computes a block one GEMM per utterance, so an utterance's
+scores do not depend on which other utterances share its block.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -136,6 +138,8 @@ class TdlConfig:
                      "tconv_channels", "label_len", "epochs", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be non-negative")
         if self.kernel % 2 != 1:
             raise ConfigError("kernel must be odd")
         if self.label_len > self.t_max:
@@ -238,9 +242,11 @@ class TdlLoss:
         return {"total": self.total, "bce": self.bce, "esm": self.esm.to_dict()}
 
 
-def build_model(config: TdlConfig) -> TdlModel:
-    """Seeded construction; parameters are uniform in +-sqrt(1/fan_in)."""
-    rng = np.random.default_rng([config.seed, _STREAM_INIT])
+def build_model(config: TdlConfig, rng=None) -> TdlModel:
+    """Seeded construction; parameters are uniform in +-sqrt(1/fan_in).
+    ``rng`` replaces the seeded init stream."""
+    if rng is None:
+        rng = np.random.default_rng([config.seed, _STREAM_INIT])
     k = config.kernel
     init = {
         "conv_a": lambda: conv1d_init(config.feat_dim, config.conv_hidden, k, rng),
@@ -252,6 +258,13 @@ def build_model(config: TdlConfig) -> TdlModel:
     }
     return TdlModel(config=config, adam=config.optimizer.make_state(),
                     **{name: init[name]() for name in LAYERS})
+
+
+class _ShapeDraws:
+    """An init rng whose draws are read-only zero-stride zeros, so
+    build_model gives each parameter its shape but not its memory."""
+
+    uniform = staticmethod(lambda low, high, size: np.broadcast_to(0.0, size))
 
 
 def param_count_table(model: TdlModel):
@@ -266,23 +279,34 @@ def param_count_table(model: TdlModel):
 # ---------------------------------------------------------------------------
 
 
-def _check_input(model: TdlModel, x: FeatureSequence):
-    cfg = model.config
-    if x.dim != cfg.feat_dim:
+def _check_pair(config: TdlConfig, seq: FeatureSequence,
+                labels: FrameLabels | None = None) -> None:
+    """ShapeError unless ``seq`` has feat_dim channels padded to t_max and
+    ``labels``, when given, are padded to label_len."""
+    if seq.dim != config.feat_dim:
         raise ShapeError(
-            f"{x.sample_id}: feature dim {x.dim} != model feat_dim {cfg.feat_dim}"
+            f"{seq.sample_id}: feature dim {seq.dim} != feat_dim {config.feat_dim}"
         )
-    if x.num_frames != cfg.t_max:
+    if seq.num_frames != config.t_max:
         raise ShapeError(
-            f"{x.sample_id}: {x.num_frames} frames, expected padded t_max "
-            f"{cfg.t_max}"
+            f"{seq.sample_id}: {seq.num_frames} frames, expected padded t_max "
+            f"{config.t_max}"
+        )
+    if labels is not None and labels.labels.size != config.label_len:
+        raise ShapeError(
+            f"{labels.sample_id}: {labels.labels.size} labels != label_len "
+            f"{config.label_len}"
         )
 
 
-def _blocks(indices, t_max: int) -> list:
-    """Consecutive runs of ``indices`` that fit in one block each."""
+def _blocks(pairs, t_max: int):
+    """Consecutive runs of ``pairs`` (any iterable) that fit in one block
+    each, taken from it one block at a time."""
     size = max(1, BLOCK_FRAMES // t_max)
-    return [indices[lo:lo + size] for lo in range(0, len(indices), size)]
+    pairs = iter(pairs)
+    while block := list(itertools.islice(pairs, size)):
+        yield block
+        del block  # see score_pool
 
 
 def _stack_block(pairs):
@@ -396,7 +420,7 @@ def forward(model: TdlModel, x: FeatureSequence):
     The embedding's frame classes only distinguish padding here; during
     training the label alignment supplies real/fake classes.
     """
-    _check_input(model, x)
+    _check_pair(model.config, x)
     xv, true_frames, _ = _stack_block([(x, None)])
     acts = _forward_block(model, xv, true_frames)
     return (acts["scores"][0], _embedding(acts["e"][0], acts["frame_class"][0]),
@@ -421,12 +445,7 @@ def total_loss(model: TdlModel, x: FeatureSequence, labels: FrameLabels):
     frames) and the ESM term is skipped, since boundary labels do not
     carry per-frame authenticity classes.
     """
-    _check_input(model, x)
-    if labels.labels.size != model.config.label_len:
-        raise ShapeError(
-            f"{labels.sample_id}: {labels.labels.size} labels != label_len "
-            f"{model.config.label_len}"
-        )
+    _check_pair(model.config, x, labels)
     losses, grads = _loss_block(model, *_stack_block([(x, labels)]),
                                 input_grad=True)
     grads["input"] = grads["input"][0]
@@ -543,6 +562,11 @@ def _check_header(header) -> None:
         raise FormatError(
             f"checkpoint adam keys {sorted(header['adam'])} != {sorted(adam_keys)}"
         )
+    for name, value in (("epoch", header["epoch"]),
+                        ("adam step", header["adam"]["step"])):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise FormatError(
+                f"checkpoint {name} {value!r} is not a non-negative integer")
 
 
 def decode_checkpoint(blob: bytes) -> TdlModel:
@@ -558,42 +582,49 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
         raise FormatError("checkpoint truncated in JSON header")
     try:
         header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes or JSON
         raise FormatError(f"corrupt checkpoint header: {exc}") from exc
     offset += header_len
     _check_header(header)
 
-    config = TdlConfig.from_dict(header["config"])
-    model = build_model(config)
-    model.epoch = int(header["epoch"])
-    adam_info = dict(header["adam"])
-    step = int(adam_info.pop("step"))
-    model.adam = AdamState(step=step, **adam_info)
+    adam = header["adam"]
+    try:
+        config = TdlConfig.from_dict(header["config"])
+        optimizer = config_from_dict(
+            OptimizerConfig, {k: v for k, v in adam.items() if k != "step"}, "adam")
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint header: {exc}") from exc
+    try:
+        # shapes only: memory is allocated once the payload is known to fit
+        model = build_model(config, _ShapeDraws())
+    except (ValueError, OverflowError) as exc:  # dims past numpy or float range
+        raise FormatError(f"checkpoint config too large: {exc}") from exc
+    model.epoch = header["epoch"]
+    model.adam = AdamState(step=adam["step"], **asdict(optimizer))
 
-    params = model.param_items()
-    if header["params"] != list(params.keys()) \
-            or set(header["param_shapes"]) != set(params):
+    shapes = {name: value.shape for name, value in model.param_items().items()}
+    if header["params"] != list(shapes) or header["param_shapes"] != {
+            name: list(shape) for name, shape in shapes.items()}:
         raise FormatError("checkpoint parameter list mismatch")
+    payload = 3 * 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(blob) != offset + payload:
+        raise FormatError(
+            f"checkpoint payload is {len(blob) - offset} bytes, expected {payload}"
+        )
 
-    def read_into(target: np.ndarray, off: int) -> int:
-        nbytes = target.size * 8
-        if len(blob) < off + nbytes:
-            raise FormatError("checkpoint truncated in payload")
-        flat = np.frombuffer(blob, dtype="<f8", count=target.size, offset=off)
-        target[...] = flat.reshape(target.shape)
-        return off + nbytes
+    def read(shape) -> np.ndarray:
+        nonlocal offset
+        count = math.prod(shape)
+        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        offset += 8 * count
+        return flat.reshape(shape).astype(np.float64)
 
-    for name, value in params.items():
-        if list(value.shape) != header["param_shapes"][name]:
-            raise FormatError(f"checkpoint shape mismatch for {name}")
-        offset = read_into(value, offset)
+    for name, layer in model.layer_items():
+        layer.weights = read(shapes[f"{name}.weights"])
+        layer.bias = read(shapes[f"{name}.bias"])
     for moments in (model.adam.m, model.adam.v):
-        for name, value in params.items():
-            buf = np.zeros_like(value)
-            offset = read_into(buf, offset)
-            moments[name] = buf
-    if offset != len(blob):
-        raise FormatError(f"{len(blob) - offset} trailing bytes in checkpoint")
+        for name, shape in shapes.items():
+            moments[name] = read(shape)
     return model
 
 
@@ -648,18 +679,10 @@ def _validate_set(config: TdlConfig, dataset, name: str,
     if not dataset:
         raise ValidationError(f"{name} set is empty")
     for seq, labels in dataset:
-        if seq.num_frames != config.t_max:
-            raise ShapeError(
-                f"{name}: {seq.sample_id} not pre-padded to t_max {config.t_max}"
-            )
-        if seq.dim != config.feat_dim:
-            raise ShapeError(
-                f"{name}: {seq.sample_id} feat dim {seq.dim} != {config.feat_dim}"
-            )
-        if labels.labels.size != config.label_len:
-            raise ShapeError(
-                f"{name}: {labels.sample_id} labels not padded to {config.label_len}"
-            )
+        try:
+            _check_pair(config, seq, labels)
+        except ShapeError as exc:
+            raise ShapeError(f"{name}: {exc}") from exc
     if both_classes:
         pooled = np.concatenate([lab.labels[:lab.true_labels] for _, lab in dataset])
         if pooled.min() == pooled.max():
@@ -672,20 +695,27 @@ def _validate_set(config: TdlConfig, dataset, name: str,
 def block_scores(model: TdlModel, block) -> list:
     """Per-frame scores of one block of prepared (features, labels) pairs,
     each trimmed to its true label count; bit-identical to ``predict``."""
-    for seq, _ in block:
-        _check_input(model, seq)
+    for seq, labels in block:
+        _check_pair(model.config, seq, labels)
     xv, true_frames, labels = _stack_block(block)
     scores = _forward_block(model, xv, true_frames)["scores"]
     return [row[:lab.true_labels].copy() for row, lab in zip(scores, labels)]
 
 
+def score_pool(model: TdlModel, pairs) -> metrics_mod.EvalPool:
+    """The pooled per-frame scores and labels of prepared (features,
+    labels) ``pairs``, an iterable consumed and scored one block at a time."""
+    scores, labels = [], []
+    for block in _blocks(pairs, model.config.t_max):
+        scores += block_scores(model, block)
+        labels += [lab for _, lab in block]
+        del block  # freed before the next is prepared: a third fewer page faults
+    return metrics_mod.pool_predictions(scores, labels)
+
+
 def dev_eer(model: TdlModel, dev_set) -> float:
-    """Frame-level EER (percent) of the dev set, forwarded in blocks."""
-    scores = []
-    for block in _blocks(dev_set, model.config.t_max):
-        scores.extend(block_scores(model, block))
-    pool = metrics_mod.pool_predictions(scores, [lab for _, lab in dev_set])
-    return metrics_mod.eer(pool)[0]
+    """Frame-level EER (percent) of the dev set, scored in blocks."""
+    return metrics_mod.eer(score_pool(model, dev_set))[0]
 
 
 def _minibatch_step(model: TdlModel, params: dict, batch, epoch: int) -> np.ndarray:

@@ -74,12 +74,12 @@ def test_dev_eer_does_not_depend_on_the_block_size(monkeypatch):
     pairs = _desk_pairs(cfg, 20, 3)
     mdl = M.build_model(cfg)
     default = M.dev_eer(mdl, pairs)
-    assert len(M._blocks(pairs, cfg.t_max)) == 2
+    assert len(list(M._blocks(pairs, cfg.t_max))) == 2
     monkeypatch.setattr(M, "BLOCK_FRAMES", 3 * cfg.t_max)
     assert [len(b) for b in M._blocks(pairs, cfg.t_max)] == [3] * 6 + [2]
     assert M.dev_eer(mdl, pairs) == default
     monkeypatch.setattr(M, "BLOCK_FRAMES", 1)  # never less than one utterance
-    assert len(M._blocks(pairs, cfg.t_max)) == 20
+    assert len(list(M._blocks(pairs, cfg.t_max))) == 20
     assert M.dev_eer(mdl, pairs) == default
 
 

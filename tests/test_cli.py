@@ -67,15 +67,6 @@ def test_synth_same_seed_identical_files(tmp_path, synth_spec_file):
     assert _dir_digest(a) != _dir_digest(c)
 
 
-def test_synth_threads_do_not_change_output(tmp_path, synth_spec_file):
-    a = _make_dataset(tmp_path, synth_spec_file, "st1", 5)
-    out = tmp_path / "st4"
-    rc = cli.main(["synth", "--out", str(out), "--spec", str(synth_spec_file),
-                   "--seed", "5", "--threads", "4"])
-    assert rc == 0
-    assert _dir_digest(a) == _dir_digest(out)
-
-
 def test_stats_reports_corpus_composition(tmp_path, synth_spec_file, capsys):
     out = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
     capsys.readouterr()
@@ -367,15 +358,10 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
         return real_block_scores(model, block)
 
     monkeypatch.setattr(model_mod, "block_scores", counting_block_scores)
-    reports = {}
-    for threads in (1, 2):
-        path = tmp_path / f"report{threads}.json"
-        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
-                         str(test_dir), "--report", str(path),
-                         "--threads", str(threads)]) == 0
-        reports[threads] = path.read_bytes()
-    assert sorted(block_sizes) == [5, 5, 16, 16, 16, 16]
-    assert reports[1] == reports[2]
+    path = tmp_path / "report.json"
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(path)]) == 0
+    assert block_sizes == [16, 16, 5]
 
     model = model_mod.load_checkpoint(checkpoint)
     scores, labels = [], []
@@ -387,7 +373,7 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
         labels.append(lab)
     expected = metrics_mod.compute_report(
         metrics_mod.pool_predictions(scores, labels)).to_dict()
-    report = json.loads(reports[1])
+    report = json.loads(path.read_bytes())
     assert set(report) == set(expected) | {"metadata"}
     for key, value in expected.items():
         assert report[key] == value, key
@@ -470,13 +456,59 @@ def test_unreadable_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     assert "error:" in capsys.readouterr().err
 
 
+def _numeric_input(case, tmp_path, data_dir):
+    """Write the input for ``case``; returns the argv that reads it."""
+    if case.startswith("stats-resolution"):
+        return ["stats", "--data", str(data_dir),
+                "--resolution", case.rsplit("-", 1)[1]]
+    if case == "synth-seed":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(desk_benchmark_spec(num_utterances=2).to_dict()))
+        return ["synth", "--out", str(tmp_path / "o"), "--spec", str(spec),
+                "--seed", "-1"]
+    if case == "gradcheck-seed":
+        return ["gradcheck", "--seed", "-1"]
+    if case == "stats-duration-nan":
+        path = _first_sample(data_dir, "annotations")
+        obj = json.loads(path.read_text())
+        obj["duration_s"] = float("nan")  # written as the JSON literal NaN
+        path.write_text(json.dumps(obj))
+        return ["stats", "--data", str(data_dir)]
+    config = tmp_path / "c.cfg"
+    if case.startswith("params"):
+        config.write_text({"params-seed": "seed = -1\n",
+                           "params-base-lr-nan": "optimizer.base_lr = NaN\n"}[case])
+        return ["params", "--config", str(config)]
+    obj = desk_config(epochs=1, batch_size=2).to_dict()
+    if case == "train-sample-seed":
+        obj["esm"].update(pair_budget=4, sample_seed=-1)
+    else:
+        obj["label_resolution_s"] = float("nan")
+    config.write_text(json.dumps(obj))
+    return ["train", "--config", str(config), "--train", str(data_dir),
+            "--dev", str(data_dir), "--out", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize("case", [
+    "stats-resolution-0", "stats-resolution-nan", "synth-seed", "gradcheck-seed",
+    "params-seed", "train-sample-seed", "train-resolution-nan",
+    "stats-duration-nan", "params-base-lr-nan"])
+def test_bad_numeric_input_exits_one(tmp_path, synth_spec_file, capsys, case):
+    data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
+    argv = _numeric_input(case, tmp_path, data_dir)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------
 
 
-def _fail_writes_halfway(monkeypatch):
-    """Make every file ``tdl.data`` opens write half its bytes, then fail."""
+def _fail_writes_halfway(monkeypatch, name_part=""):
+    """Make every file ``tdl.data`` opens whose name contains ``name_part``
+    write half its bytes, then fail."""
     import builtins
 
     from tdl import data as data_mod
@@ -495,9 +527,11 @@ def _fail_writes_halfway(monkeypatch):
             self.fh.write(blob[:len(blob) // 2])
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(data_mod, "open",
-                        lambda *args, **kw: HalfWrite(builtins.open(*args, **kw)),
-                        raising=False)
+    def half_open(path, *args, **kw):
+        fh = builtins.open(path, *args, **kw)
+        return HalfWrite(fh) if name_part in Path(path).name else fh
+
+    monkeypatch.setattr(data_mod, "open", half_open, raising=False)
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -529,3 +563,24 @@ def test_failed_report_write_keeps_the_previous_report(tmp_path, monkeypatch,
     assert "error:" in capsys.readouterr().err
     assert report.read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == ["r.json"]
+
+
+def test_failed_log_write_keeps_the_previous_log(tmp_path, synth_spec_file,
+                                                 monkeypatch, capsys):
+    data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
+    out = tmp_path / "run"
+    argv = ["train", "--train", str(data_dir), "--dev", str(data_dir),
+            "--out", str(out), "--config"]
+    for seed in (1, 2):
+        config = tmp_path / f"c{seed}.json"
+        config.write_text(json.dumps(desk_config(epochs=2, batch_size=4,
+                                                 seed=seed).to_dict()))
+    assert cli.main(argv + [str(tmp_path / "c1.json")]) == 0
+    before = (out / "train_log.jsonl").read_bytes()
+    _fail_writes_halfway(monkeypatch, "train_log")
+    capsys.readouterr()
+    assert cli.main(argv + [str(tmp_path / "c2.json")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert (out / "train_log.jsonl").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["best.tdlc", "last.tdlc",
+                                                     "train_log.jsonl"]

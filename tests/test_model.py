@@ -287,6 +287,21 @@ def test_checkpoint_malformed_header_is_format_error(edit):
         M.decode_checkpoint(_rewrite_header(blob, edit))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epoch", "x"), ("epoch", None), ("epoch", 1.5), ("epoch", -3),
+    ("epoch", True), ("step", "x"), ("step", -1), ("beta1", "x"),
+    ("base_lr", None),
+])
+def test_checkpoint_header_values_are_typed(key, value):
+    blob = M.encode_checkpoint(M.build_model(tiny_config()))
+
+    def edit(header):
+        (header if key == "epoch" else header["adam"])[key] = value
+
+    with pytest.raises(FormatError, match=key):
+        M.decode_checkpoint(_rewrite_header(blob, edit))
+
+
 def test_checkpoint_header_rewrite_round_trips():
     blob = M.encode_checkpoint(M.build_model(tiny_config()))
     restored = M.decode_checkpoint(_rewrite_header(blob, lambda h: None))
