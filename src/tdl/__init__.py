@@ -57,7 +57,6 @@ from .metrics import (
     render_report,
 )
 from .model import (
-    OptimizerConfig,
     TdlConfig,
     TdlModel,
     TrainRecord,
@@ -74,7 +73,8 @@ from .model import (
     total_loss,
     train,
 )
-from .nn import AdamState, Conv1dLayer, FcLayer, adam_step, bce_loss, count_params, grad_check
+from .nn import (AdamState, Conv1dLayer, FcLayer, OptimizerConfig, adam_step, bce_loss,
+                 count_params, grad_check)
 from .tconv import (
     SimilarityMatrix,
     TconvLayer,

@@ -42,10 +42,7 @@ def _load_train_config(path) -> model_mod.TdlConfig:
     nest, values parse as JSON literals when possible)."""
     text = data_mod.read_utf8(path, ConfigError)
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        obj = data_mod.parse_json(text, path, ConfigError)
     else:
         obj = {}
         for ln, line in enumerate(text.splitlines(), start=1):
@@ -56,8 +53,8 @@ def _load_train_config(path) -> model_mod.TdlConfig:
                 raise ConfigError(f"{path}:{ln}: expected key=value")
             key, _, value = line.partition("=")
             try:
-                parsed = json.loads(value.strip())
-            except ValueError:  # not JSON, or an integer too long to parse
+                parsed = data_mod.parse_json(value.strip(), f"{path}:{ln}", ConfigError)
+            except ConfigError:  # a bare string
                 parsed = value.strip()
             node = obj
             parts = key.strip().split(".")
@@ -108,11 +105,8 @@ def _resolution(text: str) -> float:
 
 
 def run_synth(args) -> int:
-    try:
-        spec_obj = json.loads(data_mod.read_utf8(args.spec, ConfigError))
-    except ValueError as exc:
-        raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from exc
-    spec = data_mod.SynthSpec.from_dict(spec_obj)
+    spec = data_mod.SynthSpec.from_dict(data_mod.parse_json(
+        data_mod.read_utf8(args.spec, ConfigError), args.spec, ConfigError))
     _print_resolved(spec.to_dict(), args.seed)
 
     features, annotations = data_mod.synth_dataset(spec, args.seed)
@@ -205,7 +199,7 @@ def run_gradcheck(args) -> int:
 def run_params(args) -> int:
     config = _load_train_config(args.config)
     _print_resolved(config.to_dict(), config.seed)
-    model = model_mod.build_model(config)
+    model = model_mod.shape_model(config)  # counting needs no parameter memory
     rows, total = model_mod.param_count_table(model)
     print(f"{'layer':<12} {'parameters':>12} {'thousands':>12}")
     for name, count in rows:

@@ -192,6 +192,16 @@ def read_utf8(path, error=FormatError) -> str:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def parse_json(text: str, where, error=FormatError):
+    """The JSON value of ``text``; ``error`` (a TdlError class) naming
+    ``where`` when it is not JSON, holds an integer too long to parse
+    (ValueError) or nests too deep to decode (RecursionError)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+
+
 def write_atomic(path, blob: bytes) -> None:
     """Write ``blob`` to ``path`` through a temporary file in the same
     directory and a rename, so a failed or killed write never leaves a
@@ -288,11 +298,7 @@ def save_annotation_file(ann: SegmentAnnotation, path) -> None:
 
 
 def load_annotation_file(path) -> SegmentAnnotation:
-    try:
-        obj = json.loads(read_utf8(path))
-    except ValueError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return annotation_from_dict(obj)
+    return annotation_from_dict(parse_json(read_utf8(path), path))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +467,7 @@ class SynthSpec:
     noise_scale: float = 1.0
     sample_prefix: str = "utt"
 
-    def validate(self):
+    def __post_init__(self):
         if self.dim <= 0 or self.num_utterances <= 0:
             raise ConfigError("dim and num_utterances must be positive")
         if self.frame_rate_hz <= 0:
@@ -489,25 +495,18 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthSpec":
-        spec = config_from_dict(cls, obj, "generator")
-        spec.validate()
-        return spec
+        return config_from_dict(cls, obj, "generator")
 
 
 def desk_benchmark_spec(num_utterances: int = 300, **overrides) -> SynthSpec:
     """Generator spec matched to the desk-scale model config.
 
-    25 feature frames per second and durations up to 2.56 s give at most
-    64 feature frames and 16 label frames per utterance.
+    SynthSpec's default 25 feature frames per second and durations up to
+    2.56 s give at most 64 feature frames and 16 label frames per utterance.
     """
-    base = dict(dim=16, num_utterances=num_utterances, frame_rate_hz=25.0,
-                duration_range_s=(1.8, 2.56), fake_segment_count_range=(1, 3),
-                fake_fraction_range=(0.43, 0.63), spoof_probability=0.9,
-                separation=2.0, noise_scale=1.0)
+    base = dict(dim=16, num_utterances=num_utterances)
     base.update(overrides)
-    spec = SynthSpec(**base)
-    spec.validate()
-    return spec
+    return SynthSpec(**base)
 
 
 def _synth_annotation(spec: SynthSpec, rng: np.random.Generator,
@@ -579,7 +578,6 @@ def synth_dataset(spec: SynthSpec, rng_seed: int):
     Each utterance draws from its own child seed, so results do not
     depend on generation order.
     """
-    spec.validate()
     root = np.random.SeedSequence(rng_seed)
     features, annotations = [], []
     for i, child in enumerate(root.spawn(spec.num_utterances)):
@@ -673,10 +671,10 @@ def load_dataset(data_dir):
     manifest = data_dir / "manifest.json"
     if not manifest.exists():
         raise FormatError(f"no manifest.json in {data_dir}")
+    obj = parse_json(read_utf8(manifest), manifest)
     try:
-        obj = json.loads(read_utf8(manifest))
         samples = obj["samples"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"{manifest}: {exc}") from exc
     if not isinstance(samples, list):
         raise FormatError(f"{manifest}: samples is not a list")
@@ -688,8 +686,14 @@ def load_dataset(data_dir):
                 f"{manifest}: sample entry {entry!r} needs string "
                 f"{', '.join(_MANIFEST_KEYS)}"
             )
-        seq = load_feature_file(data_dir / entry["features"])
-        ann = load_annotation_file(data_dir / entry["annotations"])
+        # OSError: a missing or unreadable file; ValueError: a NUL or a
+        # lone surrogate in its path
+        try:
+            seq = load_feature_file(data_dir / entry["features"])
+            ann = load_annotation_file(data_dir / entry["annotations"])
+        except (OSError, ValueError) as exc:
+            raise FormatError(
+                f"{manifest}: sample entry {entry['id']!r}: {exc}") from exc
         if ann.sample_id != entry["id"]:
             raise FormatError(
                 f"{manifest}: annotation id {ann.sample_id!r} != {entry['id']!r}"

@@ -14,11 +14,11 @@ product bit for bit. Functions that take raw arrays accept one utterance
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FrameLabels, config_from_dict
+from .data import FrameLabels
 from .errors import ConfigError, ShapeError, ValidationError
 
 # frame_class codes
@@ -53,13 +53,6 @@ class EsmConfig:
         if self.sample_seed < 0:
             raise ConfigError(f"sample_seed {self.sample_seed} must be non-negative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EsmConfig":
-        return config_from_dict(cls, obj, "esm")
-
 
 @dataclass
 class EsmLoss:
@@ -70,10 +63,6 @@ class EsmLoss:
     @property
     def total(self) -> float:
         return self.l_real + self.l_fake + self.l_diff
-
-    def to_dict(self) -> dict:
-        return {"l_real": self.l_real, "l_fake": self.l_fake,
-                "l_diff": self.l_diff, "total": self.total}
 
 
 @dataclass
@@ -319,16 +308,3 @@ def esm_loss_from_arrays(values: np.ndarray, frame_class: np.ndarray,
         grad[bs, :, y] += sign * (u - s * v) / norms[bs, y][:, None]
     return _summed(losses), grad if np.ndim(values) == 3 else grad[0]
 
-
-def esm_loss_batch(sequences, cfg: EsmConfig) -> EsmLoss:
-    """Mean of per-utterance components across a batch."""
-    sequences = list(sequences)
-    if not sequences:
-        raise ValidationError("esm_loss_batch: empty batch")
-    parts = [_esm_losses(e, cfg) for e in sequences]
-    n = len(parts)
-    return EsmLoss(
-        sum(p.l_real for p in parts) / n,
-        sum(p.l_fake for p in parts) / n,
-        sum(p.l_diff for p in parts) / n,
-    )

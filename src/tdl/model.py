@@ -34,7 +34,7 @@ import numpy as np
 from . import esm as esm_mod
 from . import metrics as metrics_mod
 from .data import (BOUNDARY1, LABEL_SETTINGS, REAL1_FAKE0, FeatureSequence,
-                   FrameLabels, config_from_dict, write_atomic)
+                   FrameLabels, config_from_dict, parse_json, write_atomic)
 from .errors import (
     ConfigError,
     FormatError,
@@ -48,6 +48,7 @@ from .nn import (
     Conv1dLayer,
     FcLayer,
     GradReport,
+    OptimizerConfig,
     adam_step,
     bce_loss,
     conv1d_backward,
@@ -86,26 +87,6 @@ BLOCK_FRAMES = 1024
 # named sub-streams of the run seed
 _STREAM_INIT = 1
 _STREAM_BATCH = 2
-
-
-@dataclass
-class OptimizerConfig:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-9
-    weight_decay: float = 1e-4
-    base_lr: float = 1e-5
-    halving_period_epochs: int = 5
-
-    def make_state(self) -> AdamState:
-        return AdamState(**asdict(self))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "OptimizerConfig":
-        return config_from_dict(cls, obj, "optimizer")
 
 
 @dataclass
@@ -238,9 +219,6 @@ class TdlLoss:
     bce: float
     esm: EsmLoss
 
-    def to_dict(self) -> dict:
-        return {"total": self.total, "bce": self.bce, "esm": self.esm.to_dict()}
-
 
 def build_model(config: TdlConfig, rng=None) -> TdlModel:
     """Seeded construction; parameters are uniform in +-sqrt(1/fan_in).
@@ -256,7 +234,7 @@ def build_model(config: TdlConfig, rng=None) -> TdlModel:
         "conv_head": lambda: conv1d_init(config.tconv_channels, 2, 1, rng),
         "fc": lambda: fc_init(2 * config.t_max, config.label_len, rng),
     }
-    return TdlModel(config=config, adam=config.optimizer.make_state(),
+    return TdlModel(config=config, adam=AdamState(),
                     **{name: init[name]() for name in LAYERS})
 
 
@@ -265,6 +243,15 @@ class _ShapeDraws:
     build_model gives each parameter its shape but not its memory."""
 
     uniform = staticmethod(lambda low, high, size: np.broadcast_to(0.0, size))
+
+
+def shape_model(config: TdlConfig) -> TdlModel:
+    """build_model with each parameter's shape but not its memory;
+    ConfigError when a dim is past numpy or float range."""
+    try:
+        return build_model(config, _ShapeDraws())
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config too large: {exc}") from exc
 
 
 def param_count_table(model: TdlModel):
@@ -526,7 +513,7 @@ def encode_checkpoint(model: TdlModel) -> bytes:
         "version": TDLC_VERSION,
         "config": model.config.to_dict(),
         "epoch": model.epoch,
-        "adam": {**model.adam.hyperparams(), "step": model.adam.step},
+        "adam": {**asdict(model.config.optimizer), "step": model.adam.step},
         "params": list(params.keys()),
         "param_shapes": {k: list(v.shape) for k, v in params.items()},
     }
@@ -557,7 +544,7 @@ def _check_header(header) -> None:
     for key in ("adam", "config", "param_shapes"):
         if not isinstance(header[key], dict):
             raise FormatError(f"checkpoint {key} is not a JSON object")
-    adam_keys = set(AdamState().hyperparams()) | {"step"}
+    adam_keys = set(OptimizerConfig.__dataclass_fields__) | {"step"}
     if set(header["adam"]) != adam_keys:
         raise FormatError(
             f"checkpoint adam keys {sorted(header['adam'])} != {sorted(adam_keys)}"
@@ -581,26 +568,26 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
     if len(blob) < offset + header_len:
         raise FormatError("checkpoint truncated in JSON header")
     try:
-        header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
-    except ValueError as exc:  # undecodable bytes or JSON
-        raise FormatError(f"corrupt checkpoint header: {exc}") from exc
+        text = blob[offset:offset + header_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint header: not UTF-8 text: {exc}") from exc
+    header = parse_json(text, "checkpoint header")
     offset += header_len
     _check_header(header)
 
-    adam = header["adam"]
     try:
         config = TdlConfig.from_dict(header["config"])
-        optimizer = config_from_dict(
-            OptimizerConfig, {k: v for k, v in adam.items() if k != "step"}, "adam")
+        # shapes only: memory is allocated once the payload is known to fit
+        model = shape_model(config)
     except ConfigError as exc:
         raise FormatError(f"checkpoint header: {exc}") from exc
-    try:
-        # shapes only: memory is allocated once the payload is known to fit
-        model = build_model(config, _ShapeDraws())
-    except (ValueError, OverflowError) as exc:  # dims past numpy or float range
-        raise FormatError(f"checkpoint config too large: {exc}") from exc
+    # training reads config.optimizer; the adam copy must agree with it
+    for key, value in asdict(config.optimizer).items():
+        if header["adam"][key] != value:
+            raise FormatError(f"checkpoint adam {key} {header['adam'][key]!r} != "
+                              f"config.optimizer {key} {value!r}")
     model.epoch = header["epoch"]
-    model.adam = AdamState(step=adam["step"], **asdict(optimizer))
+    model.adam = AdamState(step=header["adam"]["step"])
 
     shapes = {name: value.shape for name, value in model.param_items().items()}
     if header["params"] != list(shapes) or header["param_shapes"] != {
@@ -730,7 +717,7 @@ def _minibatch_step(model: TdlModel, params: dict, batch, epoch: int) -> np.ndar
                  losses.esm.l_diff, losses.total)
     for grad in grad_sum.values():
         grad /= len(batch)
-    adam_step(model.adam, params, grad_sum, epoch)
+    adam_step(model.config.optimizer, model.adam, params, grad_sum, epoch)
     return sums
 
 
@@ -791,7 +778,7 @@ def train(config: TdlConfig, train_set, dev_set,
             mean_esm_diff=sums[3] / n,
             mean_esm_total=(sums[1] + sums[2] + sums[3]) / n,
             mean_total=sums[4] / n,
-            learning_rate=model.adam.lr_for_epoch(epoch),
+            learning_rate=config.optimizer.lr_for_epoch(epoch),
             wall_time_s=time.perf_counter() - start,
             dev_eer_pct=eer_pct,
         ))

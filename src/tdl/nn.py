@@ -279,7 +279,7 @@ def bce_loss(scores: np.ndarray, labels: np.ndarray,
 
 
 @dataclass
-class AdamState:
+class OptimizerConfig:
     """Adam with classic additive-L2 weight decay and a step-halving
     learning-rate schedule: lr(epoch) = base_lr * 0.5 ** (epoch // period).
     """
@@ -290,22 +290,22 @@ class AdamState:
     weight_decay: float = 1e-4
     base_lr: float = 1e-5
     halving_period_epochs: int = 5
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
     def lr_for_epoch(self, epoch: int) -> float:
         return self.base_lr * 0.5 ** (epoch // self.halving_period_epochs)
 
-    def hyperparams(self) -> dict:
-        return {
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "weight_decay": self.weight_decay, "base_lr": self.base_lr,
-            "halving_period_epochs": self.halving_period_epochs,
-        }
+
+@dataclass
+class AdamState:
+    """Adam's step count and per-parameter first and second moments."""
+
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
 
 
-def adam_step(state: AdamState, params: dict, grads: dict, epoch: int) -> None:
+def adam_step(config: OptimizerConfig, state: AdamState, params: dict,
+              grads: dict, epoch: int) -> None:
     """One in-place Adam update over a name->array parameter dict.
 
     Weight decay enters as an additive wd*theta gradient term before the
@@ -313,23 +313,23 @@ def adam_step(state: AdamState, params: dict, grads: dict, epoch: int) -> None:
     """
     state.step += 1
     t = state.step
-    lr = state.lr_for_epoch(epoch)
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    lr = config.lr_for_epoch(epoch)
+    bc1 = 1.0 - config.beta1 ** t
+    bc2 = 1.0 - config.beta2 ** t
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ShapeError(f"gradient shape mismatch for {name}")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name}")
-        g = g + state.weight_decay * theta
+        g = g + config.weight_decay * theta
         m = state.m.setdefault(name, np.zeros_like(theta))
         v = state.v.setdefault(name, np.zeros_like(theta))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .nn import (
     _scatter_taps,
     _tap_param_grads,
     _taps,
+    conv1d_init,
 )
 
 
@@ -57,10 +58,9 @@ class TconvLayer(Conv1dLayer):
 
 
 def tconv_init(channels: int, kernel: int, rng: np.random.Generator) -> TconvLayer:
-    bound = np.sqrt(1.0 / (kernel * channels))
-    w = rng.uniform(-bound, bound, size=(kernel, channels, channels))
-    b = rng.uniform(-bound, bound, size=channels)
-    return TconvLayer(channels, channels, kernel, w, b)
+    """conv1d_init's draws for a channels -> channels layer."""
+    conv = conv1d_init(channels, channels, kernel, rng)
+    return TconvLayer(channels, channels, kernel, conv.weights, conv.bias)
 
 
 def _neighbor_cells(normed: np.ndarray, live: np.ndarray, off: int,

@@ -157,6 +157,15 @@ def test_params_accepts_key_value_config(tmp_path, capsys):
     assert '"lambda": 0.2' in stdout
 
 
+def test_params_counts_without_allocating_the_parameters(tmp_path, capsys):
+    # about 1.1 TiB of conv weights if allocated
+    path = tmp_path / "kv.cfg"
+    path.write_text("feat_dim = 100000000\ntconv_channels = 100000000\n")
+    assert cli.main(["params", "--config", str(path)]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[:2] == ["total", "60000154000327030"]
+
+
 @pytest.mark.parametrize("command, name, text", [
     ("params", "c.cfg", 'esm.tau_same = "abc"\n'),
     ("params", "c.cfg", 'seed = "x"\n'),
@@ -477,7 +486,10 @@ def _numeric_input(case, tmp_path, data_dir):
     config = tmp_path / "c.cfg"
     if case.startswith("params"):
         config.write_text({"params-seed": "seed = -1\n",
-                           "params-base-lr-nan": "optimizer.base_lr = NaN\n"}[case])
+                           "params-base-lr-nan": "optimizer.base_lr = NaN\n",
+                           "params-dim-past-numpy":
+                               f"feat_dim = {10**20}\ntconv_channels = {10**20}\n",
+                           }[case])
         return ["params", "--config", str(config)]
     obj = desk_config(epochs=1, batch_size=2).to_dict()
     if case == "train-sample-seed":
@@ -492,10 +504,47 @@ def _numeric_input(case, tmp_path, data_dir):
 @pytest.mark.parametrize("case", [
     "stats-resolution-0", "stats-resolution-nan", "synth-seed", "gradcheck-seed",
     "params-seed", "train-sample-seed", "train-resolution-nan",
-    "stats-duration-nan", "params-base-lr-nan"])
+    "stats-duration-nan", "params-base-lr-nan", "params-dim-past-numpy"])
 def test_bad_numeric_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
     argv = _numeric_input(case, tmp_path, data_dir)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # nests past the JSON decoder's recursion limit
+
+
+def _deep_input(case, tmp_path, data_dir):
+    """Write ``_DEEP`` into the input for ``case``; returns the argv that reads it."""
+    from tdl import model as M
+
+    if case in ("annotation", "manifest"):
+        path = (_first_sample(data_dir, "annotations") if case == "annotation"
+                else data_dir / "manifest.json")
+        path.write_text(_DEEP)
+        return ["stats", "--data", str(data_dir)]
+    if case == "checkpoint":
+        checkpoint = tmp_path / "m.tdlc"
+        checkpoint.write_bytes(M._TDLC_HEAD.pack(M.TDLC_MAGIC, M.TDLC_VERSION,
+                                                 len(_DEEP)) + _DEEP.encode())
+        return ["eval", "--checkpoint", str(checkpoint), "--test", str(data_dir),
+                "--report", str(tmp_path / "r.json")]
+    path = tmp_path / "input"
+    path.write_text({"json-config": f'{{"seed": {_DEEP}}}',
+                     "key-value": f"seed = {_DEEP}\n", "spec": _DEEP}[case])
+    if case == "spec":
+        return ["synth", "--out", str(tmp_path / "o"), "--spec", str(path),
+                "--seed", "1"]
+    return ["params", "--config", str(path)]
+
+
+@pytest.mark.parametrize("case", ["annotation", "manifest", "json-config",
+                                  "key-value", "spec", "checkpoint"])
+def test_deeply_nested_json_exits_one(tmp_path, synth_spec_file, capsys, case):
+    data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
+    argv = _deep_input(case, tmp_path, data_dir)
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err

@@ -389,7 +389,10 @@ def test_load_dataset_without_manifest(tmp_path):
     ["u0", "features/u0.tdlf", "annotations/u0.json"],
     "u0",
     {"id": 7, "features": "features/u0.tdlf", "annotations": "annotations/u0.json"},
-], ids=["no-features", "no-annotations", "no-id", "list", "string", "int-id"])
+    {"id": "u0", "features": "features/u0\u0000.tdlf", "annotations": "a.json"},
+    {"id": "u0", "features": "features/missing.tdlf", "annotations": "a.json"},
+], ids=["no-features", "no-annotations", "no-id", "list", "string", "int-id",
+        "nul-in-path", "missing-file"])
 def test_load_dataset_malformed_manifest_entry(tmp_path, entry):
     feats, anns = data.synth_dataset(data.desk_benchmark_spec(num_utterances=1), 0)
     data.write_dataset(tmp_path, feats, anns)

@@ -214,15 +214,6 @@ def test_total_is_sum_of_components():
     assert losses.total == losses.l_real + losses.l_fake + losses.l_diff
 
 
-def test_batch_mean_aggregation():
-    rng = np.random.default_rng(9)
-    batch = [_random_embedding(rng, 4, 10) for _ in range(3)]
-    cfg = esm.EsmConfig()
-    parts = [esm.esm_loss(e, cfg)[0] for e in batch]
-    mean = esm.esm_loss_batch(batch, cfg)
-    assert np.isclose(mean.total, sum(p.total for p in parts) / 3)
-
-
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     values = rng.standard_normal((4, 10))

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from tdl import cli
 from tdl import model as M
-from tdl.data import annotation_from_dict, load_feature_file
+from tdl.data import (SynthSpec, annotation_from_dict, desk_benchmark_spec,
+                      load_dataset, load_feature_file, synth_dataset, write_dataset)
 from tdl.errors import TdlError
 
 # Hypothesis's pytest plugin caches the constants of local source under
@@ -59,6 +60,47 @@ annotation_like = st.fixed_dictionaries({
 @given(json_values | annotation_like)
 def test_annotation_from_dict_raises_only_tdl_errors(obj):
     _decodes_or_tdl_error(annotation_from_dict, obj)
+
+
+# ---------------------------------------------------------------------------
+# dataset manifests
+# ---------------------------------------------------------------------------
+
+# paths of the one sample on disk, paths no file can have, or any short text
+sample_path = st.sampled_from(["features/utt00000.tdlf", "annotations/utt00000.json",
+                               ".", "", "a\x00b", "a\ud800b"]) | st.text(max_size=6)
+manifest_entry = st.fixed_dictionaries({
+    "id": st.just("utt00000") | st.text(max_size=8),
+    "features": sample_path,
+    "annotations": sample_path,
+})
+manifest_like = st.fixed_dictionaries(
+    {"samples": st.lists(manifest_entry | json_values, max_size=3) | json_values})
+
+
+@FUZZ
+@given(json_values | manifest_like)
+def test_load_dataset_raises_only_tdl_errors(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, *synth_dataset(desk_benchmark_spec(1), 0))
+        (Path(tmp) / "manifest.json").write_text(json.dumps(obj), encoding="utf-8")
+        _decodes_or_tdl_error(load_dataset, tmp)
+
+
+# ---------------------------------------------------------------------------
+# synth specs
+# ---------------------------------------------------------------------------
+
+spec_like = st.dictionaries(
+    st.sampled_from(sorted(SynthSpec.__dataclass_fields__)) | st.text(max_size=8),
+    json_values | st.lists(st.integers() | st.floats(), min_size=2, max_size=2),
+    max_size=12)
+
+
+@FUZZ
+@given(json_values | spec_like)
+def test_synth_spec_from_dict_raises_only_tdl_errors(obj):
+    _decodes_or_tdl_error(SynthSpec.from_dict, obj)
 
 
 # ---------------------------------------------------------------------------

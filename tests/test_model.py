@@ -290,7 +290,7 @@ def test_checkpoint_malformed_header_is_format_error(edit):
 @pytest.mark.parametrize("key, value", [
     ("epoch", "x"), ("epoch", None), ("epoch", 1.5), ("epoch", -3),
     ("epoch", True), ("step", "x"), ("step", -1), ("beta1", "x"),
-    ("base_lr", None),
+    ("base_lr", None), ("beta1", 0.8),
 ])
 def test_checkpoint_header_values_are_typed(key, value):
     blob = M.encode_checkpoint(M.build_model(tiny_config()))

@@ -239,45 +239,45 @@ def test_bce_length_mismatch():
 
 
 def test_adam_zero_grad_no_decay_is_noop():
-    state = nn.AdamState(weight_decay=0.0)
+    config, state = nn.OptimizerConfig(weight_decay=0.0), nn.AdamState()
     params = {"w": np.array([1.0, -2.0])}
-    nn.adam_step(state, params, {"w": np.zeros(2)}, epoch=0)
+    nn.adam_step(config, state, params, {"w": np.zeros(2)}, epoch=0)
     assert np.array_equal(params["w"], [1.0, -2.0])
 
 
 def test_adam_first_step_moves_by_lr():
-    state = nn.AdamState(weight_decay=0.0, base_lr=1e-5)
+    config, state = nn.OptimizerConfig(weight_decay=0.0, base_lr=1e-5), nn.AdamState()
     params = {"w": np.zeros(1)}
-    nn.adam_step(state, params, {"w": np.ones(1)}, epoch=0)
+    nn.adam_step(config, state, params, {"w": np.ones(1)}, epoch=0)
     assert np.isclose(params["w"][0], -1e-5, rtol=1e-6)
 
 
 def test_adam_descends_convex_quadratic():
-    state = nn.AdamState(weight_decay=0.0, base_lr=1e-2)
+    config, state = nn.OptimizerConfig(weight_decay=0.0, base_lr=1e-2), nn.AdamState()
     params = {"w": np.full(5, 3.0)}
     losses = []
     for step in range(100):
         losses.append(0.5 * float(np.sum(params["w"] ** 2)))
-        nn.adam_step(state, params, {"w": params["w"].copy()}, epoch=0)
+        nn.adam_step(config, state, params, {"w": params["w"].copy()}, epoch=0)
     tail = losses[10:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     assert losses[-1] < losses[0]
 
 
 def test_lr_schedule_halves_every_period():
-    state = nn.AdamState(base_lr=1e-5, halving_period_epochs=5)
+    config = nn.OptimizerConfig(base_lr=1e-5, halving_period_epochs=5)
     for epoch in range(20):
-        assert state.lr_for_epoch(epoch) == 1e-5 * 0.5 ** (epoch // 5)
-    assert state.lr_for_epoch(4) == 1e-5
-    assert state.lr_for_epoch(5) == 5e-6
-    assert state.lr_for_epoch(10) == 2.5e-6
+        assert config.lr_for_epoch(epoch) == 1e-5 * 0.5 ** (epoch // 5)
+    assert config.lr_for_epoch(4) == 1e-5
+    assert config.lr_for_epoch(5) == 5e-6
+    assert config.lr_for_epoch(10) == 2.5e-6
 
 
 def test_adam_rejects_non_finite_gradient():
-    state = nn.AdamState()
+    config, state = nn.OptimizerConfig(), nn.AdamState()
     with pytest.raises(NumericError, match="w"):
-        nn.adam_step(state, {"w": np.zeros(2)}, {"w": np.array([np.nan, 0.0])},
-                     epoch=0)
+        nn.adam_step(config, state, {"w": np.zeros(2)},
+                     {"w": np.array([np.nan, 0.0])}, epoch=0)
 
 
 # ---------------------------------------------------------------------------
