@@ -9,8 +9,7 @@ exactly to a plain convolution.
 
 import numpy as np
 
-from tdl import EmbeddingSequence, SimilarityMatrix, neighbor_similarity, tconv_forward
-from tdl.esm import REAL
+from tdl import neighbor_similarity, tconv_forward
 from tdl.nn import conv1d_forward, l2_normalize_forward
 from tdl.tconv import tconv_init
 
@@ -21,22 +20,22 @@ t_len = 10
 raw = np.tile(np.array([1.0, 0.0, 0.0])[:, None], (1, t_len))
 raw[:, 5:] = np.array([0.0, 1.0, 0.0])[:, None]
 raw += 0.05 * rng.standard_normal((3, t_len))
-e = EmbeddingSequence(3, t_len, l2_normalize_forward(raw),
-                      np.full(t_len, REAL, dtype=np.int8))
+e = l2_normalize_forward(raw)
+live = np.ones(t_len, dtype=bool)  # no padding frames
 
-a = neighbor_similarity(e, k=3)
+a = neighbor_similarity(e, live, k=3)
 print("similarity matrix (rows: left neighbor / self / right neighbor):")
-print(np.array_str(a.values, precision=2, suppress_small=True))
+print(np.array_str(a, precision=2, suppress_small=True))
 print("note the suppressed cells around the frame-5 boundary\n")
 
 layer = tconv_init(4, 3, rng)
 x = rng.standard_normal((4, t_len))
-ones = SimilarityMatrix(3, t_len, np.ones((3, t_len)))
+ones = np.ones((3, t_len))
 diff = np.max(np.abs(tconv_forward(layer, x, ones) - conv1d_forward(layer, x)))
 print(f"modulation identity: max |tconv(a=1) - conv| = {diff:.2e}")
 
-masked = SimilarityMatrix(3, t_len, ones.values.copy())
-masked.values[0, 4] = 0.0  # output frame 4 now ignores input column 3
+masked = ones.copy()
+masked[0, 4] = 0.0  # output frame 4 now ignores input column 3
 out_before = tconv_forward(layer, x, masked)
 x2 = x.copy()
 x2[:, 3] += 100.0

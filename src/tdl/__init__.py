@@ -41,11 +41,7 @@ from .esm import (
     EsmConfig,
     EsmLoss,
     align_labels_to_embedding,
-    cosine_similarity,
-    esm_diff_loss,
-    esm_fake_loss,
     esm_loss,
-    esm_real_loss,
 )
 from .metrics import (
     EvalPool,
@@ -75,12 +71,6 @@ from .model import (
 )
 from .nn import (AdamState, Conv1dLayer, FcLayer, OptimizerConfig, adam_step, bce_loss,
                  count_params, grad_check)
-from .tconv import (
-    SimilarityMatrix,
-    TconvLayer,
-    neighbor_similarity,
-    tconv_backward,
-    tconv_forward,
-)
+from .tconv import neighbor_similarity, tconv_backward, tconv_forward
 
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ from .errors import (
     FormatError,
     ShapeError,
     ValidationError,
+    brief,
 )
 
 TDLF_MAGIC = b"TDLF"
@@ -125,7 +126,7 @@ class SegmentAnnotation:
         cursor = 0.0
         for seg in self.segments:
             if seg.label not in (LABEL_REAL, LABEL_FAKE):
-                raise AnnotationError(f"{self.sample_id}: bad label {seg.label!r}")
+                raise AnnotationError(f"{self.sample_id}: bad label {brief(seg.label)}")
             if not seg.start_s < seg.end_s:
                 raise AnnotationError(
                     f"{self.sample_id}: empty segment at {seg.start_s}"
@@ -159,7 +160,7 @@ class FrameLabels:
     def __post_init__(self):
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int8)
         if self.setting not in LABEL_SETTINGS:
-            raise ValidationError(f"unknown label setting {self.setting!r}")
+            raise ValidationError(f"unknown label setting {brief(self.setting)}")
         if not (0 < self.true_labels <= self.labels.size):
             raise ValidationError(
                 f"{self.sample_id}: true_labels {self.true_labels} out of range"
@@ -350,7 +351,7 @@ def compile_frame_labels(ann: SegmentAnnotation, resolution_s: float,
     """
     ann.validate()
     if setting not in LABEL_SETTINGS:
-        raise ValidationError(f"unknown label setting {setting!r}")
+        raise ValidationError(f"unknown label setting {brief(setting)}")
     if resolution_s <= 0:
         raise ValidationError("resolution_s must be positive")
     true_labels = num_true_labels(ann.duration_s, resolution_s)
@@ -402,10 +403,10 @@ def config_from_dict(cls, obj, section: str):
     and nested config sections objects.
     """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {obj!r}")
+        raise ConfigError(f"{section} must be a JSON object, got {brief(obj)}")
     unknown = set(obj) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {section} keys: {brief(sorted(unknown))}")
     hints = typing.get_type_hints(cls)
     try:
         return cls(**{key: _typed(value, hints[key], f"{section}.{key}")
@@ -421,7 +422,8 @@ def _typed(value, hint, name: str):
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)) or len(value) != len(args):
-            raise ConfigError(f"{name} must be an array of {len(args)}, got {value!r}")
+            raise ConfigError(
+                f"{name} must be an array of {len(args)}, got {brief(value)}")
         return tuple(_typed(v, h, name) for v, h in zip(value, args))
     if type(None) in args:
         if value is None:
@@ -436,7 +438,7 @@ def _typed(value, hint, name: str):
     else:
         ok = isinstance(value, hint)
     if not ok:
-        raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
+        raise ConfigError(f"{name} must be {hint.__name__}, got {brief(value)}")
     return value
 
 
@@ -683,7 +685,7 @@ def load_dataset(data_dir):
         if not (isinstance(entry, dict) and all(
                 isinstance(entry.get(key), str) for key in _MANIFEST_KEYS)):
             raise FormatError(
-                f"{manifest}: sample entry {entry!r} needs string "
+                f"{manifest}: sample entry {brief(entry)} needs string "
                 f"{', '.join(_MANIFEST_KEYS)}"
             )
         # OSError: a missing or unreadable file; ValueError: a NUL or a
@@ -693,10 +695,11 @@ def load_dataset(data_dir):
             ann = load_annotation_file(data_dir / entry["annotations"])
         except (OSError, ValueError) as exc:
             raise FormatError(
-                f"{manifest}: sample entry {entry['id']!r}: {exc}") from exc
+                f"{manifest}: sample entry {brief(entry['id'])}: {exc}") from exc
         if ann.sample_id != entry["id"]:
             raise FormatError(
-                f"{manifest}: annotation id {ann.sample_id!r} != {entry['id']!r}"
+                f"{manifest}: annotation id {brief(ann.sample_id)} != "
+                f"{brief(entry['id'])}"
             )
         # TDLF carries no id; trust the manifest
         seq.sample_id = entry["id"]

@@ -37,3 +37,10 @@ class MetricError(TdlError):
 
 class NumericError(TdlError):
     """A computation produced non-finite values."""
+
+
+def brief(value, width: int = 80) -> str:
+    """repr(value) for an error message, cut to ``width`` characters plus
+    "..." so that a huge input cannot make a huge message."""
+    text = repr(value)
+    return text if len(text) <= width else text[:width] + "..."

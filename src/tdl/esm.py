@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameLabels
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError, brief
 
 # frame_class codes
 FAKE = 0
@@ -51,7 +51,8 @@ class EsmConfig:
         if self.pair_budget is not None and self.pair_budget < 1:
             raise ConfigError("pair_budget must be positive when set")
         if self.sample_seed < 0:
-            raise ConfigError(f"sample_seed {self.sample_seed} must be non-negative")
+            raise ConfigError(
+                f"sample_seed {brief(self.sample_seed)} must be non-negative")
 
 
 @dataclass
@@ -94,25 +95,6 @@ class EmbeddingSequence:
         norms = np.sqrt((self.values ** 2).sum(axis=-2))[live]
         if norms.size and np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValidationError("non-padding embedding columns must be unit norm")
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """S(u, v) = u.v / (|u||v|), clamped into [-1, 1] against rounding.
-
-    Identical vectors short-circuit to exactly 1.0 (self-similarity is
-    scale invariant, so its gradient is zero anyway).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ShapeError(f"cosine on shapes {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < _COS_EPS or nv < _COS_EPS:
-        raise ValidationError("cosine_similarity: zero vector")
-    if np.array_equal(u, v):
-        return 1.0
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
 def align_labels_to_embedding(labels: FrameLabels, t_e: int) -> np.ndarray:
@@ -257,28 +239,6 @@ def _as_block(values: np.ndarray, frame_class: np.ndarray):
     return values, np.asarray(frame_class)
 
 
-def _summed(losses: np.ndarray) -> EsmLoss:
-    return EsmLoss(*(float(v) for v in losses.sum(axis=0)))
-
-
-def _esm_losses(e: EmbeddingSequence, cfg: EsmConfig) -> EsmLoss:
-    return _summed(_components(*_as_block(e.values, e.frame_class), cfg)[0])
-
-
-def esm_real_loss(e: EmbeddingSequence, cfg: EsmConfig) -> float:
-    """Worst same-class hinge over distinct real-frame pairs."""
-    return _esm_losses(e, cfg).l_real
-
-
-def esm_fake_loss(e: EmbeddingSequence, cfg: EsmConfig) -> float:
-    return _esm_losses(e, cfg).l_fake
-
-
-def esm_diff_loss(e: EmbeddingSequence, cfg: EsmConfig) -> float:
-    """Worst cross-class hinge: max over (real, fake) of [S - tau_diff]+."""
-    return _esm_losses(e, cfg).l_diff
-
-
 def esm_loss(e: EmbeddingSequence, cfg: EsmConfig):
     """All three components plus the subgradient with respect to e.values.
 
@@ -306,5 +266,6 @@ def esm_loss_from_arrays(values: np.ndarray, frame_class: np.ndarray,
         u, v = normed[bs, :, x], normed[bs, :, y]
         grad[bs, :, x] += sign * (v - s * u) / norms[bs, x][:, None]
         grad[bs, :, y] += sign * (u - s * v) / norms[bs, y][:, None]
-    return _summed(losses), grad if np.ndim(values) == 3 else grad[0]
+    summed = EsmLoss(*(float(v) for v in losses.sum(axis=0)))
+    return summed, grad if np.ndim(values) == 3 else grad[0]
 

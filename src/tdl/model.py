@@ -41,8 +41,9 @@ from .errors import (
     NumericError,
     ShapeError,
     ValidationError,
+    brief,
 )
-from .esm import EmbeddingSequence, EsmConfig, EsmLoss
+from .esm import EsmConfig, EsmLoss
 from .nn import (
     AdamState,
     Conv1dLayer,
@@ -67,8 +68,6 @@ from .nn import (
     sigmoid_forward,
 )
 from .tconv import (
-    SimilarityMatrix,
-    TconvLayer,
     neighbor_similarity,
     neighbor_similarity_backward,
     tconv_backward,
@@ -120,12 +119,12 @@ class TdlConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.seed < 0:
-            raise ConfigError(f"seed {self.seed} must be non-negative")
+            raise ConfigError(f"seed {brief(self.seed)} must be non-negative")
         if self.kernel % 2 != 1:
             raise ConfigError("kernel must be odd")
         if self.label_len > self.t_max:
             raise ConfigError(
-                f"label_len {self.label_len} exceeds t_max {self.t_max}"
+                f"label_len {brief(self.label_len)} exceeds t_max {brief(self.t_max)}"
             )
         if self.esm_weight < 0:
             raise ConfigError("lambda (esm_weight) must be >= 0")
@@ -135,7 +134,7 @@ class TdlConfig:
                 "directly on the front-end features"
             )
         if self.label_setting not in LABEL_SETTINGS:
-            raise ConfigError(f"unknown label_setting {self.label_setting!r}")
+            raise ConfigError(f"unknown label_setting {brief(self.label_setting)}")
         if self.label_resolution_s <= 0:
             raise ConfigError("label_resolution_s must be positive")
 
@@ -195,8 +194,8 @@ class TdlModel:
     config: TdlConfig
     conv_a: Conv1dLayer
     conv_b: Conv1dLayer
-    tconv_1: TconvLayer
-    tconv_2: TconvLayer
+    tconv_1: Conv1dLayer
+    tconv_2: Conv1dLayer
     conv_head: Conv1dLayer
     fc: FcLayer
     adam: AdamState
@@ -303,20 +302,12 @@ def _stack_block(pairs):
     return xv, [seq.true_frames for seq, _ in pairs], [lab for _, lab in pairs]
 
 
-def _embedding(e: np.ndarray, frame_class: np.ndarray) -> EmbeddingSequence:
-    return EmbeddingSequence(e.shape[-2], e.shape[-1], e, frame_class)
-
-
-def _similarity(cfg: TdlConfig, a: np.ndarray) -> SimilarityMatrix:
-    return SimilarityMatrix(cfg.kernel, a.shape[-1], a)
-
-
-def _op_forward(cfg: TdlConfig, op: str, layer, args, frame_class):
+def _op_forward(cfg: TdlConfig, op: str, layer, args, live):
     """Output of NETWORK primitive ``op`` of ``layer`` (or None) on ``args``."""
     if op == "conv1d":
         return conv1d_forward(layer, args[0])
     if op == "tconv":
-        return tconv_forward(layer, args[0], _similarity(cfg, args[1]))
+        return tconv_forward(layer, args[0], args[1])
     if op == "fc":
         return fc_forward(layer, args[0].reshape(len(args[0]), -1))
     if op == "relu":
@@ -324,14 +315,13 @@ def _op_forward(cfg: TdlConfig, op: str, layer, args, frame_class):
     if op == "l2_normalize":
         return l2_normalize_forward(args[0])
     if op == "neighbor_similarity":
-        return neighbor_similarity(_embedding(args[0], frame_class), cfg.kernel,
-                                   cfg.rectify_similarity).values
+        return neighbor_similarity(args[0], live, cfg.kernel, cfg.rectify_similarity)
     if op == "sigmoid":
         return sigmoid_forward(args[0])
 
 
 def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
-                 frame_class, first_grad: bool):
+                 live, first_grad: bool):
     """Adjoint of _op_forward given the gradient of its output ``out``.
 
     Returns the gradients of ``args`` (the first is None unless
@@ -340,8 +330,7 @@ def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
     if op == "conv1d":
         return conv1d_backward(layer, args[0], grad_out, first_grad)
     if op == "tconv":
-        return tconv_backward(layer, args[0], _similarity(cfg, args[1]), grad_out,
-                              first_grad)
+        return tconv_backward(layer, args[0], args[1], grad_out, first_grad)
     if op == "fc":
         gx, gw, gb = fc_backward(layer, args[0].reshape(len(args[0]), -1), grad_out)
         return gx.reshape(args[0].shape), gw, gb
@@ -350,8 +339,7 @@ def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
     if op == "l2_normalize":
         return (l2_normalize_backward(args[0], grad_out),)
     if op == "neighbor_similarity":
-        return (neighbor_similarity_backward(_embedding(args[0], frame_class),
-                                             cfg.kernel, grad_out,
+        return (neighbor_similarity_backward(args[0], live, cfg.kernel, grad_out,
                                              cfg.rectify_similarity),)
     if op == "sigmoid":
         return (sigmoid_backward(out, grad_out),)
@@ -361,7 +349,7 @@ def _run_rows(model: TdlModel, rows, acts: dict) -> dict:
     """Run ``rows`` forward, adding each output to the activations ``acts``."""
     for out, op, inputs, layer in rows:
         acts[out] = _op_forward(model.config, op, layer and getattr(model, layer),
-                                [acts[n] for n in inputs], acts["frame_class"])
+                                [acts[n] for n in inputs], acts["live"])
     return acts
 
 
@@ -379,7 +367,7 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
         row_grads = _op_backward(
             model.config, op, layer and getattr(model, layer),
             [acts[n] for n in inputs], acts[out], grads.pop(out),
-            acts["frame_class"], input_grad or inputs[0] != "x")
+            acts["live"], input_grad or inputs[0] != "x")
         for name, grad in zip(inputs, row_grads):
             if grad is not None:
                 grads[name] = grads[name] + grad if name in grads else grad
@@ -392,26 +380,23 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
 def _forward_block(model: TdlModel, xv: np.ndarray, true_frames) -> dict:
     """The stack on a block xv (B, C, T); frames past true_frames are padding.
 
-    Returns every activation by its NETWORK name, plus "frame_class",
-    the (B, T) real/padding classes the similarity rows mask with.
+    Returns every activation by its NETWORK name, plus "live", the (B, T)
+    mask of non-padding frames the similarity rows mask with.
     """
     live = np.arange(xv.shape[-1]) < np.asarray(true_frames)[:, None]
-    acts = {"x": xv, "frame_class": np.where(live, esm_mod.REAL, esm_mod.PADDING)}
-    return _run_rows(model, NETWORK, acts)
+    return _run_rows(model, NETWORK, {"x": xv, "live": live})
 
 
 def forward(model: TdlModel, x: FeatureSequence):
     """Run the network on one padded utterance.
 
-    Returns (scores in (0,1)^L, embedding sequence, similarity matrix).
-    The embedding's frame classes only distinguish padding here; during
-    training the label alignment supplies real/fake classes.
+    Returns the arrays (scores in (0,1)^L, embedding (embed_dim, t_max),
+    similarity (kernel, t_max)).
     """
     _check_pair(model.config, x)
     xv, true_frames, _ = _stack_block([(x, None)])
     acts = _forward_block(model, xv, true_frames)
-    return (acts["scores"][0], _embedding(acts["e"][0], acts["frame_class"][0]),
-            _similarity(model.config, acts["a"][0]))
+    return acts["scores"][0], acts["e"][0], acts["a"][0]
 
 
 def _esm_classes(labels: FrameLabels, true_frames: int, t_len: int) -> np.ndarray:
@@ -547,13 +532,14 @@ def _check_header(header) -> None:
     adam_keys = set(OptimizerConfig.__dataclass_fields__) | {"step"}
     if set(header["adam"]) != adam_keys:
         raise FormatError(
-            f"checkpoint adam keys {sorted(header['adam'])} != {sorted(adam_keys)}"
+            f"checkpoint adam keys {brief(sorted(header['adam']))} != "
+            f"{sorted(adam_keys)}"
         )
     for name, value in (("epoch", header["epoch"]),
                         ("adam step", header["adam"]["step"])):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise FormatError(
-                f"checkpoint {name} {value!r} is not a non-negative integer")
+                f"checkpoint {name} {brief(value)} is not a non-negative integer")
 
 
 def decode_checkpoint(blob: bytes) -> TdlModel:
@@ -584,8 +570,8 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
     # training reads config.optimizer; the adam copy must agree with it
     for key, value in asdict(config.optimizer).items():
         if header["adam"][key] != value:
-            raise FormatError(f"checkpoint adam {key} {header['adam'][key]!r} != "
-                              f"config.optimizer {key} {value!r}")
+            raise FormatError(f"checkpoint adam {key} {brief(header['adam'][key])} "
+                              f"!= config.optimizer {key} {brief(value)}")
     model.epoch = header["epoch"]
     model.adam = AdamState(step=header["adam"]["step"])
 
@@ -822,22 +808,21 @@ def _checked(name: str, rng, tolerance: float, loss_fn, params: dict,
     return rep.entries
 
 
-def _rows_check(model: TdlModel, rows, acts: dict, rng, tolerance: float) -> list:
-    """Finite-difference check of a slice of NETWORK rows at ``acts``.
+def _row_check(model: TdlModel, row, acts: dict, rng, tolerance: float) -> list:
+    """Finite-difference check of one NETWORK row at ``acts``.
 
-    The scalar is a fixed random projection of the last row's output; the
-    checked tensors are the first row's inputs and the last row's layer
-    parameters, through the same forward and backward loops as training.
+    The scalar is a fixed random projection of the row's output; the
+    checked tensors are the row's inputs and layer parameters, through
+    the same forward and backward loops as training.
     """
-    out, op, _, layer = rows[-1]
-    inputs = rows[0][2]
+    out, op, inputs, layer = row
     proj = rng.standard_normal(acts[out].shape)
 
     def loss_fn():
-        return float(np.sum(_run_rows(model, rows, dict(acts))[out] * proj))
+        return float(np.sum(_run_rows(model, (row,), dict(acts))[out] * proj))
 
     grads = {out: proj}
-    layer_grads = _backprop_rows(model, rows, acts, grads, True)
+    layer_grads = _backprop_rows(model, (row,), acts, grads, True)
     params = {name: acts[name] for name in inputs}
     analytic = {name: grads[name] for name in inputs}
     if layer is not None:
@@ -850,15 +835,10 @@ def _rows_check(model: TdlModel, rows, acts: dict, rng, tolerance: float) -> lis
 
 def _op_reports(model: TdlModel, acts: dict, labels: FrameLabels, rng,
                 tolerance: float) -> list:
-    """Checks of every NETWORK row and both loss terms at ``acts``.
-
-    The neighbor-similarity row is checked together with the l2_normalize
-    row that feeds it, so that its perturbed input columns stay unit norm.
-    """
+    """Checks of every NETWORK row and both loss terms at ``acts``."""
     entries = []
-    for i, (_, op, _, _) in enumerate(NETWORK):
-        lo = i - 1 if op == "neighbor_similarity" else i
-        entries += _rows_check(model, NETWORK[lo:i + 1], acts, rng, tolerance)
+    for row in NETWORK:
+        entries += _row_check(model, row, acts, rng, tolerance)
 
     scores, e = acts["scores"], acts["e"]
     y = labels.labels[None].astype(np.float64)

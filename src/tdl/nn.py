@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, brief
 
 # ---------------------------------------------------------------------------
 # layers
@@ -290,6 +290,19 @@ class OptimizerConfig:
     weight_decay: float = 1e-4
     base_lr: float = 1e-5
     halving_period_epochs: int = 5
+
+    def __post_init__(self):
+        # written so that NaN fails every check
+        for name, ok, rule in (
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("eps", self.eps > 0.0, "positive"),
+                ("weight_decay", self.weight_decay >= 0.0, "non-negative"),
+                ("base_lr", self.base_lr > 0.0, "positive"),
+                ("halving_period_epochs", self.halving_period_epochs >= 1, "at least 1")):
+            if not ok:
+                raise ConfigError(
+                    f"optimizer {name} must be {rule}, got {brief(getattr(self, name))}")
 
     def lr_for_epoch(self, epoch: int) -> float:
         return self.base_lr * 0.5 ** (epoch // self.halving_period_epochs)

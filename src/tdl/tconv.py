@@ -1,24 +1,24 @@
 """Similarity-modulated temporal convolution.
 
-A local similarity matrix a[i, t] (cosine between frame t and its i-th
+A local similarity array a[i, t] (cosine between frame t and its i-th
 neighbor, rectified at zero) scales each input column before the kernel
 is applied, so the convolution attends only to neighbors that look like
 the current frame. Out-of-range or padding neighbors get similarity 0,
 which masks them out entirely.
 
-Like the ``nn`` primitives, everything here takes one utterance or a
-block with a leading batch axis: embeddings (B, D, T), similarity
-matrices (B, k, T), tconv inputs (B, C, T).
+Like the ``nn`` primitives, everything here works on plain arrays of
+one utterance or a block with a leading batch axis: embeddings e
+(B, D, T) with a boolean live-frame mask (B, T) that is False on
+padding, similarity arrays a (B, k, T), tconv inputs x (B, C, T). A
+tconv layer is a plain Conv1dLayer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .esm import PADDING, EmbeddingSequence, _channel_dot, _normalized
+from .esm import _channel_dot, _normalized
 from .nn import (
     Conv1dLayer,
     _apply_taps,
@@ -30,37 +30,9 @@ from .nn import (
 )
 
 
-@dataclass
-class SimilarityMatrix:
-    """values[..., i, t]: (kernel, num_frames), or (B, kernel, num_frames)."""
-
-    kernel: int
-    num_frames: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if (self.values.ndim not in (2, 3)
-                or self.values.shape[-2:] != (self.kernel, self.num_frames)):
-            raise ShapeError(f"similarity matrix shape {self.values.shape}")
-
-
-@dataclass
-class TconvLayer(Conv1dLayer):
-    """Conv1dLayer whose channel count is preserved (in == out)."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.in_channels != self.out_channels:
-            raise ConfigError(
-                f"tconv requires in_channels == out_channels, got "
-                f"{self.in_channels} vs {self.out_channels}"
-            )
-
-
-def tconv_init(channels: int, kernel: int, rng: np.random.Generator) -> TconvLayer:
+def tconv_init(channels: int, kernel: int, rng: np.random.Generator) -> Conv1dLayer:
     """conv1d_init's draws for a channels -> channels layer."""
-    conv = conv1d_init(channels, channels, kernel, rng)
-    return TconvLayer(channels, channels, kernel, conv.weights, conv.bias)
+    return conv1d_init(channels, channels, kernel, rng)
 
 
 def _neighbor_cells(normed: np.ndarray, live: np.ndarray, off: int,
@@ -80,46 +52,45 @@ def _neighbor_cells(normed: np.ndarray, live: np.ndarray, off: int,
     return t0, t1, sims, valid
 
 
-def neighbor_similarity(e: EmbeddingSequence, k: int,
-                        rectify: bool = True) -> SimilarityMatrix:
-    """a[i, t] = [S(e_t, e_{t - k//2 + i})]+ over valid, non-padding pairs.
+def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int,
+                        rectify: bool = True) -> np.ndarray:
+    """a[i, t] = [S(e_t, e_{t - k//2 + i})]+ over pairs of live frames,
+    as a (..., k, T) array.
 
-    The center row is exactly 1 on non-padding frames (cosine
-    self-similarity is scale invariant, so its gradient is zero and the
-    constant is exact). With ``rectify`` off, negative similarities are
-    kept instead of clipped.
+    The center row is exactly 1 on live frames (cosine self-similarity
+    is scale invariant, so its gradient is zero and the constant is
+    exact). With ``rectify`` off, negative similarities are kept instead
+    of clipped.
     """
     if k % 2 != 1:
         raise ConfigError(f"neighbor kernel must be odd, got {k}")
-    live = e.frame_class != PADDING
-    normed, _ = _normalized(e.values)
-    half = k // 2
-    a = np.zeros(live.shape[:-1] + (k, e.num_frames))
+    normed, _ = _normalized(e)
+    half, t_len = k // 2, e.shape[-1]
+    a = np.zeros(live.shape[:-1] + (k, t_len))
     a[..., half, :] = live
     for i in range(k):
         off = i - half
-        if off == 0 or abs(off) >= e.num_frames:
+        if off == 0 or abs(off) >= t_len:
             continue
         t0, t1, sims, valid = _neighbor_cells(normed, live, off, rectify)
         a[..., i, t0:t1] = np.where(valid, sims, 0.0)
-    return SimilarityMatrix(k, e.num_frames, a)
+    return a
 
 
-def neighbor_similarity_backward(e: EmbeddingSequence, k: int,
+def neighbor_similarity_backward(e: np.ndarray, live: np.ndarray, k: int,
                                  grad_a: np.ndarray,
                                  rectify: bool = True) -> np.ndarray:
-    """Gradient of the similarity cells with respect to e.values.
+    """Gradient of the similarity cells with respect to e.
 
     Constant cells (center row, masked borders/padding, rectified
     negatives) pass no gradient.
     """
-    live = e.frame_class != PADDING
-    normed, norms = _normalized(e.values)
-    half = k // 2
-    grad = np.zeros_like(e.values)
+    normed, norms = _normalized(e)
+    half, t_len = k // 2, e.shape[-1]
+    grad = np.zeros_like(e)
     for i in range(k):
         off = i - half
-        if off == 0 or abs(off) >= e.num_frames:
+        if off == 0 or abs(off) >= t_len:
             continue
         # same cells as the forward pass, so the rectification mask matches
         t0, t1, sims, active = _neighbor_cells(normed, live, off, rectify)
@@ -137,31 +108,29 @@ def neighbor_similarity_backward(e: EmbeddingSequence, k: int,
     return grad
 
 
-def tconv_forward(layer: TconvLayer, x: np.ndarray,
-                  a: SimilarityMatrix) -> np.ndarray:
+def tconv_forward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Convolution over similarity-scaled columns.
 
     out[m, t] = bias[m] + sum_i w_m[i, :] . (x[:, t - k//2 + i] * a[i, t])
     with out-of-range columns contributing zero. With a identically 1
     this reduces exactly to conv1d_forward.
     """
-    if a.kernel != layer.kernel:
-        raise ShapeError(f"similarity kernel {a.kernel} != layer {layer.kernel}")
     if x.ndim not in (2, 3) or x.shape[-2] != layer.in_channels:
         raise ShapeError(f"tconv input shape {x.shape}")
-    if a.values.shape[:-2] + (a.num_frames,) != x.shape[:-2] + x.shape[-1:]:
-        raise ShapeError(f"similarity frames {a.values.shape} != input {x.shape}")
-    return _apply_taps(layer, _taps(x, layer.kernel) * a.values[..., None, :])
+    if a.shape != x.shape[:-2] + (layer.kernel, x.shape[-1]):
+        raise ShapeError(f"similarity shape {a.shape} does not fit kernel "
+                         f"{layer.kernel} and input {x.shape}")
+    return _apply_taps(layer, _taps(x, layer.kernel) * a[..., None, :])
 
 
-def tconv_backward(layer: TconvLayer, x: np.ndarray, a: SimilarityMatrix,
+def tconv_backward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray,
                    grad_out: np.ndarray, input_grad: bool = True):
     """Adjoints for (x, a, weights, bias); the x adjoint is None when
     ``input_grad`` is off."""
     if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
     taps = _taps(x, layer.kernel)
-    scale = a.values[..., None, :]
+    scale = a[..., None, :]
     grad_weights, grad_bias = _tap_param_grads(layer, taps * scale, grad_out)
     grad_mod = _grad_taps(layer, grad_out)
     grad_a = (grad_mod * taps).sum(axis=-2)

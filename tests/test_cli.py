@@ -465,6 +465,25 @@ def test_unreadable_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     assert "error:" in capsys.readouterr().err
 
 
+# lines that put an optimizer value out of range
+_OPTIMIZER_LINES = {
+    "train-halving-0": "optimizer.halving_period_epochs = 0",
+    "train-beta2-1": "optimizer.beta2 = 1.0",
+    "train-base-lr-negative": "optimizer.base_lr = -1",
+    "train-eps-0": "optimizer.eps = 0",
+    "train-beta1-1.5": "optimizer.beta1 = 1.5",
+    "train-weight-decay-negative": "optimizer.weight_decay = -1",
+}
+
+
+def _key_value_lines(obj, prefix=""):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _key_value_lines(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key} = {json.dumps(value)}"
+
+
 def _numeric_input(case, tmp_path, data_dir):
     """Write the input for ``case``; returns the argv that reads it."""
     if case.startswith("stats-resolution"):
@@ -492,11 +511,16 @@ def _numeric_input(case, tmp_path, data_dir):
                            }[case])
         return ["params", "--config", str(config)]
     obj = desk_config(epochs=1, batch_size=2).to_dict()
-    if case == "train-sample-seed":
-        obj["esm"].update(pair_budget=4, sample_seed=-1)
+    if case in _OPTIMIZER_LINES:
+        # a desk key=value config with one line added
+        lines = [*_key_value_lines(obj), _OPTIMIZER_LINES[case]]
+        config.write_text("\n".join(lines) + "\n")
     else:
-        obj["label_resolution_s"] = float("nan")
-    config.write_text(json.dumps(obj))
+        if case == "train-sample-seed":
+            obj["esm"].update(pair_budget=4, sample_seed=-1)
+        else:
+            obj["label_resolution_s"] = float("nan")
+        config.write_text(json.dumps(obj))
     return ["train", "--config", str(config), "--train", str(data_dir),
             "--dev", str(data_dir), "--out", str(tmp_path / "run")]
 
@@ -504,7 +528,8 @@ def _numeric_input(case, tmp_path, data_dir):
 @pytest.mark.parametrize("case", [
     "stats-resolution-0", "stats-resolution-nan", "synth-seed", "gradcheck-seed",
     "params-seed", "train-sample-seed", "train-resolution-nan",
-    "stats-duration-nan", "params-base-lr-nan", "params-dim-past-numpy"])
+    "stats-duration-nan", "params-base-lr-nan", "params-dim-past-numpy",
+    *_OPTIMIZER_LINES])
 def test_bad_numeric_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
     argv = _numeric_input(case, tmp_path, data_dir)
@@ -548,6 +573,20 @@ def test_deeply_nested_json_exits_one(tmp_path, synth_spec_file, capsys, case):
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    (_DEEP, "error: config.seed must be int"),  # not JSON: read as a bare string
+    ("-" + "9" * 4000, "error: seed -999"),
+], ids=["bare-string", "4000-digit-int"])
+def test_error_quotes_a_bounded_prefix_of_the_value(tmp_path, capsys, value, message):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"seed = {value}\n")
+    capsys.readouterr()
+    assert cli.main(["params", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert len(err.encode()) < 1000
 
 
 # ---------------------------------------------------------------------------

@@ -24,27 +24,8 @@ def _random_embedding(rng, dim, t_len, pad=0):
 
 
 # ---------------------------------------------------------------------------
-# cosine / alignment
+# alignment
 # ---------------------------------------------------------------------------
-
-
-def test_cosine_of_vector_with_itself():
-    v = np.array([0.3, -1.2, 4.0])
-    assert esm.cosine_similarity(v, v) == 1.0
-
-
-def test_cosine_orthogonal():
-    assert esm.cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-
-
-def test_cosine_hand_value():
-    s = esm.cosine_similarity(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
-    assert np.isclose(s, 0.8, atol=1e-12)
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(ValidationError):
-        esm.cosine_similarity(np.zeros(3), np.ones(3))
 
 
 def _labels(bits, true_labels=None, resolution=0.16):
@@ -98,43 +79,43 @@ def test_real_loss_zero_for_identical_embeddings():
     col = np.array([1.0, 0.0, 0.0])
     values = np.tile(col[:, None], (1, 4))
     e = _embedding(values, [esm.REAL] * 4)
-    assert esm.esm_real_loss(e, esm.EsmConfig(tau_same=0.9)) == 0.0
+    assert esm.esm_loss(e, esm.EsmConfig(tau_same=0.9))[0].l_real == 0.0
 
 
 def test_real_loss_single_pair_value():
     values = np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]])
     e = _embedding(values, [esm.REAL, esm.REAL])
-    loss = esm.esm_real_loss(e, esm.EsmConfig(tau_same=0.9))
+    loss = esm.esm_loss(e, esm.EsmConfig(tau_same=0.9))[0].l_real
     assert np.isclose(loss, 0.4, atol=1e-12)
 
 
 def test_real_loss_needs_two_real_frames():
     e = _embedding(np.array([[1.0], [0.0]]), [esm.REAL])
-    assert esm.esm_real_loss(e, esm.EsmConfig()) == 0.0
+    assert esm.esm_loss(e, esm.EsmConfig())[0].l_real == 0.0
 
 
 def test_fake_loss_vacuous_without_fakes():
     values = l2_normalize_forward(np.random.default_rng(1).standard_normal((3, 5)))
     e = _embedding(values, [esm.REAL] * 5)
-    assert esm.esm_fake_loss(e, esm.EsmConfig()) == 0.0
+    assert esm.esm_loss(e, esm.EsmConfig())[0].l_fake == 0.0
 
 
 def test_fake_loss_orthogonal_pair():
     values = np.array([[1.0, 0.0], [0.0, 1.0]])
     e = _embedding(values, [esm.FAKE, esm.FAKE])
-    assert np.isclose(esm.esm_fake_loss(e, esm.EsmConfig(tau_same=0.9)), 0.9)
+    assert np.isclose(esm.esm_loss(e, esm.EsmConfig(tau_same=0.9))[0].l_fake, 0.9)
 
 
 def test_diff_loss_zero_for_all_real():
     values = l2_normalize_forward(np.random.default_rng(2).standard_normal((3, 6)))
     e = _embedding(values, [esm.REAL] * 6)
-    assert esm.esm_diff_loss(e, esm.EsmConfig()) == 0.0
+    assert esm.esm_loss(e, esm.EsmConfig())[0].l_diff == 0.0
 
 
 def test_diff_loss_single_pair_value():
     values = np.array([[1.0, 0.3], [0.0, np.sqrt(0.91)]])
     e = _embedding(values, [esm.REAL, esm.FAKE])
-    loss = esm.esm_diff_loss(e, esm.EsmConfig(tau_diff=0.0))
+    loss = esm.esm_loss(e, esm.EsmConfig(tau_diff=0.0))[0].l_diff
     assert np.isclose(loss, 0.3, atol=1e-12)
 
 
@@ -148,8 +129,7 @@ def test_padding_frames_excluded():
     swapped = base.copy()
     swapped[:, 5] = l2_normalize_forward(rng.standard_normal((4, 1)))[:, 0]
     e2 = _embedding(swapped, classes)
-    for fn in (esm.esm_real_loss, esm.esm_fake_loss, esm.esm_diff_loss):
-        assert fn(e1, cfg) == fn(e2, cfg)
+    assert esm.esm_loss(e1, cfg)[0] == esm.esm_loss(e2, cfg)[0]
 
 
 def test_components_match_brute_force_exactly():
@@ -160,9 +140,10 @@ def test_components_match_brute_force_exactly():
         dim = int(rng.integers(2, 9))
         e = _random_embedding(rng, dim, t_len, pad=int(rng.integers(0, 3)))
         ref = esm_reference(e.values, e.frame_class, cfg.tau_same, cfg.tau_diff)
-        assert esm.esm_real_loss(e, cfg) == ref[0], f"real mismatch at {i}"
-        assert esm.esm_fake_loss(e, cfg) == ref[1], f"fake mismatch at {i}"
-        assert esm.esm_diff_loss(e, cfg) == ref[2], f"diff mismatch at {i}"
+        losses = esm.esm_loss(e, cfg)[0]
+        assert losses.l_real == ref[0], f"real mismatch at {i}"
+        assert losses.l_fake == ref[1], f"fake mismatch at {i}"
+        assert losses.l_diff == ref[2], f"diff mismatch at {i}"
 
 
 def test_swapping_classes_exchanges_real_and_fake():
@@ -193,7 +174,8 @@ def test_diff_loss_invariant_under_rotation():
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     rotated = _embedding(l2_normalize_forward(q @ e.values), e.frame_class)
     cfg = esm.EsmConfig()
-    assert np.isclose(esm.esm_diff_loss(e, cfg), esm.esm_diff_loss(rotated, cfg),
+    assert np.isclose(esm.esm_loss(e, cfg)[0].l_diff,
+                      esm.esm_loss(rotated, cfg)[0].l_diff,
                       atol=1e-9)
 
 

@@ -109,8 +109,8 @@ def test_forward_output_is_label_length_and_in_unit_interval():
     scores, e, a = M.forward(mdl, _input(cfg, np.random.default_rng(0)))
     assert scores.shape == (cfg.label_len,)
     assert np.all((scores > 0.0) & (scores < 1.0))
-    assert e.values.shape == (cfg.embed_dim, cfg.t_max)
-    assert a.values.shape == (cfg.kernel, cfg.t_max)
+    assert e.shape == (cfg.embed_dim, cfg.t_max)
+    assert a.shape == (cfg.kernel, cfg.t_max)
 
 
 def test_forward_deterministic():
@@ -220,6 +220,8 @@ def test_gradcheck_battery_covers_every_network_row_and_layer():
     names = {e.name for e in M.gradcheck_battery("tiny").entries}
     prefixes = {n.split(".")[0] for n in names}
     assert {op for _, op, _, _ in M.NETWORK} | {"bce", "esm"} <= prefixes
+    # the similarity row is checked on its own, at its embedding input
+    assert "neighbor_similarity.e" in names
     for layer in M.LAYERS:
         assert {f"model.{layer}.weights", f"model.{layer}.bias"} <= names
 
@@ -297,6 +299,20 @@ def test_checkpoint_header_values_are_typed(key, value):
 
     def edit(header):
         (header if key == "epoch" else header["adam"])[key] = value
+
+    with pytest.raises(FormatError, match=key):
+        M.decode_checkpoint(_rewrite_header(blob, edit))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("halving_period_epochs", 0), ("beta2", 1.0), ("base_lr", -1), ("eps", 0),
+    ("beta1", 1.5), ("weight_decay", -1),
+])
+def test_checkpoint_optimizer_out_of_range_is_format_error(key, value):
+    blob = M.encode_checkpoint(M.build_model(tiny_config()))
+
+    def edit(header):
+        header["config"]["optimizer"][key] = header["adam"][key] = value
 
     with pytest.raises(FormatError, match=key):
         M.decode_checkpoint(_rewrite_header(blob, edit))

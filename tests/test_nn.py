@@ -273,6 +273,16 @@ def test_lr_schedule_halves_every_period():
     assert config.lr_for_epoch(10) == 2.5e-6
 
 
+@pytest.mark.parametrize("key, value", [
+    ("beta1", -0.1), ("beta1", 1.5), ("beta2", 1.0), ("eps", 0.0),
+    ("weight_decay", -1.0), ("base_lr", -1.0), ("base_lr", float("nan")),
+    ("halving_period_epochs", 0),
+])
+def test_optimizer_config_rejects_out_of_range_values(key, value):
+    with pytest.raises(ConfigError, match=key):
+        nn.OptimizerConfig(**{key: value})
+
+
 def test_adam_rejects_non_finite_gradient():
     config, state = nn.OptimizerConfig(), nn.AdamState()
     with pytest.raises(NumericError, match="w"):

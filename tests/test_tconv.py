@@ -28,8 +28,13 @@ def _layer(rng, channels, k=3):
     return tconv.tconv_init(channels, k, rng)
 
 
-def _ones_similarity(k, t_len):
-    return tconv.SimilarityMatrix(k, t_len, np.ones((k, t_len)))
+def _similarity(e, k, rectify=True):
+    return tconv.neighbor_similarity(e.values, e.frame_class != PADDING, k, rectify)
+
+
+def _similarity_backward(e, k, grad_a):
+    return tconv.neighbor_similarity_backward(e.values, e.frame_class != PADDING, k,
+                                              grad_a)
 
 
 # ---------------------------------------------------------------------------
@@ -42,65 +47,60 @@ def test_identical_columns_give_ones_inside_borders():
     col[0] = 1.0
     values = np.tile(col[:, None], (1, 6))
     e = EmbeddingSequence(4, 6, values, np.full(6, REAL, dtype=np.int8))
-    a = tconv.neighbor_similarity(e, 3)
+    a = _similarity(e, 3)
     expected = np.ones((3, 6))
     expected[0, 0] = 0.0   # t-1 out of range
     expected[2, 5] = 0.0   # t+1 out of range
-    assert np.array_equal(a.values, expected)
+    assert np.array_equal(a, expected)
 
 
 def test_center_row_is_one_on_live_frames():
     rng = np.random.default_rng(0)
     e = _embedding(rng, 5, 9, n_pad=2)
-    a = tconv.neighbor_similarity(e, 5)
-    assert np.array_equal(a.values[2, :7], np.ones(7))
-    assert not a.values[:, 7:].any()
+    a = _similarity(e, 5)
+    assert np.array_equal(a[2, :7], np.ones(7))
+    assert not a[:, 7:].any()
 
 
 def test_padding_neighbors_masked():
     rng = np.random.default_rng(1)
     e = _embedding(rng, 4, 6, n_pad=2)
-    a = tconv.neighbor_similarity(e, 3)
+    a = _similarity(e, 3)
     # frame 3's right neighbor (4) is padding; frame 4/5 are padding
-    assert a.values[2, 3] == 0.0
-    assert not a.values[:, 4:].any()
+    assert a[2, 3] == 0.0
+    assert not a[:, 4:].any()
 
 
 def test_similarity_matches_reference():
     rng = np.random.default_rng(2)
     for k in (3, 5):
         e = _embedding(rng, 4, 11, n_pad=1)
-        a = tconv.neighbor_similarity(e, k)
+        a = _similarity(e, k)
         ref = neighbor_similarity_reference(e.values, e.frame_class, k)
-        assert np.max(np.abs(a.values - ref)) < 1e-12
+        assert np.max(np.abs(a - ref)) < 1e-12
 
 
 def test_rectification_clips_negative_similarity():
     values = np.zeros((2, 2))
     values[0, 0], values[0, 1] = 1.0, -1.0
     e = EmbeddingSequence(2, 2, values, np.full(2, REAL, dtype=np.int8))
-    a = tconv.neighbor_similarity(e, 3)
-    assert a.values[2, 0] == 0.0 and a.values[0, 1] == 0.0
-    raw = tconv.neighbor_similarity(e, 3, rectify=False)
-    assert raw.values[2, 0] == -1.0 and raw.values[0, 1] == -1.0
+    a = _similarity(e, 3)
+    assert a[2, 0] == 0.0 and a[0, 1] == 0.0
+    raw = _similarity(e, 3, rectify=False)
+    assert raw[2, 0] == -1.0 and raw[0, 1] == -1.0
 
 
 def test_similarity_values_bounded():
     rng = np.random.default_rng(3)
     e = _embedding(rng, 3, 30)
-    a = tconv.neighbor_similarity(e, 3)
-    assert a.values.min() >= 0.0 and a.values.max() <= 1.0
+    a = _similarity(e, 3)
+    assert a.min() >= 0.0 and a.max() <= 1.0
 
 
 def test_even_kernel_rejected():
     rng = np.random.default_rng(4)
     with pytest.raises(ConfigError):
-        tconv.neighbor_similarity(_embedding(rng, 3, 5), 4)
-
-
-def test_tconv_layer_requires_matching_channels():
-    with pytest.raises(ConfigError):
-        tconv.TconvLayer(3, 4, 3, np.zeros((3, 3, 4)), np.zeros(4))
+        _similarity(_embedding(rng, 3, 5), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_all_ones_similarity_reduces_to_conv():
     rng = np.random.default_rng(5)
     layer = _layer(rng, 4)
     x = rng.standard_normal((4, 10))
-    out = tconv.tconv_forward(layer, x, _ones_similarity(3, 10))
+    out = tconv.tconv_forward(layer, x, np.ones((3, 10)))
     plain = conv1d_forward(layer, x)
     assert np.max(np.abs(out - plain)) <= 1e-12
 
@@ -123,7 +123,7 @@ def test_center_only_similarity_is_pointwise_conv():
     x = rng.standard_normal((3, 8))
     a = np.zeros((3, 8))
     a[1] = 1.0
-    out = tconv.tconv_forward(layer, x, tconv.SimilarityMatrix(3, 8, a))
+    out = tconv.tconv_forward(layer, x, a)
     center = Conv1dLayer(3, 3, 1, layer.weights[1:2], layer.bias)
     assert np.allclose(out, conv1d_forward(center, x), atol=1e-12)
 
@@ -133,8 +133,8 @@ def test_tconv_matches_reference():
     layer = _layer(rng, 3)
     x = rng.standard_normal((3, 7))
     e = _embedding(rng, 4, 7)
-    a = tconv.neighbor_similarity(e, 3)
-    ref = tconv_reference(layer.weights, layer.bias, x, a.values)
+    a = _similarity(e, 3)
+    ref = tconv_reference(layer.weights, layer.bias, x, a)
     assert np.max(np.abs(tconv.tconv_forward(layer, x, a) - ref)) < 1e-12
 
 
@@ -144,11 +144,10 @@ def test_zero_similarity_cell_masks_input_column():
     x = rng.standard_normal((3, 8))
     a = np.ones((3, 8))
     a[0, 4] = 0.0  # output frame 4 ignores input column 3
-    sim = tconv.SimilarityMatrix(3, 8, a)
-    out1 = tconv.tconv_forward(layer, x, sim)
+    out1 = tconv.tconv_forward(layer, x, a)
     x2 = x.copy()
     x2[:, 3] += rng.standard_normal(3)
-    out2 = tconv.tconv_forward(layer, x2, sim)
+    out2 = tconv.tconv_forward(layer, x2, a)
     assert np.array_equal(out1[:, 4], out2[:, 4])
     assert not np.allclose(out1[:, 3], out2[:, 3])
 
@@ -159,7 +158,7 @@ def test_linearity_in_input_for_fixed_similarity():
     x1 = rng.standard_normal((4, 6))
     x2 = rng.standard_normal((4, 6))
     e = _embedding(rng, 3, 6)
-    a = tconv.neighbor_similarity(e, 3)
+    a = _similarity(e, 3)
     alpha, beta = 0.7, -1.3
     lhs = tconv.tconv_forward(layer, alpha * x1 + beta * x2, a)
     out1 = tconv.tconv_forward(layer, x1, a) - layer.bias[:, None]
@@ -173,12 +172,16 @@ def test_shape_mismatches_rejected():
     layer = _layer(rng, 3)
     x = rng.standard_normal((3, 8))
     with pytest.raises(ShapeError):
-        tconv.tconv_forward(layer, x, _ones_similarity(5, 8))
+        tconv.tconv_forward(layer, x, np.ones((5, 8)))
     with pytest.raises(ShapeError):
-        tconv.tconv_forward(layer, x, _ones_similarity(3, 9))
+        tconv.tconv_forward(layer, x, np.ones((3, 9)))
     with pytest.raises(ShapeError):
-        tconv.tconv_forward(layer, rng.standard_normal((2, 8)),
-                            _ones_similarity(3, 8))
+        tconv.tconv_forward(layer, rng.standard_normal((2, 8)), np.ones((3, 8)))
+    block = rng.standard_normal((3, 3, 8))
+    with pytest.raises(ShapeError):  # a block of 2 utterances for 3
+        tconv.tconv_forward(layer, block, np.ones((2, 3, 8)))
+    with pytest.raises(ShapeError):  # one utterance's a for a block
+        tconv.tconv_forward(layer, block, np.ones((3, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ def test_backward_zero_grad_out():
     rng = np.random.default_rng(11)
     layer = _layer(rng, 3)
     x = rng.standard_normal((3, 6))
-    a = _ones_similarity(3, 6)
+    a = np.ones((3, 6))
     gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, np.zeros((3, 6)))
     assert not gx.any() and not ga.any() and not gw.any() and not gb.any()
 
@@ -200,8 +203,7 @@ def test_backward_with_ones_matches_conv_backward():
     layer = _layer(rng, 4)
     x = rng.standard_normal((4, 9))
     grad_out = rng.standard_normal((4, 9))
-    gx, _, gw, gb = tconv.tconv_backward(layer, x, _ones_similarity(3, 9),
-                                         grad_out)
+    gx, _, gw, gb = tconv.tconv_backward(layer, x, np.ones((3, 9)), grad_out)
     cx, cw, cb = conv1d_backward(layer, x, grad_out)
     assert np.allclose(gx, cx, atol=1e-12)
     assert np.allclose(gw, cw, atol=1e-12)
@@ -219,13 +221,13 @@ def test_full_chain_finite_difference():
 
     def scalar():
         e = EmbeddingSequence(4, 9, l2_normalize_forward(raw_e), classes)
-        a = tconv.neighbor_similarity(e, 3)
+        a = _similarity(e, 3)
         return float(np.sum(tconv.tconv_forward(layer, x, a) * proj))
 
     e = EmbeddingSequence(4, 9, l2_normalize_forward(raw_e), classes)
-    a = tconv.neighbor_similarity(e, 3)
+    a = _similarity(e, 3)
     gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, proj)
-    ge = l2_normalize_backward(raw_e, tconv.neighbor_similarity_backward(e, 3, ga))
+    ge = l2_normalize_backward(raw_e, _similarity_backward(e, 3, ga))
     report = grad_check(
         scalar,
         {"x": x, "e": raw_e, "w": layer.weights, "b": layer.bias},
@@ -239,10 +241,10 @@ def test_similarity_backward_ignores_masked_cells():
     rng = np.random.default_rng(14)
     e = _embedding(rng, 4, 7, n_pad=2)
     grad_a = rng.standard_normal((3, 7))
-    grad = tconv.neighbor_similarity_backward(e, 3, grad_a)
+    grad = _similarity_backward(e, 3, grad_a)
     # padding columns receive no gradient
     assert not grad[:, 5:].any()
     # center row gradient contributes nothing: doubling it changes nothing
     grad_a2 = grad_a.copy()
     grad_a2[1] *= 2.0
-    assert np.array_equal(grad, tconv.neighbor_similarity_backward(e, 3, grad_a2))
+    assert np.array_equal(grad, _similarity_backward(e, 3, grad_a2))
