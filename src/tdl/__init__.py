@@ -17,6 +17,7 @@ from .data import (
     SegmentAnnotation,
     SynthSpec,
     compile_frame_labels,
+    compile_labels,
     dataset_stats,
     desk_benchmark_spec,
     load_dataset,

@@ -72,18 +72,21 @@ def _load_train_config(path) -> model_mod.TdlConfig:
 def _prepared(data_dir, config: model_mod.TdlConfig):
     """Yield each utterance of the dataset in ``data_dir`` as a (features,
     labels) pair prepared for ``config``: feature dim checked, features
-    padded to t_max and labels compiled to label_len, one at a time."""
+    padded to t_max one at a time, and labels compiled to label_len in one
+    pass per block of the size ``model.score_pool`` scores."""
     features, annotations = data_mod.load_dataset(data_dir)
-    for seq, ann in zip(features, annotations):
-        if seq.dim != config.feat_dim:
-            raise ConfigError(
-                f"{seq.sample_id}: feature dim {seq.dim} does not match the "
-                f"model feat_dim {config.feat_dim}"
-            )
-        yield (data_mod.pad_features(seq, config.t_max),
-               data_mod.compile_frame_labels(
-                   ann, config.label_resolution_s, config.label_len,
-                   config.label_setting))
+    for block in model_mod._blocks(zip(features, annotations), config.t_max):
+        for seq, _ in block:
+            if seq.dim != config.feat_dim:
+                raise ConfigError(
+                    f"{seq.sample_id}: feature dim {seq.dim} does not match the "
+                    f"model feat_dim {config.feat_dim}"
+                )
+        labels = data_mod.compile_labels(
+            [ann for _, ann in block], config.label_resolution_s,
+            config.label_len, config.label_setting)
+        for (seq, _), lab in zip(block, labels):
+            yield data_mod.pad_features(seq, config.t_max), lab
 
 
 def _seed(text: str) -> int:

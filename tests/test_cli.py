@@ -589,6 +589,35 @@ def test_error_quotes_a_bounded_prefix_of_the_value(tmp_path, capsys, value, mes
     assert len(err.encode()) < 1000
 
 
+@pytest.mark.parametrize("in_manifest", [True, False], ids=["manifest", "annotation"])
+def test_huge_sample_id_gives_a_bounded_error(tmp_path, capsys, in_manifest):
+    from tdl.data import synth_dataset, write_dataset
+    from tdl.model import build_model, save_checkpoint
+
+    data_dir = tmp_path / "ds"
+    write_dataset(data_dir, *synth_dataset(desk_benchmark_spec(3), 4))
+    huge = "x" * 100_000
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    if in_manifest:
+        manifest["samples"][0]["id"] = huge
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+    ann_path = data_dir / manifest["samples"][0]["annotations"]
+    ann = json.loads(ann_path.read_text())
+    ann["sample_id"] = huge
+    ann["segments"][0]["label"] = "bogus"
+    ann_path.write_text(json.dumps(ann))
+    checkpoint = tmp_path / "m.tdlc"
+    save_checkpoint(build_model(desk_config()), checkpoint)
+    capsys.readouterr()
+    for argv in (["stats", "--data", str(data_dir)],
+                 ["eval", "--checkpoint", str(checkpoint), "--test", str(data_dir),
+                  "--report", str(tmp_path / "r.json")]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "255 UTF-8 bytes" in err, argv
+        assert len(err.encode()) < 1000, argv
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------
