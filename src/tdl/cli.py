@@ -71,17 +71,12 @@ def _load_train_config(path) -> model_mod.TdlConfig:
 
 def _prepared(data_dir, config: model_mod.TdlConfig):
     """Yield each utterance of the dataset in ``data_dir`` as a (features,
-    labels) pair prepared for ``config``: feature dim checked, features
-    padded to t_max one at a time, and labels compiled to label_len in one
-    pass per block of the size ``model.score_pool`` scores."""
+    labels) pair prepared for ``config``: features padded to t_max one at a
+    time, and labels compiled to label_len in one pass per block of the size
+    ``model.score_pool`` scores. The model checks each pair's shapes, the
+    feature dim included, before it runs it."""
     features, annotations = data_mod.load_dataset(data_dir)
     for block in model_mod._blocks(zip(features, annotations), config.t_max):
-        for seq, _ in block:
-            if seq.dim != config.feat_dim:
-                raise ConfigError(
-                    f"{seq.sample_id}: feature dim {seq.dim} does not match the "
-                    f"model feat_dim {config.feat_dim}"
-                )
         labels = data_mod.compile_labels(
             [ann for _, ann in block], config.label_resolution_s,
             config.label_len, config.label_setting)
@@ -95,11 +90,18 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _resolution(text: str) -> float:
-    if not 0 < float(text) < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"resolution {text} is not positive and finite")
-    return float(text)
+def _finite(name: str, positive: bool = False):
+    """argparse type for the option ``name``: a finite float, above 0 when
+    ``positive``."""
+    low, what = (0.0, "positive and finite") if positive else (-math.inf, "finite")
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{name} {text} is not {what}")
+        return value
+    parse.__name__ = name  # argparse names the type in "invalid ... value"
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True, help="test dataset directory")
     p.add_argument("--report", required=True, help="output report JSON path")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite("threshold"), default=0.5)
     p.set_defaults(func=run_eval)
 
     p = sub.add_parser("stats", help="dataset fake-class statistics")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--resolution", type=_resolution,
+    p.add_argument("--resolution", type=_finite("resolution", positive=True),
                    default=data_mod.DEFAULT_RESOLUTION_S)
     p.set_defaults(func=run_stats)
 
@@ -252,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", choices=sorted(model_mod.GRADCHECK_CONFIGS),
                    default="tiny")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_finite("tolerance", positive=True),
+                   default=1e-4)
     p.set_defaults(func=run_gradcheck)
 
     p = sub.add_parser("params", help="per-layer parameter count table")

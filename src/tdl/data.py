@@ -21,6 +21,7 @@ Frame labels are compiled a block of annotations at a time by
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -120,15 +121,17 @@ class Segment(NamedTuple):
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentAnnotation:
-    """Ordered real/fake segments that tile [0, duration_s] exactly."""
+    """Ordered real/fake segments that tile [0, duration_s] exactly;
+    checked when built and immutable after, so no reader checks it again."""
 
     sample_id: str
     duration_s: float
-    segments: list
+    segments: tuple
 
-    def validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "segments", tuple(self.segments))
         if _long_id(self.sample_id):  # every message below quotes the id whole
             raise AnnotationError(
                 f"sample_id {brief(self.sample_id)} is longer than "
@@ -303,15 +306,13 @@ def annotation_from_dict(obj: dict) -> SegmentAnnotation:
             Segment(float(s["start_s"]), float(s["end_s"]), str(s["label"]))
             for s in obj["segments"]
         ]
-        ann = SegmentAnnotation(str(obj["sample_id"]), float(obj["duration_s"]), segments)
+        return SegmentAnnotation(str(obj["sample_id"]), float(obj["duration_s"]),
+                                 segments)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed annotation object: {exc}") from exc
-    ann.validate()
-    return ann
 
 
 def save_annotation_file(ann: SegmentAnnotation, path) -> None:
-    ann.validate()
     Path(path).write_text(
         json.dumps(annotation_to_dict(ann), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -377,14 +378,13 @@ def compile_labels(anns, resolution_s: float, padded_len: int,
     transition (two on each side) are 1 and everything else is 0.
     Padding frames are 0 in every setting. All annotations are compiled
     in one vectorized pass; each one's labels are the same alone as in
-    any block.
+    any block. An annotation is checked when it is built, so this does
+    not check it again.
     """
     anns = list(anns)
-    for ann in anns:
-        ann.validate()
     if setting not in LABEL_SETTINGS:
         raise ValidationError(f"unknown label setting {brief(setting)}")
-    if resolution_s <= 0:
+    if not resolution_s > 0:  # NaN fails too
         raise ValidationError("resolution_s must be positive")
     counts = [num_true_labels(ann.duration_s, resolution_s) for ann in anns]
     for ann, n in zip(anns, counts):
@@ -428,9 +428,12 @@ def pad_features(seq: FeatureSequence, target_frames: int) -> FeatureSequence:
     if target_frames == seq.num_frames:
         return seq
     out = np.zeros((seq.dim, target_frames), dtype=np.float32)
-    keep = min(seq.num_frames, target_frames)
-    out[:, :keep] = seq.values[:, :keep]
-    return FeatureSequence(seq.sample_id, seq.dim, target_frames, out, seq.true_frames)
+    out[:, :seq.true_frames] = seq.values[:, :seq.true_frames]
+    # seq was checked when it was built and out holds only its live columns
+    # and zeros, so the copy skips __post_init__ and a second check
+    padded = copy.copy(seq)
+    padded.num_frames, padded.values = target_frames, out
+    return padded
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +519,11 @@ class SynthSpec:
     def __post_init__(self):
         if self.dim <= 0 or self.num_utterances <= 0:
             raise ConfigError("dim and num_utterances must be positive")
-        if self.frame_rate_hz <= 0:
-            raise ConfigError("frame_rate_hz must be positive")
+        # written so that NaN fails every range check
+        if not 0 < self.frame_rate_hz < math.inf:
+            raise ConfigError("frame_rate_hz must be positive and finite")
         lo, hi = self.duration_range_s
-        if not 0 < lo <= hi:
+        if not 0 < lo <= hi < math.inf:
             raise ConfigError(f"bad duration range {self.duration_range_s}")
         cmin, cmax = self.fake_segment_count_range
         if not 0 <= cmin <= cmax:
@@ -531,6 +535,8 @@ class SynthSpec:
             raise ConfigError(f"bad fake fraction range {self.fake_fraction_range}")
         if not 0 <= self.spoof_probability <= 1:
             raise ConfigError("spoof_probability must be in [0, 1]")
+        if not (math.isfinite(self.separation) and math.isfinite(self.noise_scale)):
+            raise ConfigError("separation and noise_scale must be finite")
         if self.separation <= 0 and self.noise_scale <= 0:
             raise ConfigError(
                 "non-positive separation with zero noise is unlearnable"
@@ -599,9 +605,7 @@ def _synth_annotation(spec: SynthSpec, rng: np.random.Generator,
     if gaps[n] > 0:
         segs.append(Segment(pos / 1000.0, (pos + gaps[n]) / 1000.0, LABEL_REAL))
         pos += int(gaps[n])
-    ann = SegmentAnnotation(sample_id, dur_ms / 1000.0, segs)
-    ann.validate()
-    return ann
+    return SegmentAnnotation(sample_id, dur_ms / 1000.0, segs)
 
 
 def _synth_features(spec: SynthSpec, rng: np.random.Generator,
@@ -659,8 +663,6 @@ def dataset_stats(anns, resolution_s: float = DEFAULT_RESOLUTION_S) -> DatasetSt
     fake_utts = 0
     for i in range(0, len(anns), _STATS_CHUNK):
         chunk = anns[i:i + _STATS_CHUNK]
-        for ann in chunk:
-            ann.validate()  # a duration must be finite before it sizes the labels
         padded_len = max(num_true_labels(ann.duration_s, resolution_s)
                          for ann in chunk)
         for labels in compile_labels(chunk, resolution_s, padded_len, REAL1_FAKE0):

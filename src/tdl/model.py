@@ -126,7 +126,7 @@ class TdlConfig:
             raise ConfigError(
                 f"label_len {brief(self.label_len)} exceeds t_max {brief(self.t_max)}"
             )
-        if self.esm_weight < 0:
+        if not self.esm_weight >= 0:  # NaN fails too
             raise ConfigError("lambda (esm_weight) must be >= 0")
         if self.tconv_channels != self.feat_dim:
             raise ConfigError(
@@ -135,7 +135,7 @@ class TdlConfig:
             )
         if self.label_setting not in LABEL_SETTINGS:
             raise ConfigError(f"unknown label_setting {brief(self.label_setting)}")
-        if self.label_resolution_s <= 0:
+        if not self.label_resolution_s > 0:
             raise ConfigError("label_resolution_s must be positive")
 
     def to_dict(self) -> dict:

@@ -389,6 +389,32 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
+def test_eval_checks_each_feature_matrix_and_annotation_once(tmp_path,
+                                                            monkeypatch, capsys):
+    from tdl import data as data_mod
+
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 20)
+    checks = {"features": 0, "annotations": 0}
+    real_validate = data_mod.FeatureSequence.validate
+    real_post_init = data_mod.SegmentAnnotation.__post_init__
+
+    def counting_validate(seq):
+        checks["features"] += 1
+        real_validate(seq)
+
+    def counting_post_init(ann):
+        checks["annotations"] += 1
+        real_post_init(ann)
+
+    monkeypatch.setattr(data_mod.FeatureSequence, "validate", counting_validate)
+    monkeypatch.setattr(data_mod.SegmentAnnotation, "__post_init__",
+                        counting_post_init)
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(tmp_path / "r.json")]) == 0
+    assert checks == {"features": 20, "annotations": 20}
+    capsys.readouterr()
+
+
 def test_block_eval_dim_mismatch_in_last_block_writes_no_report(tmp_path, capsys):
     test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 36 + [24])
     report = tmp_path / "r.json"
@@ -496,6 +522,16 @@ def _numeric_input(case, tmp_path, data_dir):
                 "--seed", "-1"]
     if case == "gradcheck-seed":
         return ["gradcheck", "--seed", "-1"]
+    if case.startswith("gradcheck-tolerance"):
+        return ["gradcheck", "--tolerance", case.rsplit("-", 1)[1]]
+    if case.startswith("eval-threshold"):
+        from tdl.model import build_model, save_checkpoint
+
+        checkpoint = tmp_path / "m.tdlc"
+        save_checkpoint(build_model(desk_config(seed=3)), checkpoint)
+        return ["eval", "--checkpoint", str(checkpoint), "--test", str(data_dir),
+                "--report", str(tmp_path / "r.json"),
+                "--threshold", case.rsplit("-", 1)[1]]
     if case == "stats-duration-nan":
         path = _first_sample(data_dir, "annotations")
         obj = json.loads(path.read_text())
@@ -527,6 +563,8 @@ def _numeric_input(case, tmp_path, data_dir):
 
 @pytest.mark.parametrize("case", [
     "stats-resolution-0", "stats-resolution-nan", "synth-seed", "gradcheck-seed",
+    "gradcheck-tolerance-inf", "gradcheck-tolerance-nan", "gradcheck-tolerance-0",
+    "eval-threshold-nan", "eval-threshold-inf",
     "params-seed", "train-sample-seed", "train-resolution-nan",
     "stats-duration-nan", "params-base-lr-nan", "params-dim-past-numpy",
     *_OPTIMIZER_LINES])

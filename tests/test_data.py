@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -117,28 +118,33 @@ def test_annotation_json_round_trip(tmp_path):
     assert loaded == ann
 
 
+def test_annotation_is_frozen_with_tuple_segments():
+    ann = _ann([(0.0, 0.32, "real"), (0.32, 0.64, "fake")])
+    assert isinstance(ann.segments, tuple)
+    for name, value in (("sample_id", "b"), ("duration_s", 5.0), ("segments", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ann, name, value)
+
+
 def test_annotation_gap_rejected():
-    ann = data.SegmentAnnotation("g", 1.0, [
-        data.Segment(0.0, 0.4, "real"), data.Segment(0.5, 1.0, "fake"),
-    ])
     with pytest.raises(AnnotationError):
-        ann.validate()
+        data.SegmentAnnotation("g", 1.0, [
+            data.Segment(0.0, 0.4, "real"), data.Segment(0.5, 1.0, "fake"),
+        ])
 
 
 def test_annotation_overlap_rejected():
-    ann = data.SegmentAnnotation("o", 1.0, [
-        data.Segment(0.0, 0.6, "real"), data.Segment(0.5, 1.0, "fake"),
-    ])
     with pytest.raises(AnnotationError):
-        ann.validate()
+        data.SegmentAnnotation("o", 1.0, [
+            data.Segment(0.0, 0.6, "real"), data.Segment(0.5, 1.0, "fake"),
+        ])
 
 
 def test_annotation_empty_segment_rejected():
-    ann = data.SegmentAnnotation("e", 1.0, [
-        data.Segment(0.0, 0.0, "real"), data.Segment(0.0, 1.0, "fake"),
-    ])
     with pytest.raises(AnnotationError):
-        ann.validate()
+        data.SegmentAnnotation("e", 1.0, [
+            data.Segment(0.0, 0.0, "real"), data.Segment(0.0, 1.0, "fake"),
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +201,13 @@ def test_compile_padded_len_too_small():
         data.compile_frame_labels(ann, 0.16, 3, data.REAL1_FAKE0)
 
 
+@pytest.mark.parametrize("resolution_s", [0.0, -0.16, float("nan")])
+def test_compile_rejects_non_positive_resolution(resolution_s):
+    ann = _ann([(0.0, 0.64, "real")])
+    with pytest.raises(ValidationError, match="resolution_s"):
+        data.compile_labels([ann], resolution_s, 16, data.REAL1_FAKE0)
+
+
 def test_compile_matches_millisecond_oracle():
     rng = np.random.default_rng(7)
     for i in range(100):
@@ -242,6 +255,17 @@ def test_pad_then_slice_recovers_original():
     assert np.array_equal(padded.values[:, :6], vals)
 
 
+def test_pad_features_zeroes_padding_corrupted_after_construction():
+    seq = _seq([[1, 2, 0, 0], [4, 5, 0, 0]], true_frames=2)
+    seq.values[:, 2:] = 7.0  # corrupt the padding after construction
+    for target in (3, 6):
+        padded = data.pad_features(seq, target)
+        assert padded.num_frames == target and padded.values.shape == (2, target)
+        assert np.array_equal(padded.values[:, :2], [[1, 2], [4, 5]])
+        assert not padded.values[:, 2:].any()
+    assert seq.num_frames == 4
+
+
 def test_pad_below_true_frames_rejected():
     seq = _seq([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ShapeError):
@@ -280,11 +304,23 @@ def test_synth_degenerate_separation_rejected():
                                  noise_scale=0.0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("frame_rate_hz", float("nan")), ("frame_rate_hz", float("inf")),
+    ("separation", float("nan")), ("noise_scale", float("nan")),
+    ("duration_range_s", (1.8, float("inf"))),
+])
+def test_synth_spec_rejects_nan_and_infinite_values(key, value):
+    with pytest.raises(ConfigError):
+        data.desk_benchmark_spec(num_utterances=2, **{key: value})
+
+
 def test_synth_annotations_tile_and_fit_frames():
     spec = data.desk_benchmark_spec(num_utterances=40)
     feats, anns = data.synth_dataset(spec, 1)
     for seq, ann in zip(feats, anns):
-        ann.validate()
+        segs = ann.segments
+        assert segs[0].start_s == 0.0 and segs[-1].end_s == ann.duration_s
+        assert all(a.end_s == b.start_s for a, b in zip(segs, segs[1:]))
         assert seq.true_frames == seq.num_frames <= 64
         assert data.num_true_labels(ann.duration_s, 0.16) <= 16
 

@@ -132,21 +132,19 @@ def test_fifth_annotation_too_long_for_padded_len_is_named():
 
 
 def test_invalid_fifth_annotation_is_named():
-    gap = data.SegmentAnnotation("fifth", 1.0, [data.Segment(0.0, 0.4, "fake"),
-                                                data.Segment(0.5, 1.0, "real")])
     with pytest.raises(AnnotationError, match="fifth"):
+        gap = data.SegmentAnnotation("fifth", 1.0, [data.Segment(0.0, 0.4, "fake"),
+                                                    data.Segment(0.5, 1.0, "real")])
         data.compile_labels(_block_with_fifth(gap), 0.16, 10, data.REAL1_FAKE0)
 
 
 def test_sample_id_longer_than_a_file_name_is_rejected():
-    ann = data.SegmentAnnotation("x" * 256, 1.0, [data.Segment(0.0, 1.0, "real")])
     with pytest.raises(AnnotationError) as err:
-        ann.validate()
+        data.SegmentAnnotation("x" * 256, 1.0, [data.Segment(0.0, 1.0, "real")])
     assert len(str(err.value)) < 200
-    data.SegmentAnnotation("é" * 127, 1.0, [data.Segment(0.0, 1.0, "real")]).validate()
+    data.SegmentAnnotation("é" * 127, 1.0, [data.Segment(0.0, 1.0, "real")])
     with pytest.raises(AnnotationError):
-        data.SegmentAnnotation("é" * 128, 1.0,
-                               [data.Segment(0.0, 1.0, "real")]).validate()
+        data.SegmentAnnotation("é" * 128, 1.0, [data.Segment(0.0, 1.0, "real")])
 
 
 if __name__ == "__main__":

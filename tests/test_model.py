@@ -82,6 +82,15 @@ def test_config_requires_tconv_channels_equal_feat_dim():
         tiny_config(tconv_channels=16)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("esm_weight", -0.1), ("esm_weight", float("nan")),
+    ("label_resolution_s", 0.0), ("label_resolution_s", float("nan")),
+])
+def test_config_rejects_out_of_range_values(key, value):
+    with pytest.raises(ConfigError, match=key):
+        tiny_config(**{key: value})
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         M.TdlConfig.from_dict({"feat_dim": 8, "bogus": 1})
