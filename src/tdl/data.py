@@ -11,7 +11,7 @@ On-disk formats:
   ``[0, duration_s]`` exactly.
 * Dataset manifest: ``{"samples": [{"id", "features", "annotations"}]}``
   with paths relative to the manifest's directory. Sample ids are at
-  most MAX_ID_BYTES UTF-8 bytes, since ``write_sample`` puts them in
+  most MAX_ID_BYTES UTF-8 bytes, since ``write_dataset`` puts them in
   file names.
 
 Frame labels are compiled a block of annotations at a time by
@@ -63,7 +63,7 @@ BOUNDARY_FRAMES_PER_SIDE = 2
 # absorbs float noise when comparing times that live on a 1 ms grid
 _TIME_EPS = 1e-9
 
-# the usual file-name limit: write_sample puts sample ids into file names
+# the usual file-name limit: write_dataset puts sample ids into file names
 MAX_ID_BYTES = 255
 
 
@@ -684,40 +684,29 @@ def dataset_stats(anns, resolution_s: float = DEFAULT_RESOLUTION_S) -> DatasetSt
 # ---------------------------------------------------------------------------
 
 
-def write_sample(out_dir, seq: FeatureSequence, ann: SegmentAnnotation) -> dict:
-    """Write one utterance's TDLF file and annotation sidecar under
-    ``out_dir``; returns its manifest entry."""
-    if seq.sample_id != ann.sample_id:
-        raise ValidationError(
-            f"feature/annotation id mismatch: {seq.sample_id} vs {ann.sample_id}"
-        )
+def write_dataset(out_dir, features, annotations) -> Path:
+    """Write TDLF files, annotation sidecars, and a manifest; returns
+    the manifest path."""
     out_dir = Path(out_dir)
-    entry = {"id": seq.sample_id, "features": f"features/{seq.sample_id}.tdlf",
-             "annotations": f"annotations/{seq.sample_id}.json"}
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     (out_dir / "annotations").mkdir(exist_ok=True)
-    write_feature_file(seq, out_dir / entry["features"])
-    save_annotation_file(ann, out_dir / entry["annotations"])
-    return entry
-
-
-def write_manifest(out_dir, samples) -> Path:
-    """Write the manifest listing ``samples`` (write_sample's entries)."""
-    manifest = Path(out_dir) / "manifest.json"
+    samples = []
+    for seq, ann in zip(features, annotations, strict=True):
+        if seq.sample_id != ann.sample_id:
+            raise ValidationError(
+                f"feature/annotation id mismatch: {seq.sample_id} vs {ann.sample_id}"
+            )
+        entry = {"id": seq.sample_id, "features": f"features/{seq.sample_id}.tdlf",
+                 "annotations": f"annotations/{seq.sample_id}.json"}
+        write_feature_file(seq, out_dir / entry["features"])
+        save_annotation_file(ann, out_dir / entry["annotations"])
+        samples.append(entry)
+    manifest = out_dir / "manifest.json"
     manifest.write_text(
         json.dumps({"samples": samples}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return manifest
-
-
-def write_dataset(out_dir, features, annotations) -> Path:
-    """Write TDLF files, annotation sidecars, and a manifest; returns
-    the manifest path."""
-    return write_manifest(out_dir, [
-        write_sample(out_dir, seq, ann)
-        for seq, ann in zip(features, annotations, strict=True)
-    ])
 
 
 _MANIFEST_KEYS = ("id", "features", "annotations")

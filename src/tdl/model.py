@@ -72,7 +72,6 @@ from .tconv import (
     neighbor_similarity_backward,
     tconv_backward,
     tconv_forward,
-    tconv_init,
 )
 
 BOUNDARY_BCE_WEIGHT = 100.0
@@ -92,8 +91,8 @@ _STREAM_BATCH = 2
 class TdlConfig:
     """Network, loss, and training configuration.
 
-    The config-file key for ``esm_weight`` is ``lambda``; both spellings
-    are accepted on load.
+    The config-file key for ``esm_weight`` is ``lambda``; either spelling
+    is accepted on load, but not both.
     """
 
     feat_dim: int = 1024
@@ -146,6 +145,8 @@ class TdlConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "TdlConfig":
         obj = dict(obj)
+        if "lambda" in obj and "esm_weight" in obj:
+            raise ConfigError("config gives both lambda and esm_weight; keep one")
         if "lambda" in obj:
             obj["esm_weight"] = obj.pop("lambda")
         return config_from_dict(cls, obj, "config")
@@ -167,46 +168,44 @@ def desk_config(**overrides) -> TdlConfig:
 
 
 # The layer stack in forward order. Each row is (output, op, inputs,
-# layer): ``op`` names a primitive, ``inputs`` name the feature block "x"
-# or outputs of earlier rows, and ``layer`` names the TdlModel attribute
-# holding the row's parameters. The layer order is also the parameter
-# order of checkpoints and the order of the seeded init draws.
+# layer, dims): ``op`` names a primitive, ``inputs`` name the feature
+# block "x" or outputs of earlier rows, ``layer`` names the key of the
+# row's parameters in TdlModel.layers and ``dims(config)`` gives that
+# layer's (in, out, kernel), or (in, out) for the fc. The layer order is
+# also the parameter order of checkpoints and the order of the seeded
+# init draws.
 NETWORK = (
-    ("g1", "conv1d", ("x",), "conv_a"),
-    ("h1", "relu", ("g1",), None),
-    ("g2", "conv1d", ("h1",), "conv_b"),
-    ("e", "l2_normalize", ("g2",), None),
+    ("g1", "conv1d", ("x",), "conv_a",
+     lambda c: (c.feat_dim, c.conv_hidden, c.kernel)),
+    ("h1", "relu", ("g1",), None, None),
+    ("g2", "conv1d", ("h1",), "conv_b",
+     lambda c: (c.conv_hidden, c.embed_dim, c.kernel)),
+    ("e", "l2_normalize", ("g2",), None, None),
     # one similarity matrix modulates both tconv layers
-    ("a", "neighbor_similarity", ("e",), None),
-    ("t1", "tconv", ("x", "a"), "tconv_1"),
-    ("h2", "relu", ("t1",), None),
-    ("t2", "tconv", ("h2", "a"), "tconv_2"),
-    ("h3", "relu", ("t2",), None),
-    ("head", "conv1d", ("h3",), "conv_head"),
-    ("logits", "fc", ("head",), "fc"),
-    ("scores", "sigmoid", ("logits",), None),
+    ("a", "neighbor_similarity", ("e",), None, None),
+    ("t1", "tconv", ("x", "a"), "tconv_1",
+     lambda c: (c.tconv_channels, c.tconv_channels, c.kernel)),
+    ("h2", "relu", ("t1",), None, None),
+    ("t2", "tconv", ("h2", "a"), "tconv_2",
+     lambda c: (c.tconv_channels, c.tconv_channels, c.kernel)),
+    ("h3", "relu", ("t2",), None, None),
+    ("head", "conv1d", ("h3",), "conv_head", lambda c: (c.tconv_channels, 2, 1)),
+    ("logits", "fc", ("head",), "fc", lambda c: (2 * c.t_max, c.label_len)),
+    ("scores", "sigmoid", ("logits",), None, None),
 )
-LAYERS = tuple(layer for *_, layer in NETWORK if layer is not None)
+LAYERS = tuple(row[3] for row in NETWORK if row[3] is not None)
 
 
 @dataclass
 class TdlModel:
     config: TdlConfig
-    conv_a: Conv1dLayer
-    conv_b: Conv1dLayer
-    tconv_1: Conv1dLayer
-    tconv_2: Conv1dLayer
-    conv_head: Conv1dLayer
-    fc: FcLayer
+    layers: dict[str, Conv1dLayer | FcLayer]  # in LAYERS order
     adam: AdamState
     epoch: int = 0
 
-    def layer_items(self):
-        return [(name, getattr(self, name)) for name in LAYERS]
-
     def param_items(self) -> dict:
         out = {}
-        for name, layer in self.layer_items():
+        for name, layer in self.layers.items():
             out[f"{name}.weights"] = layer.weights
             out[f"{name}.bias"] = layer.bias
         return out
@@ -224,17 +223,9 @@ def build_model(config: TdlConfig, rng=None) -> TdlModel:
     ``rng`` replaces the seeded init stream."""
     if rng is None:
         rng = np.random.default_rng([config.seed, _STREAM_INIT])
-    k = config.kernel
-    init = {
-        "conv_a": lambda: conv1d_init(config.feat_dim, config.conv_hidden, k, rng),
-        "conv_b": lambda: conv1d_init(config.conv_hidden, config.embed_dim, k, rng),
-        "tconv_1": lambda: tconv_init(config.tconv_channels, k, rng),
-        "tconv_2": lambda: tconv_init(config.tconv_channels, k, rng),
-        "conv_head": lambda: conv1d_init(config.tconv_channels, 2, 1, rng),
-        "fc": lambda: fc_init(2 * config.t_max, config.label_len, rng),
-    }
-    return TdlModel(config=config, adam=AdamState(),
-                    **{name: init[name]() for name in LAYERS})
+    layers = {layer: (fc_init if op == "fc" else conv1d_init)(*dims(config), rng)
+              for _, op, _, layer, dims in NETWORK if layer is not None}
+    return TdlModel(config=config, layers=layers, adam=AdamState())
 
 
 class _ShapeDraws:
@@ -256,7 +247,7 @@ def shape_model(config: TdlConfig) -> TdlModel:
 def param_count_table(model: TdlModel):
     """Per-layer (name, count) rows plus the exact total."""
     rows = [(name, count_params([layer.weights, layer.bias]))
-            for name, layer in model.layer_items()]
+            for name, layer in model.layers.items()]
     return rows, sum(c for _, c in rows)
 
 
@@ -347,8 +338,8 @@ def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
 
 def _run_rows(model: TdlModel, rows, acts: dict) -> dict:
     """Run ``rows`` forward, adding each output to the activations ``acts``."""
-    for out, op, inputs, layer in rows:
-        acts[out] = _op_forward(model.config, op, layer and getattr(model, layer),
+    for out, op, inputs, layer, _ in rows:
+        acts[out] = _op_forward(model.config, op, layer and model.layers[layer],
                                 [acts[n] for n in inputs], acts["live"])
     return acts
 
@@ -363,9 +354,9 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
     "<layer>.weights" and "<layer>.bias".
     """
     param_grads = {}
-    for out, op, inputs, layer in reversed(rows):
+    for out, op, inputs, layer, _ in reversed(rows):
         row_grads = _op_backward(
-            model.config, op, layer and getattr(model, layer),
+            model.config, op, layer and model.layers[layer],
             [acts[n] for n in inputs], acts[out], grads.pop(out),
             acts["live"], input_grad or inputs[0] != "x")
         for name, grad in zip(inputs, row_grads):
@@ -592,7 +583,7 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
         offset += 8 * count
         return flat.reshape(shape).astype(np.float64)
 
-    for name, layer in model.layer_items():
+    for name, layer in model.layers.items():
         layer.weights = read(shapes[f"{name}.weights"])
         layer.bias = read(shapes[f"{name}.bias"])
     for moments in (model.adam.m, model.adam.v):
@@ -815,7 +806,7 @@ def _row_check(model: TdlModel, row, acts: dict, rng, tolerance: float) -> list:
     checked tensors are the row's inputs and layer parameters, through
     the same forward and backward loops as training.
     """
-    out, op, inputs, layer = row
+    out, op, inputs, layer, _ = row
     proj = rng.standard_normal(acts[out].shape)
 
     def loss_fn():
@@ -827,7 +818,7 @@ def _row_check(model: TdlModel, row, acts: dict, rng, tolerance: float) -> list:
     analytic = {name: grads[name] for name in inputs}
     if layer is not None:
         for part in ("weights", "bias"):
-            params[part] = getattr(getattr(model, layer), part)
+            params[part] = getattr(model.layers[layer], part)
             analytic[part] = layer_grads[f"{layer}.{part}"]
     name = op if layer is None else f"{op}.{layer}"
     return _checked(name, rng, tolerance, loss_fn, params, analytic)

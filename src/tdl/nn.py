@@ -100,6 +100,8 @@ def _taps(x: np.ndarray, kernel: int) -> np.ndarray:
     taps = np.zeros(x.shape[:-2] + (kernel,) + x.shape[-2:])
     for i in range(kernel):
         lo, hi = max(0, half - i), min(t_len, t_len + half - i)
+        if lo >= hi:  # a tap wider than the input reaches no frame
+            continue
         taps[..., i, :, lo:hi] = x[..., lo + i - half:hi + i - half]
     return taps
 

@@ -173,11 +173,13 @@ def test_params_counts_without_allocating_the_parameters(tmp_path, capsys):
     ("params", "c.cfg", "feat_dim = 16.5\ntconv_channels = 16.5\n"),
     ("params", "c.cfg", "rectify_similarity = 1\n"),
     ("params", "c.json", '{"optimizer": {"halving_period_epochs": true}}'),
+    ("params", "c.json", '{"lambda": 0.1, "esm_weight": 0.5}'),
     ("synth", "s.json", '{"dim": "x", "num_utterances": 4}'),
     ("synth", "s.json", '{"dim": 4, "num_utterances": 2.5}'),
     ("synth", "s.json", '{"dim": 4, "num_utterances": 4, "duration_range_s": 5}'),
 ], ids=["tau-str", "seed-str", "esm-int", "dims-float", "bool-int",
-        "period-bool", "dim-str", "count-float", "range-int"])
+        "period-bool", "lambda-and-esm_weight", "dim-str", "count-float",
+        "range-int"])
 def test_wrong_typed_config_value_exits_one(tmp_path, capsys, command, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -222,6 +224,21 @@ def test_train_eval_pipeline(tmp_path, synth_spec_file, smoke_config_file, capsy
             "f1_pct", "counts", "threshold", "num_frames",
             "num_utterances"} <= set(report)
     assert report["num_utterances"] == 8
+
+
+def test_train_with_kernel_wider_than_t_max(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"dim": 4, "num_utterances": 4, "frame_rate_hz": 2.0}')
+    config = tmp_path / "c.cfg"
+    config.write_text(
+        "feat_dim = 4\ntconv_channels = 4\nembed_dim = 4\nconv_hidden = 4\n"
+        "t_max = 6\nkernel = 15\nlabel_len = 6\nlabel_resolution_s = 0.5\n"
+        "epochs = 2\nbatch_size = 2\nseed = 7\n"
+    )
+    train_dir = _make_dataset(tmp_path, spec, "train", 1)
+    dev_dir = _make_dataset(tmp_path, spec, "dev", 2)
+    assert cli.main(["train", "--config", str(config), "--train", str(train_dir),
+                     "--dev", str(dev_dir), "--out", str(tmp_path / "run")]) == 0
 
 
 def test_train_resume_reproduces_uninterrupted_run(tmp_path, synth_spec_file,

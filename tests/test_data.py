@@ -413,6 +413,12 @@ def test_write_and_load_dataset(tmp_path):
         assert a.sample_id == b.sample_id
 
 
+def test_write_dataset_rejects_mismatched_ids(tmp_path):
+    feats, anns = data.synth_dataset(data.desk_benchmark_spec(num_utterances=2), 4)
+    with pytest.raises(ValidationError, match="id mismatch"):
+        data.write_dataset(tmp_path / "ds", feats, anns[::-1])
+
+
 def test_load_dataset_without_manifest(tmp_path):
     with pytest.raises(FormatError):
         data.load_dataset(tmp_path)

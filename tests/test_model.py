@@ -96,6 +96,11 @@ def test_config_rejects_unknown_keys():
         M.TdlConfig.from_dict({"feat_dim": 8, "bogus": 1})
 
 
+def test_config_rejects_both_lambda_and_esm_weight():
+    with pytest.raises(ConfigError, match="both lambda and esm_weight"):
+        M.TdlConfig.from_dict({"lambda": 0.1, "esm_weight": 0.5})
+
+
 def test_full_scale_config_shapes():
     cfg = M.full_scale_config()
     assert (cfg.feat_dim, cfg.t_max) == (1024, 1050)
@@ -228,7 +233,7 @@ def test_gradcheck_battery_small_config():
 def test_gradcheck_battery_covers_every_network_row_and_layer():
     names = {e.name for e in M.gradcheck_battery("tiny").entries}
     prefixes = {n.split(".")[0] for n in names}
-    assert {op for _, op, _, _ in M.NETWORK} | {"bce", "esm"} <= prefixes
+    assert {op for _, op, _, _, _ in M.NETWORK} | {"bce", "esm"} <= prefixes
     # the similarity row is checked on its own, at its embedding input
     assert "neighbor_similarity.e" in names
     for layer in M.LAYERS:
@@ -436,7 +441,7 @@ def test_train_divergence_keeps_last_good_checkpoint():
     cfg = tiny_config(epochs=3)
     train_set, dev_set = _tiny_sets(cfg)
     mdl = M.build_model(cfg)
-    mdl.conv_a.weights[0, 0, 0] = np.nan
+    mdl.layers["conv_a"].weights[0, 0, 0] = np.nan
     before = M.encode_checkpoint(mdl)
     result = M.train(cfg, train_set, dev_set, init_model=mdl)
     assert result.diverged
@@ -493,6 +498,15 @@ def test_train_rejects_unpadded_features():
 # ---------------------------------------------------------------------------
 # parameter counting
 # ---------------------------------------------------------------------------
+
+
+def test_network_table_builds_layers_in_checkpoint_order():
+    mdl = M.build_model(tiny_config())
+    assert list(mdl.layers) == list(M.LAYERS)
+    assert list(mdl.param_items()) == [
+        "conv_a.weights", "conv_a.bias", "conv_b.weights", "conv_b.bias",
+        "tconv_1.weights", "tconv_1.bias", "tconv_2.weights", "tconv_2.bias",
+        "conv_head.weights", "conv_head.bias", "fc.weights", "fc.bias"]
 
 
 def test_param_table_sums_to_total():

@@ -13,7 +13,7 @@ from tdl.nn import (
     l2_normalize_forward,
 )
 
-from oracles import neighbor_similarity_reference, tconv_reference
+from oracles import conv1d_reference, neighbor_similarity_reference, tconv_reference
 
 
 def _embedding(rng, dim, t_len, n_pad=0):
@@ -32,9 +32,9 @@ def _similarity(e, k, rectify=True):
     return tconv.neighbor_similarity(e.values, e.frame_class != PADDING, k, rectify)
 
 
-def _similarity_backward(e, k, grad_a):
+def _similarity_backward(e, k, grad_a, rectify=True):
     return tconv.neighbor_similarity_backward(e.values, e.frame_class != PADDING, k,
-                                              grad_a)
+                                              grad_a, rectify)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,28 @@ def test_tconv_matches_reference():
     assert np.max(np.abs(tconv.tconv_forward(layer, x, a) - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("k", [15, 21])
+def test_kernel_wider_than_input_matches_references(k):
+    # taps reaching past both ends of a 6-frame input see only zeros
+    rng = np.random.default_rng(k)
+    layer = _layer(rng, 3, k)
+    x = rng.standard_normal((3, 6))
+    a = _similarity(_embedding(rng, 4, 6), k)
+    ref = conv1d_reference(layer.weights, layer.bias, x)
+    assert np.max(np.abs(conv1d_forward(layer, x) - ref)) < 1e-12
+    ref = tconv_reference(layer.weights, layer.bias, x, a)
+    assert np.max(np.abs(tconv.tconv_forward(layer, x, a) - ref)) < 1e-12
+    proj = rng.standard_normal((3, 6))
+    gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, proj)
+    report = grad_check(
+        lambda: float(np.sum(tconv.tconv_forward(layer, x, a) * proj)),
+        {"x": x, "a": a, "w": layer.weights, "b": layer.bias},
+        {"x": gx, "a": ga, "w": gw, "b": gb},
+        tolerance=1e-6,
+    )
+    assert report.passed, report.worst()
+
+
 def test_zero_similarity_cell_masks_input_column():
     rng = np.random.default_rng(8)
     layer = _layer(rng, 3)
@@ -210,7 +232,8 @@ def test_backward_with_ones_matches_conv_backward():
     assert np.array_equal(gb, cb)
 
 
-def test_full_chain_finite_difference():
+@pytest.mark.parametrize("rectify", [True, False])
+def test_full_chain_finite_difference(rectify):
     rng = np.random.default_rng(13)
     layer = _layer(rng, 6)
     x = rng.standard_normal((6, 9))
@@ -221,13 +244,14 @@ def test_full_chain_finite_difference():
 
     def scalar():
         e = EmbeddingSequence(4, 9, l2_normalize_forward(raw_e), classes)
-        a = _similarity(e, 3)
+        a = _similarity(e, 3, rectify)
         return float(np.sum(tconv.tconv_forward(layer, x, a) * proj))
 
     e = EmbeddingSequence(4, 9, l2_normalize_forward(raw_e), classes)
-    a = _similarity(e, 3)
+    a = _similarity(e, 3, rectify)
+    assert rectify or (a < 0).any()  # the unrectified branch is exercised
     gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, proj)
-    ge = l2_normalize_backward(raw_e, _similarity_backward(e, 3, ga))
+    ge = l2_normalize_backward(raw_e, _similarity_backward(e, 3, ga, rectify))
     report = grad_check(
         scalar,
         {"x": x, "e": raw_e, "w": layer.weights, "b": layer.bias},
