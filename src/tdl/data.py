@@ -226,16 +226,17 @@ def parse_json(text: str, where, error=FormatError):
         raise error(f"{where}: invalid JSON: {exc}") from exc
 
 
-def write_atomic(path, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` through a temporary file in the same
-    directory and a rename, so a failed or killed write never leaves a
-    truncated file under ``path`` (the data is not fsynced, so this does
-    not guard against a power cut)."""
+def write_atomic(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` one after another to ``path``
+    through a temporary file in the same directory and a rename, so a
+    failed or killed write never leaves a truncated file under ``path``
+    (the data is not fsynced, so this does not guard against a power cut)."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -21,13 +21,14 @@ scores do not depend on which other utterances share its block.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -482,7 +483,13 @@ TDLC_VERSION = 1
 _TDLC_HEAD = struct.Struct("<4sII")
 
 
-def encode_checkpoint(model: TdlModel) -> bytes:
+# absent Adam moments are written as slices of this one zero buffer
+_ZEROS = memoryview(bytes(1 << 16))
+
+
+def _checkpoint_chunks(model: TdlModel) -> list:
+    """The TDLC encoding of ``model`` as a list of buffers: the fixed and
+    JSON headers, then zero-copy views of the float64 arrays."""
     params = model.param_items()
     header = {
         "format": "TDLC",
@@ -497,14 +504,20 @@ def encode_checkpoint(model: TdlModel) -> bytes:
                               separators=(",", ":")).encode("utf-8")
     chunks = [_TDLC_HEAD.pack(TDLC_MAGIC, TDLC_VERSION, len(header_bytes)),
               header_bytes]
-    for name, value in params.items():
-        chunks.append(np.ascontiguousarray(value, dtype="<f8").tobytes())
-    for moments in (model.adam.m, model.adam.v):
+    for arrays in (params, model.adam.m, model.adam.v):
         for name, value in params.items():
-            m = moments.get(name)
-            m = np.zeros_like(value) if m is None else m
-            chunks.append(np.ascontiguousarray(m, dtype="<f8").tobytes())
-    return b"".join(chunks)
+            if name in arrays:
+                # a view unless the array is not C-contiguous little-endian f8
+                flat = np.ascontiguousarray(arrays[name], dtype="<f8")
+                chunks.append(memoryview(flat).cast("B"))
+            else:
+                whole, rest = divmod(8 * value.size, len(_ZEROS))
+                chunks += [_ZEROS] * whole + [_ZEROS[:rest]]
+    return chunks
+
+
+def encode_checkpoint(model: TdlModel) -> bytes:
+    return b"".join(_checkpoint_chunks(model))
 
 
 _TDLC_KEYS = ("adam", "config", "epoch", "params", "param_shapes")
@@ -533,23 +546,26 @@ def _check_header(header) -> None:
                 f"checkpoint {name} {brief(value)} is not a non-negative integer")
 
 
-def decode_checkpoint(blob: bytes) -> TdlModel:
-    if len(blob) < _TDLC_HEAD.size:
+def _read_checkpoint(fh, size: int) -> TdlModel:
+    """The model in the TDLC stream ``fh`` of ``size`` bytes. Every check
+    runs before any array is allocated; each array is then read straight
+    into its own memory."""
+    head = fh.read(_TDLC_HEAD.size)
+    if len(head) < _TDLC_HEAD.size:
         raise FormatError("checkpoint truncated in fixed header")
-    magic, version, header_len = _TDLC_HEAD.unpack_from(blob)
+    magic, version, header_len = _TDLC_HEAD.unpack(head)
     if magic != TDLC_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}")
     if version != TDLC_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    offset = _TDLC_HEAD.size
-    if len(blob) < offset + header_len:
+    offset = _TDLC_HEAD.size + header_len
+    if size < offset:
         raise FormatError("checkpoint truncated in JSON header")
     try:
-        text = blob[offset:offset + header_len].decode("utf-8")
+        text = fh.read(header_len).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"checkpoint header: not UTF-8 text: {exc}") from exc
     header = parse_json(text, "checkpoint header")
-    offset += header_len
     _check_header(header)
 
     try:
@@ -571,17 +587,16 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
             name: list(shape) for name, shape in shapes.items()}:
         raise FormatError("checkpoint parameter list mismatch")
     payload = 3 * 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(blob) != offset + payload:
+    if size != offset + payload:
         raise FormatError(
-            f"checkpoint payload is {len(blob) - offset} bytes, expected {payload}"
+            f"checkpoint payload is {size - offset} bytes, expected {payload}"
         )
 
     def read(shape) -> np.ndarray:
-        nonlocal offset
-        count = math.prod(shape)
-        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        return flat.reshape(shape).astype(np.float64)
+        value = np.empty(shape, dtype="<f8")
+        if fh.readinto(memoryview(value).cast("B")) != value.nbytes:
+            raise FormatError("checkpoint truncated while reading")
+        return value.astype(np.float64, copy=False)
 
     for name, layer in model.layers.items():
         layer.weights = read(shapes[f"{name}.weights"])
@@ -592,12 +607,17 @@ def decode_checkpoint(blob: bytes) -> TdlModel:
     return model
 
 
+def decode_checkpoint(blob: bytes) -> TdlModel:
+    return _read_checkpoint(io.BytesIO(blob), len(blob))
+
+
 def save_checkpoint(model: TdlModel, path) -> None:
-    write_atomic(path, encode_checkpoint(model))
+    write_atomic(path, *_checkpoint_chunks(model))
 
 
 def load_checkpoint(path) -> TdlModel:
-    return decode_checkpoint(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
 
 
 # ---------------------------------------------------------------------------
@@ -689,13 +709,48 @@ def _minibatch_step(model: TdlModel, params: dict, batch, epoch: int) -> np.ndar
     for block in _blocks(batch, model.config.t_max):
         losses, grads = _loss_block(model, *_stack_block(block))
         for key, grad in grads.items():
-            grad_sum[key] = grad_sum[key] + grad if key in grad_sum else grad
+            if key in grad_sum:
+                grad_sum[key] += grad
+            else:
+                grad_sum[key] = grad
         sums += (losses.bce, losses.esm.l_real, losses.esm.l_fake,
                  losses.esm.l_diff, losses.total)
+        del grads  # freed before the next block runs
     for grad in grad_sum.values():
         grad /= len(batch)
     adam_step(model.config.optimizer, model.adam, params, grad_sum, epoch)
     return sums
+
+
+def _state_arrays(model: TdlModel) -> dict:
+    """The model's parameters and any Adam moments, keyed (part, name)."""
+    arrays = {("param", k): v for k, v in model.param_items().items()}
+    for part, moments in (("m", model.adam.m), ("v", model.adam.v)):
+        arrays.update({(part, k): v for k, v in moments.items()})
+    return arrays
+
+
+class _Snapshot:
+    """The training state a divergence restores, copied into buffers that
+    the first copy needing each one allocates."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, model: TdlModel) -> None:
+        self.counters = model.epoch, model.adam.step, bool(model.adam.m)
+        for key, value in _state_arrays(model).items():
+            if key not in self.buffers:
+                self.buffers[key] = np.empty_like(value)
+            np.copyto(self.buffers[key], value)
+
+    def restore(self, model: TdlModel) -> None:
+        """Copy the snapshot back into ``model``'s own arrays."""
+        model.epoch, model.adam.step, moments = self.counters
+        if not moments:
+            model.adam.m, model.adam.v = {}, {}
+        for key, value in _state_arrays(model).items():
+            np.copyto(value, self.buffers[key])
 
 
 def train(config: TdlConfig, train_set, dev_set,
@@ -706,9 +761,10 @@ def train(config: TdlConfig, train_set, dev_set,
     pre-padded to t_max and labels to label_len. Each minibatch runs as
     one block (several when it exceeds BLOCK_FRAMES columns) and its
     gradients are averaged over its utterances. Per-epoch dev EER is
-    recorded and the best-dev-EER checkpoint retained. If the loss goes
-    non-finite the run stops and the last completed epoch's parameters
-    are restored (diverged=True).
+    recorded, and the model is encoded as the best checkpoint whenever
+    it improves. If the loss goes non-finite the run stops and the last
+    completed epoch's state is restored (diverged=True). A resumed model
+    must have epochs left to train.
     """
     _validate_set(config, train_set, "train")
     _validate_set(config, dev_set, "dev", both_classes=True)
@@ -719,18 +775,23 @@ def train(config: TdlConfig, train_set, dev_set,
         a.pop("epochs"), b.pop("epochs")
         if a != b:
             raise ConfigError("resume checkpoint config differs from run config")
+        if init_model.epoch >= config.epochs:
+            raise ConfigError(
+                f"resume checkpoint is at epoch {init_model.epoch}, which leaves "
+                f"nothing to train in epochs {config.epochs}")
         model.config = config
     params = model.param_items()
     n = len(train_set)
 
     records = []
-    best_bytes = encode_checkpoint(model)
+    best_bytes = None
     best_eer = float("inf")
     best_epoch = model.epoch
-    last_good = best_bytes
+    last_good = _Snapshot()
     diverged = False
 
     for epoch in range(model.epoch, config.epochs):
+        last_good.take(model)
         start = time.perf_counter()
         order = np.random.default_rng(
             [config.seed, _STREAM_BATCH, epoch]
@@ -741,10 +802,12 @@ def train(config: TdlConfig, train_set, dev_set,
                 batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
                 sums += _minibatch_step(model, params, batch, epoch)
         except NumericError:
-            model = decode_checkpoint(last_good)
+            last_good.restore(model)
             diverged = True
             break
 
+        if epoch + 1 == config.epochs:
+            last_good = None  # freed before the last dev pass and encode
         model.epoch = epoch + 1
         eer_pct = dev_eer(model, dev_set)
         records.append(TrainRecord(
@@ -759,12 +822,14 @@ def train(config: TdlConfig, train_set, dev_set,
             wall_time_s=time.perf_counter() - start,
             dev_eer_pct=eer_pct,
         ))
-        last_good = encode_checkpoint(model)
         if eer_pct < best_eer:
             best_eer = eer_pct
             best_epoch = epoch
-            best_bytes = last_good
+            best_bytes = None  # freed before the new one is encoded
+            best_bytes = encode_checkpoint(model)
 
+    if best_bytes is None:  # no epoch completed
+        best_bytes = encode_checkpoint(model)
     if diverged and not records:
         best_eer = float("nan")
     return TrainResult(

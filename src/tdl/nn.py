@@ -324,20 +324,21 @@ def adam_step(config: OptimizerConfig, state: AdamState, params: dict,
     """One in-place Adam update over a name->array parameter dict.
 
     Weight decay enters as an additive wd*theta gradient term before the
-    moment updates (coupled L2 form).
+    moment updates (coupled L2 form). Every gradient is checked before
+    the state or any parameter changes.
     """
+    for name, theta in params.items():
+        if grads[name].shape != theta.shape:
+            raise ShapeError(f"gradient shape mismatch for {name}")
+        if not np.all(np.isfinite(grads[name])):
+            raise NumericError(f"non-finite gradient for parameter {name}")
     state.step += 1
     t = state.step
     lr = config.lr_for_epoch(epoch)
     bc1 = 1.0 - config.beta1 ** t
     bc2 = 1.0 - config.beta2 ** t
     for name, theta in params.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ShapeError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name}")
-        g = g + config.weight_decay * theta
+        g = grads[name] + config.weight_decay * theta
         m = state.m.setdefault(name, np.zeros_like(theta))
         v = state.v.setdefault(name, np.zeros_like(theta))
         m *= config.beta1

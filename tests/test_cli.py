@@ -273,6 +273,21 @@ def test_train_resume_reproduces_uninterrupted_run(tmp_path, synth_spec_file,
     assert (resumed / "last.tdlc").read_bytes() == (full / "last.tdlc").read_bytes()
 
 
+def test_resume_past_the_epoch_budget_exits_one_and_writes_nothing(
+        tmp_path, synth_spec_file, smoke_config_file, capsys):
+    train_dir = _make_dataset(tmp_path, synth_spec_file, "train", 1)
+    dev_dir = _make_dataset(tmp_path, synth_spec_file, "dev", 2)
+    run = ["train", "--config", str(smoke_config_file), "--train", str(train_dir),
+           "--dev", str(dev_dir)]
+    assert cli.main(run + ["--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    again = tmp_path / "again"
+    assert cli.main(run + ["--out", str(again),
+                           "--resume", str(tmp_path / "run" / "last.tdlc")]) == 1
+    assert "nothing to train" in capsys.readouterr().err
+    assert not again.exists()
+
+
 def test_converged_run_scores_own_training_data(tmp_path, capsys):
     # the long CLI pipeline check: a converged run must nearly memorize
     # its training corpus (EER well under 5% when evaluated on it)

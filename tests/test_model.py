@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,39 @@ def test_checkpoint_carries_adam_state():
         assert np.array_equal(restored.adam.m[key], value)
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn`` runs, above what was traced before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("moments", [False, True])
+def test_checkpoint_encode_save_and_load_hold_one_payload(tmp_path, moments):
+    # a payload of about 3 MB, its Adam moments set or absent
+    mdl = M.build_model(M.desk_config(feat_dim=128, tconv_channels=128,
+                                      conv_hidden=64))
+    params = mdl.param_items()
+    if moments:
+        for name, value in params.items():
+            mdl.adam.m[name] = np.full_like(value, 0.5)
+            mdl.adam.v[name] = np.full_like(value, 0.25)
+    payload = 3 * 8 * count_params(list(params.values()))
+    assert payload > 2_000_000
+    path = tmp_path / "m.tdlc"
+    assert _traced_peak(lambda: M.encode_checkpoint(mdl)) <= 1.1 * payload
+    assert _traced_peak(lambda: M.save_checkpoint(mdl, path)) < 0.5 * payload
+    assert _traced_peak(lambda: M.load_checkpoint(path)) <= 1.1 * payload
+    blob = path.read_bytes()
+    assert _traced_peak(lambda: M.decode_checkpoint(blob)) <= 1.1 * payload
+    assert M.encode_checkpoint(M.load_checkpoint(path)) == blob
+    assert M.encode_checkpoint(mdl) == blob
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -446,6 +480,25 @@ def test_train_divergence_keeps_last_good_checkpoint():
     result = M.train(cfg, train_set, dev_set, init_model=mdl)
     assert result.diverged
     assert not result.records
+    assert M.encode_checkpoint(result.last_model) == before
+
+
+@pytest.mark.parametrize("resumed", [False, True])
+def test_divergence_in_the_first_epoch_returns_the_initial_model(resumed):
+    cfg = tiny_config(epochs=3)
+    train_set, dev_set = _tiny_sets(cfg)
+    if resumed:  # at epoch 1, with Adam moments
+        mdl = M.train(tiny_config(epochs=1), train_set, dev_set).last_model
+        mdl.config = cfg
+    else:
+        mdl = M.build_model(cfg)
+    start = mdl.epoch
+    mdl.layers["conv_a"].weights[0, 0, 0] = np.nan
+    before = M.encode_checkpoint(mdl)
+    result = M.train(cfg, train_set, dev_set, init_model=mdl)
+    assert result.diverged
+    assert result.best_checkpoint == before
+    assert result.best_epoch == start
     assert M.encode_checkpoint(result.last_model) == before
 
 

@@ -290,6 +290,27 @@ def test_adam_rejects_non_finite_gradient():
                      {"w": np.array([np.nan, 0.0])}, epoch=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, "shape"])
+def test_adam_checks_every_gradient_before_it_writes(bad):
+    config, state = nn.OptimizerConfig(), nn.AdamState()
+    params = {"a": np.ones(3), "b": np.ones(2), "c": np.ones(4)}
+    grads = {name: np.full(p.shape, 0.5) for name, p in params.items()}
+    nn.adam_step(config, state, params, grads, epoch=0)
+    before = ({k: v.copy() for k, v in params.items()},
+              {k: v.copy() for k, v in state.m.items()},
+              {k: v.copy() for k, v in state.v.items()})
+    if bad == "shape":
+        grads["c"] = np.zeros(5)
+    else:
+        grads["c"] = np.array([0.0, 0.0, 0.0, bad])
+    with pytest.raises(ShapeError if bad == "shape" else NumericError, match="c"):
+        nn.adam_step(config, state, params, grads, epoch=0)
+    assert state.step == 1
+    for saved, now in zip(before, (params, state.m, state.v)):
+        assert saved.keys() == now.keys()
+        assert all(np.array_equal(saved[k], now[k]) for k in saved)
+
+
 # ---------------------------------------------------------------------------
 # grad_check / count_params
 # ---------------------------------------------------------------------------
