@@ -3,7 +3,7 @@
 A scaled-down run of the full pipeline (about half a minute): Gaussian
 mean-shift features stand in for a real front-end, and the frame-level
 scores are pooled into EER / precision / recall / F1 with padding
-stripped.
+stripped. The report is the JSON object that `tdl eval` writes.
 """
 
 from tdl import (

@@ -37,16 +37,9 @@ from .errors import (
     TdlError,
     ValidationError,
 )
-from .esm import (
-    EmbeddingSequence,
-    EsmConfig,
-    EsmLoss,
-    align_labels_to_embedding,
-    esm_loss,
-)
+from .esm import EsmConfig, EsmLoss, align_labels_to_embedding, esm_loss_from_arrays
 from .metrics import (
     EvalPool,
-    MetricsReport,
     compute_report,
     eer,
     pool_predictions,

@@ -527,9 +527,9 @@ class SynthSpec:
         if not 0 < lo <= hi < math.inf:
             raise ConfigError(f"bad duration range {self.duration_range_s}")
         cmin, cmax = self.fake_segment_count_range
-        if not 0 <= cmin <= cmax:
+        if not 0 <= cmin <= cmax < 2 ** 63:  # the count is an int64 draw
             raise ConfigError(
-                f"bad fake segment count range {self.fake_segment_count_range}"
+                f"bad fake segment count range {brief(self.fake_segment_count_range)}"
             )
         fmin, fmax = self.fake_fraction_range
         if not 0 < fmin <= fmax < 1:
@@ -572,9 +572,8 @@ def _synth_annotation(spec: SynthSpec, rng: np.random.Generator,
     n = int(rng.integers(cmin, cmax + 1))
     if rng.random() >= spec.spoof_probability:
         n = 0
-    # shrink n until n fake segments plus interior gaps fit
-    while n > 1 and n * _MIN_SEG_MS + (n - 1) * _MIN_SEG_MS > dur_ms:
-        n -= 1
+    # at most as many fake segments as fit with their interior gaps
+    n = min(n, max(1, (dur_ms + _MIN_SEG_MS) // (2 * _MIN_SEG_MS)))
 
     if n == 0:
         segs = [Segment(0.0, dur_ms / 1000.0, LABEL_REAL)]

@@ -8,8 +8,8 @@ one pair per active term.
 
 The worst pairs come from one cosine Gram matrix per utterance, built
 channel by channel so that every entry equals the pair's sequential dot
-product bit for bit. Functions that take raw arrays accept one utterance
-(D, T) or a block (B, D, T) with classes (B, T).
+product bit for bit. The loss takes a block of B utterances: embeddings
+(B, D, T) with classes (B, T).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameLabels
-from .errors import ConfigError, ShapeError, ValidationError, brief
+from .errors import ConfigError, ShapeError, brief
 
 # frame_class codes
 FAKE = 0
@@ -64,37 +64,6 @@ class EsmLoss:
     @property
     def total(self) -> float:
         return self.l_real + self.l_fake + self.l_diff
-
-
-@dataclass
-class EmbeddingSequence:
-    """Unit-norm embedding columns plus a real/fake/padding class per frame.
-
-    ``values`` is (dim, num_frames) with ``frame_class`` (num_frames,),
-    or a block (B, dim, num_frames) with ``frame_class`` (B, num_frames).
-    """
-
-    dim: int
-    num_frames: int
-    values: np.ndarray
-    frame_class: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.frame_class = np.asarray(self.frame_class, dtype=np.int8)
-        if (self.values.ndim not in (2, 3)
-                or self.values.shape[-2:] != (self.dim, self.num_frames)):
-            raise ShapeError(f"embedding shape {self.values.shape}")
-        if self.frame_class.shape != self.values.shape[:-2] + (self.num_frames,):
-            raise ShapeError(f"frame_class shape {self.frame_class.shape}")
-        # the codes are the consecutive integers PADDING < FAKE < REAL
-        if self.frame_class.size and (self.frame_class.min() < PADDING
-                                      or self.frame_class.max() > REAL):
-            raise ValidationError("frame_class entries must be real/fake/padding")
-        live = self.frame_class != PADDING
-        norms = np.sqrt((self.values ** 2).sum(axis=-2))[live]
-        if norms.size and np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise ValidationError("non-padding embedding columns must be unit norm")
 
 
 def align_labels_to_embedding(labels: FrameLabels, t_e: int) -> np.ndarray:
@@ -232,33 +201,18 @@ def _components(values: np.ndarray, frame_class: np.ndarray, cfg: EsmConfig):
     return losses, worst, normed, norms
 
 
-def _as_block(values: np.ndarray, frame_class: np.ndarray):
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 2:
-        return values[None], np.asarray(frame_class)[None]
-    return values, np.asarray(frame_class)
+def esm_loss_from_arrays(values: np.ndarray, frame_class: np.ndarray,
+                         cfg: EsmConfig):
+    """All three components of a (B, D, T) block plus the subgradient.
 
-
-def esm_loss(e: EmbeddingSequence, cfg: EsmConfig):
-    """All three components plus the subgradient with respect to e.values.
-
+    Each component is the sum over the block's utterances, and the
+    gradient has the block's shape. Columns need not be exactly unit.
     Only the worst pair of each active component carries gradient; ties
     break toward the lowest pair index, and the subgradient at a hinge
     kink is zero, so training is deterministic.
     """
-    return esm_loss_from_arrays(e.values, e.frame_class, cfg)
-
-
-def esm_loss_from_arrays(values: np.ndarray, frame_class: np.ndarray,
-                         cfg: EsmConfig):
-    """Validation-free core of esm_loss; columns need not be exactly unit.
-
-    For a block each component is the sum over its utterances, and the
-    gradient keeps the block's shape.
-    """
-    block, classes = _as_block(values, frame_class)
-    losses, worst, normed, norms = _components(block, classes, cfg)
-    grad = np.zeros_like(block)
+    losses, worst, normed, norms = _components(values, frame_class, cfg)
+    grad = np.zeros_like(values)
     for term, ((sims, xs, ys), sign) in enumerate(zip(worst, (-1.0, -1.0, 1.0))):
         # d cos(u, v) / du = (v_hat - cos * u_hat) / |u|, and likewise for v
         bs = np.nonzero(losses[:, term] > 0.0)[0]
@@ -267,5 +221,5 @@ def esm_loss_from_arrays(values: np.ndarray, frame_class: np.ndarray,
         grad[bs, :, x] += sign * (v - s * u) / norms[bs, x][:, None]
         grad[bs, :, y] += sign * (u - s * v) / norms[bs, y][:, None]
     summed = EsmLoss(*(float(v) for v in losses.sum(axis=0)))
-    return summed, grad if np.ndim(values) == 3 else grad[0]
+    return summed, grad
 

@@ -43,35 +43,6 @@ class EvalPool:
         return self.scores.size
 
 
-@dataclass
-class MetricsReport:
-    eer_pct: float
-    eer_threshold: float
-    precision_pct: float | None
-    recall_pct: float | None
-    f1_pct: float
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    decision_threshold: float
-    num_frames: int
-    num_utterances: int
-
-    def to_dict(self) -> dict:
-        return {
-            "eer_pct": self.eer_pct,
-            "eer_threshold": self.eer_threshold,
-            "precision_pct": self.precision_pct,
-            "recall_pct": self.recall_pct,
-            "f1_pct": self.f1_pct,
-            "counts": {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn},
-            "threshold": self.decision_threshold,
-            "num_frames": self.num_frames,
-            "num_utterances": self.num_utterances,
-        }
-
-
 def pool_predictions(scores_list, labels_list) -> EvalPool:
     """Concatenate per-utterance scores with their frame labels,
     dropping every padding frame."""
@@ -156,41 +127,38 @@ def precision_recall_f1(pool: EvalPool, threshold: float = 0.5):
     }
 
 
-def compute_report(pool: EvalPool, threshold: float = 0.5) -> MetricsReport:
+def compute_report(pool: EvalPool, threshold: float = 0.5) -> dict:
+    """The JSON object ``tdl eval`` writes: EER, P/R/F1 and confusion
+    counts at ``threshold``, and the pool's size."""
     eer_pct, eer_thr = eer(pool)
     prf = precision_recall_f1(pool, threshold)
-    return MetricsReport(
-        eer_pct=eer_pct,
-        eer_threshold=eer_thr,
-        precision_pct=prf["precision_pct"],
-        recall_pct=prf["recall_pct"],
-        f1_pct=prf["f1_pct"],
-        tp=prf["tp"], tn=prf["tn"], fp=prf["fp"], fn=prf["fn"],
-        decision_threshold=threshold,
-        num_frames=pool.size,
-        num_utterances=pool.num_utterances,
-    )
+    counts = {key: prf.pop(key) for key in ("tp", "tn", "fp", "fn")}
+    return {"eer_pct": eer_pct, "eer_threshold": eer_thr, **prf, "counts": counts,
+            "threshold": threshold, "num_frames": pool.size,
+            "num_utterances": pool.num_utterances}
 
 
 def _fmt_pct(value) -> str:
     return "undefined" if value is None else f"{value:.4f} %"
 
 
-def render_report(report: MetricsReport, metadata: dict | None = None):
-    """Deterministic (text, json_string) rendering of a report."""
-    obj = report.to_dict()
-    if metadata:
-        obj["metadata"] = metadata
+def render_report(report: dict, metadata: dict | None = None):
+    """Deterministic (text, json_string) rendering of a compute_report
+    object; ``metadata``, when given, is added under its own key."""
+    obj = dict(report, metadata=metadata) if metadata else report
     json_str = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    counts = report["counts"]
     lines = [
         "frame-level evaluation",
-        f"  utterances : {report.num_utterances}",
-        f"  frames     : {report.num_frames}",
-        f"  EER        : {report.eer_pct:.4f} %  (threshold {report.eer_threshold:.6f})",
-        f"  precision  : {_fmt_pct(report.precision_pct)}",
-        f"  recall     : {_fmt_pct(report.recall_pct)}",
-        f"  F1         : {report.f1_pct:.4f} %  (threshold {report.decision_threshold})",
-        f"  counts     : TP={report.tp} TN={report.tn} FP={report.fp} FN={report.fn}",
+        f"  utterances : {report['num_utterances']}",
+        f"  frames     : {report['num_frames']}",
+        f"  EER        : {report['eer_pct']:.4f} %  "
+        f"(threshold {report['eer_threshold']:.6f})",
+        f"  precision  : {_fmt_pct(report['precision_pct'])}",
+        f"  recall     : {_fmt_pct(report['recall_pct'])}",
+        f"  F1         : {report['f1_pct']:.4f} %  (threshold {report['threshold']})",
+        f"  counts     : TP={counts['tp']} TN={counts['tn']} "
+        f"FP={counts['fp']} FN={counts['fn']}",
     ]
     if metadata:
         for key in sorted(metadata):

@@ -114,7 +114,7 @@ class TdlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("feat_dim", "t_max", "embed_dim", "conv_hidden",
+        for name in ("feat_dim", "t_max", "embed_dim", "conv_hidden", "kernel",
                      "tconv_channels", "label_len", "epochs", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

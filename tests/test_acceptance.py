@@ -106,9 +106,8 @@ def test_criterion_3_esm_brute_force_equivalence():
         classes = (rng.random(t_len) < 0.5).astype(np.int8)
         if t_len > 3 and rng.random() < 0.3:
             classes[-int(rng.integers(1, 3)):] = esm.PADDING
-        e = esm.EmbeddingSequence(dim, t_len, values, classes)
         ref = esm_reference(values, classes, cfg.tau_same, cfg.tau_diff)
-        losses = esm.esm_loss(e, cfg)[0]
+        losses = esm.esm_loss_from_arrays(values[None], classes[None], cfg)[0]
         got = (losses.l_real, losses.l_fake, losses.l_diff)
         if got != ref:
             mismatches += 1
@@ -188,13 +187,13 @@ def test_criterion_5_end_to_end_benchmark(benchmark_runs):
     full = benchmark_runs[0.1]
     ablated = benchmark_runs[0.0]
     elapsed = benchmark_runs["elapsed"]
-    ok = (full.eer_pct < 5.0 and full.f1_pct > 90.0
-          and full.eer_pct <= ablated.eer_pct + 1.0
+    ok = (full["eer_pct"] < 5.0 and full["f1_pct"] > 90.0
+          and full["eer_pct"] <= ablated["eer_pct"] + 1.0
           and elapsed < 600.0)
     check(5, ok,
-          f"test EER {full.eer_pct:.3f}% < 5, F1 {full.f1_pct:.2f}% > 90; "
-          f"with-similarity-loss EER {full.eer_pct:.3f} <= "
-          f"without {ablated.eer_pct:.3f} + 1; both runs in {elapsed:.0f}s")
+          f"test EER {full['eer_pct']:.3f}% < 5, F1 {full['f1_pct']:.2f}% > 90; "
+          f"with-similarity-loss EER {full['eer_pct']:.3f} <= "
+          f"without {ablated['eer_pct']:.3f} + 1; both runs in {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

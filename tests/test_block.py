@@ -153,7 +153,7 @@ def test_gram_esm_block_equals_oracle_exactly():
         for b in range(num):
             ref = esm_reference(values[b], classes[b], cfg.tau_same, cfg.tau_diff)
             mismatches += tuple(losses[b]) != ref
-            single, _ = esm.esm_loss_from_arrays(values[b], classes[b], cfg)
+            single, _ = esm.esm_loss_from_arrays(values[b:b + 1], classes[b:b + 1], cfg)
             mismatches += (single.l_real, single.l_fake, single.l_diff) != ref
     assert mismatches == 0
 
@@ -172,7 +172,7 @@ def test_pair_budget_at_or_above_pair_count_equals_exhaustive_oracle():
         largest = max(max(_pair_counts(classes[0])), 1)
         for budget in (largest, largest + 1, 10 ** 6):
             cfg = EsmConfig(tau_same=0.9, tau_diff=0.0, pair_budget=budget)
-            got, _ = esm.esm_loss_from_arrays(values[0], classes[0], cfg)
+            got, _ = esm.esm_loss_from_arrays(values, classes, cfg)
             assert (got.l_real, got.l_fake, got.l_diff) == ref
 
 
@@ -200,9 +200,10 @@ def test_esm_gradient_of_a_block_stacks_single_gradients():
     raw = values * rng.uniform(0.5, 2.0, size=(5, 1, 30))  # not unit norm
     cfg = EsmConfig(tau_same=0.95, tau_diff=-0.2)
     total, grad = esm.esm_loss_from_arrays(raw, classes, cfg)
-    singles = [esm.esm_loss_from_arrays(raw[b], classes[b], cfg) for b in range(5)]
+    singles = [esm.esm_loss_from_arrays(raw[b:b + 1], classes[b:b + 1], cfg)
+               for b in range(5)]
     for b, (_, g) in enumerate(singles):
-        assert np.array_equal(grad[b], g)
+        assert np.array_equal(grad[b:b + 1], g)
     assert _rel(total.total, sum(s.total for s, _ in singles)) <= 1e-12
 
 

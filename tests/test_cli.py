@@ -412,8 +412,7 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
         scores.append(model_mod.predict(
             model, data_mod.pad_features(seq, config.t_max), lab.true_labels))
         labels.append(lab)
-    expected = metrics_mod.compute_report(
-        metrics_mod.pool_predictions(scores, labels)).to_dict()
+    expected = metrics_mod.compute_report(metrics_mod.pool_predictions(scores, labels))
     report = json.loads(path.read_bytes())
     assert set(report) == set(expected) | {"metadata"}
     for key, value in expected.items():
@@ -547,11 +546,14 @@ def _numeric_input(case, tmp_path, data_dir):
     if case.startswith("stats-resolution"):
         return ["stats", "--data", str(data_dir),
                 "--resolution", case.rsplit("-", 1)[1]]
-    if case == "synth-seed":
+    if case.startswith("synth"):
+        obj = desk_benchmark_spec(num_utterances=2).to_dict()
+        if case == "synth-segment-count-past-int64":
+            obj["fake_segment_count_range"] = [1, 2 ** 64]
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(desk_benchmark_spec(num_utterances=2).to_dict()))
+        spec.write_text(json.dumps(obj))
         return ["synth", "--out", str(tmp_path / "o"), "--spec", str(spec),
-                "--seed", "-1"]
+                "--seed", "-1" if case == "synth-seed" else "1"]
     if case == "gradcheck-seed":
         return ["gradcheck", "--seed", "-1"]
     if case.startswith("gradcheck-tolerance"):
@@ -574,6 +576,7 @@ def _numeric_input(case, tmp_path, data_dir):
     if case.startswith("params"):
         config.write_text({"params-seed": "seed = -1\n",
                            "params-base-lr-nan": "optimizer.base_lr = NaN\n",
+                           "params-kernel-negative": "kernel = -1\n",
                            "params-dim-past-numpy":
                                f"feat_dim = {10**20}\ntconv_channels = {10**20}\n",
                            }[case])
@@ -586,6 +589,8 @@ def _numeric_input(case, tmp_path, data_dir):
     else:
         if case == "train-sample-seed":
             obj["esm"].update(pair_budget=4, sample_seed=-1)
+        elif case == "train-kernel-negative":
+            obj["kernel"] = -1
         else:
             obj["label_resolution_s"] = float("nan")
         config.write_text(json.dumps(obj))
@@ -599,13 +604,17 @@ def _numeric_input(case, tmp_path, data_dir):
     "eval-threshold-nan", "eval-threshold-inf",
     "params-seed", "train-sample-seed", "train-resolution-nan",
     "stats-duration-nan", "params-base-lr-nan", "params-dim-past-numpy",
-    *_OPTIMIZER_LINES])
+    "params-kernel-negative", "train-kernel-negative",
+    "synth-segment-count-past-int64", *_OPTIMIZER_LINES])
 def test_bad_numeric_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
     argv = _numeric_input(case, tmp_path, data_dir)
     capsys.readouterr()
     assert cli.main(argv) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    if "kernel" in case:
+        assert "kernel" in err
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000  # nests past the JSON decoder's recursion limit

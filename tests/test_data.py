@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -323,6 +324,25 @@ def test_synth_annotations_tile_and_fit_frames():
         assert all(a.end_s == b.start_s for a, b in zip(segs, segs[1:]))
         assert seq.true_frames == seq.num_frames <= 64
         assert data.num_true_labels(ann.duration_s, 0.16) <= 16
+
+
+@pytest.mark.parametrize("most", [20_000_000, 2 ** 63 - 1])
+def test_synth_huge_segment_counts_are_cut_to_fit_at_once(most):
+    spec = data.desk_benchmark_spec(num_utterances=20,
+                                    fake_segment_count_range=(1, most))
+    start = time.perf_counter()
+    _, anns = data.synth_dataset(spec, 1)
+    assert time.perf_counter() - start < 1.0
+    for ann in anns:
+        segs = ann.segments
+        assert segs[0].start_s == 0.0 and segs[-1].end_s == ann.duration_s
+        assert all(a.end_s == b.start_s for a, b in zip(segs, segs[1:]))
+
+
+def test_synth_segment_count_past_int64_rejected():
+    with pytest.raises(ConfigError, match="segment count"):
+        data.desk_benchmark_spec(num_utterances=2,
+                                 fake_segment_count_range=(1, 2 ** 63))
 
 
 def test_synth_calibration_hits_53_percent():

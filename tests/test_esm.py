@@ -3,16 +3,18 @@ import pytest
 
 from tdl import esm
 from tdl.data import FrameLabels, REAL1_FAKE0
-from tdl.errors import ConfigError, ShapeError, ValidationError
+from tdl.errors import ConfigError
 from tdl.nn import grad_check, l2_normalize_forward
 
 from oracles import esm_reference
 
 
-def _embedding(values, classes):
-    values = np.asarray(values, dtype=np.float64)
-    return esm.EmbeddingSequence(values.shape[0], values.shape[1], values,
-                                 np.asarray(classes, dtype=np.int8))
+def _loss(values, classes, cfg):
+    """The ESM of one (D, T) utterance as a block of one; grad is (D, T)."""
+    losses, grad = esm.esm_loss_from_arrays(
+        np.asarray(values, dtype=np.float64)[None],
+        np.asarray(classes, dtype=np.int8)[None], cfg)
+    return losses, grad[0]
 
 
 def _random_embedding(rng, dim, t_len, pad=0):
@@ -20,7 +22,7 @@ def _random_embedding(rng, dim, t_len, pad=0):
     classes = (rng.random(t_len) < 0.5).astype(np.int8)
     if pad:
         classes[-pad:] = esm.PADDING
-    return _embedding(values, classes)
+    return values, classes
 
 
 # ---------------------------------------------------------------------------
@@ -78,44 +80,42 @@ def test_align_marks_padding():
 def test_real_loss_zero_for_identical_embeddings():
     col = np.array([1.0, 0.0, 0.0])
     values = np.tile(col[:, None], (1, 4))
-    e = _embedding(values, [esm.REAL] * 4)
-    assert esm.esm_loss(e, esm.EsmConfig(tau_same=0.9))[0].l_real == 0.0
+    cfg = esm.EsmConfig(tau_same=0.9)
+    assert _loss(values, [esm.REAL] * 4, cfg)[0].l_real == 0.0
 
 
 def test_real_loss_single_pair_value():
     values = np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]])
-    e = _embedding(values, [esm.REAL, esm.REAL])
-    loss = esm.esm_loss(e, esm.EsmConfig(tau_same=0.9))[0].l_real
+    cfg = esm.EsmConfig(tau_same=0.9)
+    loss = _loss(values, [esm.REAL, esm.REAL], cfg)[0].l_real
     assert np.isclose(loss, 0.4, atol=1e-12)
 
 
 def test_real_loss_needs_two_real_frames():
-    e = _embedding(np.array([[1.0], [0.0]]), [esm.REAL])
-    assert esm.esm_loss(e, esm.EsmConfig())[0].l_real == 0.0
+    values = np.array([[1.0], [0.0]])
+    assert _loss(values, [esm.REAL], esm.EsmConfig())[0].l_real == 0.0
 
 
 def test_fake_loss_vacuous_without_fakes():
     values = l2_normalize_forward(np.random.default_rng(1).standard_normal((3, 5)))
-    e = _embedding(values, [esm.REAL] * 5)
-    assert esm.esm_loss(e, esm.EsmConfig())[0].l_fake == 0.0
+    assert _loss(values, [esm.REAL] * 5, esm.EsmConfig())[0].l_fake == 0.0
 
 
 def test_fake_loss_orthogonal_pair():
     values = np.array([[1.0, 0.0], [0.0, 1.0]])
-    e = _embedding(values, [esm.FAKE, esm.FAKE])
-    assert np.isclose(esm.esm_loss(e, esm.EsmConfig(tau_same=0.9))[0].l_fake, 0.9)
+    cfg = esm.EsmConfig(tau_same=0.9)
+    assert np.isclose(_loss(values, [esm.FAKE, esm.FAKE], cfg)[0].l_fake, 0.9)
 
 
 def test_diff_loss_zero_for_all_real():
     values = l2_normalize_forward(np.random.default_rng(2).standard_normal((3, 6)))
-    e = _embedding(values, [esm.REAL] * 6)
-    assert esm.esm_loss(e, esm.EsmConfig())[0].l_diff == 0.0
+    assert _loss(values, [esm.REAL] * 6, esm.EsmConfig())[0].l_diff == 0.0
 
 
 def test_diff_loss_single_pair_value():
     values = np.array([[1.0, 0.3], [0.0, np.sqrt(0.91)]])
-    e = _embedding(values, [esm.REAL, esm.FAKE])
-    loss = esm.esm_loss(e, esm.EsmConfig(tau_diff=0.0))[0].l_diff
+    cfg = esm.EsmConfig(tau_diff=0.0)
+    loss = _loss(values, [esm.REAL, esm.FAKE], cfg)[0].l_diff
     assert np.isclose(loss, 0.3, atol=1e-12)
 
 
@@ -125,11 +125,11 @@ def test_padding_frames_excluded():
     base = l2_normalize_forward(rng.standard_normal((4, 6)))
     classes = np.array([1, 1, 0, 0, 1, -1], dtype=np.int8)
     cfg = esm.EsmConfig()
-    e1 = _embedding(base, classes)
+    e1 = (base, classes)
     swapped = base.copy()
     swapped[:, 5] = l2_normalize_forward(rng.standard_normal((4, 1)))[:, 0]
-    e2 = _embedding(swapped, classes)
-    assert esm.esm_loss(e1, cfg)[0] == esm.esm_loss(e2, cfg)[0]
+    e2 = (swapped, classes)
+    assert _loss(*e1, cfg)[0] == _loss(*e2, cfg)[0]
 
 
 def test_components_match_brute_force_exactly():
@@ -139,8 +139,8 @@ def test_components_match_brute_force_exactly():
         t_len = int(rng.integers(2, 65))
         dim = int(rng.integers(2, 9))
         e = _random_embedding(rng, dim, t_len, pad=int(rng.integers(0, 3)))
-        ref = esm_reference(e.values, e.frame_class, cfg.tau_same, cfg.tau_diff)
-        losses = esm.esm_loss(e, cfg)[0]
+        ref = esm_reference(e[0], e[1], cfg.tau_same, cfg.tau_diff)
+        losses = _loss(*e, cfg)[0]
         assert losses.l_real == ref[0], f"real mismatch at {i}"
         assert losses.l_fake == ref[1], f"fake mismatch at {i}"
         assert losses.l_diff == ref[2], f"diff mismatch at {i}"
@@ -150,9 +150,9 @@ def test_swapping_classes_exchanges_real_and_fake():
     rng = np.random.default_rng(5)
     e = _random_embedding(rng, 4, 12)
     cfg = esm.EsmConfig()
-    swapped = _embedding(e.values, 1 - e.frame_class)
-    a, _ = esm.esm_loss(e, cfg)
-    b, _ = esm.esm_loss(swapped, cfg)
+    swapped = (e[0], 1 - e[1])
+    a, _ = _loss(*e, cfg)
+    b, _ = _loss(*swapped, cfg)
     assert a.l_real == b.l_fake and a.l_fake == b.l_real
     assert a.l_diff == b.l_diff
 
@@ -161,10 +161,10 @@ def test_losses_invariant_under_class_preserving_permutation():
     rng = np.random.default_rng(6)
     e = _random_embedding(rng, 4, 10)
     perm = rng.permutation(10)
-    shuffled = _embedding(e.values[:, perm], e.frame_class[perm])
+    shuffled = (e[0][:, perm], e[1][perm])
     cfg = esm.EsmConfig()
-    a, _ = esm.esm_loss(e, cfg)
-    b, _ = esm.esm_loss(shuffled, cfg)
+    a, _ = _loss(*e, cfg)
+    b, _ = _loss(*shuffled, cfg)
     assert (a.l_real, a.l_fake, a.l_diff) == (b.l_real, b.l_fake, b.l_diff)
 
 
@@ -172,10 +172,10 @@ def test_diff_loss_invariant_under_rotation():
     rng = np.random.default_rng(7)
     e = _random_embedding(rng, 5, 9)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    rotated = _embedding(l2_normalize_forward(q @ e.values), e.frame_class)
+    rotated = (l2_normalize_forward(q @ e[0]), e[1])
     cfg = esm.EsmConfig()
-    assert np.isclose(esm.esm_loss(e, cfg)[0].l_diff,
-                      esm.esm_loss(rotated, cfg)[0].l_diff,
+    assert np.isclose(_loss(*e, cfg)[0].l_diff,
+                      _loss(*rotated, cfg)[0].l_diff,
                       atol=1e-9)
 
 
@@ -183,8 +183,8 @@ def test_separated_clusters_zero_loss_and_gradient():
     u = np.array([1.0, 0.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, 0.0, 0.0])
     values = np.stack([u, u, v, v, u], axis=1)
-    e = _embedding(values, [1, 1, 0, 0, 1])
-    losses, grad = esm.esm_loss(e, esm.EsmConfig(tau_same=0.9, tau_diff=0.0))
+    cfg = esm.EsmConfig(tau_same=0.9, tau_diff=0.0)
+    losses, grad = _loss(values, [1, 1, 0, 0, 1], cfg)
     assert losses.total == 0.0
     assert not grad.any()
 
@@ -192,14 +192,14 @@ def test_separated_clusters_zero_loss_and_gradient():
 def test_total_is_sum_of_components():
     rng = np.random.default_rng(8)
     e = _random_embedding(rng, 4, 14)
-    losses, _ = esm.esm_loss(e, esm.EsmConfig())
+    losses, _ = _loss(*e, esm.EsmConfig())
     assert losses.total == losses.l_real + losses.l_fake + losses.l_diff
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
-    values = rng.standard_normal((4, 10))
-    classes = np.array([1, 1, 0, 0, 1, 0, 1, 0, 1, 0], dtype=np.int8)
+    values = rng.standard_normal((1, 4, 10))
+    classes = np.array([[1, 1, 0, 0, 1, 0, 1, 0, 1, 0]], dtype=np.int8)
     cfg = esm.EsmConfig(tau_same=0.9, tau_diff=0.0)
     _, grad = esm.esm_loss_from_arrays(values, classes, cfg)
     report = grad_check(
@@ -213,10 +213,10 @@ def test_pair_budget_deterministic_and_bounded():
     rng = np.random.default_rng(11)
     e = _random_embedding(rng, 4, 40)
     cfg = esm.EsmConfig(pair_budget=20, sample_seed=3)
-    a, _ = esm.esm_loss(e, cfg)
-    b, _ = esm.esm_loss(e, cfg)
+    a, _ = _loss(*e, cfg)
+    b, _ = _loss(*e, cfg)
     assert (a.l_real, a.l_fake, a.l_diff) == (b.l_real, b.l_fake, b.l_diff)
-    full, _ = esm.esm_loss(e, esm.EsmConfig())
+    full, _ = _loss(*e, esm.EsmConfig())
     # a sampled max never exceeds the exhaustive max
     assert a.l_real <= full.l_real and a.l_fake <= full.l_fake
     assert a.l_diff <= full.l_diff
@@ -225,8 +225,8 @@ def test_pair_budget_deterministic_and_bounded():
 def test_large_pair_budget_equals_exhaustive():
     rng = np.random.default_rng(12)
     e = _random_embedding(rng, 4, 20)
-    capped, _ = esm.esm_loss(e, esm.EsmConfig(pair_budget=10 ** 6))
-    full, _ = esm.esm_loss(e, esm.EsmConfig())
+    capped, _ = _loss(*e, esm.EsmConfig(pair_budget=10 ** 6))
+    full, _ = _loss(*e, esm.EsmConfig())
     assert (capped.l_real, capped.l_fake, capped.l_diff) == \
         (full.l_real, full.l_fake, full.l_diff)
 
@@ -238,14 +238,3 @@ def test_config_rejects_unusable_margins():
         esm.EsmConfig(tau_same=1.5)
     with pytest.raises(ConfigError):
         esm.EsmConfig(pair_budget=0)
-
-
-def test_embedding_sequence_validates_norms():
-    values = np.ones((3, 2))  # columns have norm sqrt(3)
-    with pytest.raises(ValidationError):
-        _embedding(values, [esm.REAL, esm.FAKE])
-
-
-def test_embedding_sequence_shape_checks():
-    with pytest.raises(ShapeError):
-        esm.EmbeddingSequence(3, 4, np.zeros((3, 5)), np.zeros(4, dtype=np.int8))

@@ -201,13 +201,91 @@ def test_report_render_deterministic_and_parseable():
                         "recall_pct", "f1_pct", "counts", "threshold",
                         "num_frames", "num_utterances", "metadata"}
     assert set(obj["counts"]) == {"tp", "tn", "fp", "fn"}
-    assert obj["eer_pct"] == report.eer_pct
+    assert obj == dict(report, metadata={"run": "x"})
     assert obj["num_frames"] == pool.size
 
 
 def test_report_includes_all_four_metrics():
     rng = np.random.default_rng(8)
     report = metrics.compute_report(_random_pool(rng, 50))
-    for value in (report.eer_pct, report.precision_pct, report.recall_pct,
-                  report.f1_pct):
+    for key in ("eer_pct", "precision_pct", "recall_pct", "f1_pct"):
+        value = report[key]
         assert value is not None and np.isfinite(value)
+
+
+_PINNED_POOL = ([0.9, 0.8, 0.3, 0.6, 0.2, 0.1], [1, 1, 1, 0, 0, 0], 2)
+
+_PINNED_TEXT = """\
+frame-level evaluation
+  utterances : 2
+  frames     : 6
+  EER        : 33.3333 %  (threshold 0.600000)
+  precision  : 66.6667 %
+  recall     : 66.6667 %
+  F1         : 66.6667 %  (threshold 0.5)
+  counts     : TP=2 TN=2 FP=1 FN=1
+"""
+
+_PINNED_JSON = """\
+{
+  "counts": {
+    "fn": 1,
+    "fp": 1,
+    "tn": 2,
+    "tp": 2
+  },
+  "eer_pct": 33.33333333333333,
+  "eer_threshold": 0.6,
+  "f1_pct": 66.66666666666666,
+%s  "num_frames": 6,
+  "num_utterances": 2,
+  "precision_pct": 66.66666666666666,
+  "recall_pct": 66.66666666666666,
+  "threshold": 0.5
+}
+"""
+
+
+def test_report_rendering_is_pinned_without_metadata():
+    report = metrics.compute_report(_pool(*_PINNED_POOL))
+    assert metrics.render_report(report) == (_PINNED_TEXT, _PINNED_JSON % "")
+
+
+def test_report_rendering_is_pinned_with_metadata():
+    report = metrics.compute_report(_pool(*_PINNED_POOL))
+    text, json_str = metrics.render_report(report, {"run": "pin", "epochs": 3})
+    assert text == _PINNED_TEXT + "  epochs : 3\n  run : pin\n"
+    assert json_str == _PINNED_JSON % (
+        '  "metadata": {\n    "epochs": 3,\n    "run": "pin"\n  },\n')
+
+
+def test_report_rendering_is_pinned_when_precision_is_undefined():
+    # every score is below the 0.5 decision threshold: no predicted positives
+    report = metrics.compute_report(_pool([0.4, 0.3, 0.2, 0.1], [1, 0, 1, 0]))
+    assert metrics.render_report(report) == ("""\
+frame-level evaluation
+  utterances : 1
+  frames     : 4
+  EER        : 50.0000 %  (threshold 0.300000)
+  precision  : undefined
+  recall     : 0.0000 %
+  F1         : 0.0000 %  (threshold 0.5)
+  counts     : TP=0 TN=2 FP=0 FN=2
+""", """\
+{
+  "counts": {
+    "fn": 2,
+    "fp": 0,
+    "tn": 2,
+    "tp": 0
+  },
+  "eer_pct": 50.0,
+  "eer_threshold": 0.3,
+  "f1_pct": 0.0,
+  "num_frames": 4,
+  "num_utterances": 1,
+  "precision_pct": null,
+  "recall_pct": 0.0,
+  "threshold": 0.5
+}
+""")

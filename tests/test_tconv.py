@@ -3,7 +3,7 @@ import pytest
 
 from tdl import tconv
 from tdl.errors import ConfigError, ShapeError
-from tdl.esm import FAKE, PADDING, REAL, EmbeddingSequence
+from tdl.esm import FAKE, PADDING, REAL
 from tdl.nn import (
     Conv1dLayer,
     conv1d_backward,
@@ -17,11 +17,12 @@ from oracles import conv1d_reference, neighbor_similarity_reference, tconv_refer
 
 
 def _embedding(rng, dim, t_len, n_pad=0):
+    """Unit (dim, t_len) embedding columns and their frame classes."""
     values = l2_normalize_forward(rng.standard_normal((dim, t_len)))
     classes = np.full(t_len, REAL, dtype=np.int8)
     if n_pad:
         classes[-n_pad:] = PADDING
-    return EmbeddingSequence(dim, t_len, values, classes)
+    return values, classes
 
 
 def _layer(rng, channels, k=3):
@@ -29,11 +30,13 @@ def _layer(rng, channels, k=3):
 
 
 def _similarity(e, k, rectify=True):
-    return tconv.neighbor_similarity(e.values, e.frame_class != PADDING, k, rectify)
+    values, classes = e
+    return tconv.neighbor_similarity(values, classes != PADDING, k, rectify)
 
 
 def _similarity_backward(e, k, grad_a, rectify=True):
-    return tconv.neighbor_similarity_backward(e.values, e.frame_class != PADDING, k,
+    values, classes = e
+    return tconv.neighbor_similarity_backward(values, classes != PADDING, k,
                                               grad_a, rectify)
 
 
@@ -46,7 +49,7 @@ def test_identical_columns_give_ones_inside_borders():
     col = np.zeros(4)
     col[0] = 1.0
     values = np.tile(col[:, None], (1, 6))
-    e = EmbeddingSequence(4, 6, values, np.full(6, REAL, dtype=np.int8))
+    e = (values, np.full(6, REAL, dtype=np.int8))
     a = _similarity(e, 3)
     expected = np.ones((3, 6))
     expected[0, 0] = 0.0   # t-1 out of range
@@ -76,14 +79,14 @@ def test_similarity_matches_reference():
     for k in (3, 5):
         e = _embedding(rng, 4, 11, n_pad=1)
         a = _similarity(e, k)
-        ref = neighbor_similarity_reference(e.values, e.frame_class, k)
+        ref = neighbor_similarity_reference(*e, k)
         assert np.max(np.abs(a - ref)) < 1e-12
 
 
 def test_rectification_clips_negative_similarity():
     values = np.zeros((2, 2))
     values[0, 0], values[0, 1] = 1.0, -1.0
-    e = EmbeddingSequence(2, 2, values, np.full(2, REAL, dtype=np.int8))
+    e = (values, np.full(2, REAL, dtype=np.int8))
     a = _similarity(e, 3)
     assert a[2, 0] == 0.0 and a[0, 1] == 0.0
     raw = _similarity(e, 3, rectify=False)
@@ -243,11 +246,11 @@ def test_full_chain_finite_difference(rectify):
     proj = rng.standard_normal((6, 9))
 
     def scalar():
-        e = EmbeddingSequence(4, 9, l2_normalize_forward(raw_e), classes)
+        e = (l2_normalize_forward(raw_e), classes)
         a = _similarity(e, 3, rectify)
         return float(np.sum(tconv.tconv_forward(layer, x, a) * proj))
 
-    e = EmbeddingSequence(4, 9, l2_normalize_forward(raw_e), classes)
+    e = (l2_normalize_forward(raw_e), classes)
     a = _similarity(e, 3, rectify)
     assert rectify or (a < 0).any()  # the unrectified branch is exercised
     gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, proj)
