@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation/config error, 2 numeric failure
 (training divergence or a failed gradient check). Every run prints its
 resolved configuration and seed before doing work; given the same seed,
-config, and inputs, single-threaded runs are bit-reproducible.
+config, and inputs, runs with one BLAS thread are bit-reproducible at any
+core count.
 """
 
 from __future__ import annotations

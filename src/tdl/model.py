@@ -16,16 +16,22 @@ One core runs the stack on a block of B padded utterances stacked as a
 scores a whole set in blocks for dev EER and ``tdl eval``, and
 ``forward``/``predict``/``total_loss`` call it with B = 1. Every
 primitive computes a block one GEMM per utterance, so an utterance's
-scores do not depend on which other utterances share its block.
+scores do not depend on which other utterances share its block. At full
+scale a block is one utterance, and a minibatch's blocks run on a thread
+pool when single-threaded BLAS leaves cores free; their gradients are
+still added in block order.
 """
 
 from __future__ import annotations
 
+import collections
+import ctypes
 import io
 import itertools
 import json
 import math
 import os
+import platform
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -82,6 +88,18 @@ BOUNDARY_BCE_WEIGHT = 100.0
 # 1050) that is one utterance per block, so the working set does not
 # grow with the batch size.
 BLOCK_FRAMES = 1024
+
+# glibc's M_MMAP_THRESHOLD (bytes) while blocks run on a thread pool, and
+# after. Inside, a buffer a worker frees is unmapped instead of staying
+# in that thread's malloc arena, where the main thread cannot reuse it;
+# afterwards the main thread's buffers up to 16 MiB, full-scale
+# activations among them, come from its heap again. Chosen on
+# `bench/run.py --workload full-train` peak RSS, 2 cores, 3-4 seeds each:
+# no setting 970-1019 MB (parent 826-849); 1 MiB for good 833-834 MB but
+# set-up 1.25x slower; 1 MiB then 16 MiB 837-840 MB, no set-up cost seen
+# in those runs; then 32 MiB 846-852 MB; 4 or 8 MiB inside 868-878 MB.
+_POOL_MMAP_THRESHOLD = 1 << 20
+_AFTER_POOL_MMAP_THRESHOLD = 16 << 20
 
 # named sub-streams of the run seed
 _STREAM_INIT = 1
@@ -702,12 +720,63 @@ def dev_eer(model: TdlModel, dev_set) -> float:
     return metrics_mod.eer(score_pool(model, dev_set))[0]
 
 
+def _block_workers() -> int:
+    """Blocks that can run at once: the usable cores over the BLAS threads
+    one GEMM takes, which is every core unless OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS gives a count."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    per_call = int(blas) if blas and blas.isdigit() and int(blas) > 0 else cores
+    return max(1, cores // per_call)
+
+
+def _mmap_threshold(nbytes: int) -> None:
+    """Have glibc map each buffer over ``nbytes`` on its own, so that
+    freeing one returns its pages to the system; other C libraries are
+    left alone."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, nbytes)  # M_MMAP_THRESHOLD
+
+
+def _block_losses(model: TdlModel, batch):
+    """(TdlLoss, parameter gradients) of each block of ``batch``, in order.
+
+    A minibatch of several blocks runs them on a thread pool, at most one
+    block per worker at a time; the caller still adds the results in
+    block order, so they do not depend on the worker count.
+    """
+    blocks = list(_blocks(batch, model.config.t_max))
+    workers = min(len(blocks), _block_workers())
+    if workers == 1:
+        for block in blocks:
+            yield _loss_block(model, *_stack_block(block))
+        return
+    _mmap_threshold(_POOL_MMAP_THRESHOLD)
+    # imported here, as only a pooled minibatch needs it (and the logging
+    # module it loads)
+    from concurrent.futures import ThreadPoolExecutor
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            running = collections.deque()
+            for block in blocks:
+                running.append(pool.submit(
+                    lambda b: _loss_block(model, *_stack_block(b)), block))
+                if len(running) == workers:
+                    yield running.popleft().result()
+            while running:
+                yield running.popleft().result()
+    finally:
+        _mmap_threshold(_AFTER_POOL_MMAP_THRESHOLD)
+
+
 def _minibatch_step(model: TdlModel, params: dict, batch, epoch: int) -> np.ndarray:
     """One Adam step on the mean gradient of a minibatch of (features,
     labels) pairs; returns its summed (bce, real, fake, diff, total)."""
     grad_sum, sums = {}, np.zeros(5)
-    for block in _blocks(batch, model.config.t_max):
-        losses, grads = _loss_block(model, *_stack_block(block))
+    for losses, grads in _block_losses(model, batch):
         for key, grad in grads.items():
             if key in grad_sum:
                 grad_sum[key] += grad
@@ -715,7 +784,7 @@ def _minibatch_step(model: TdlModel, params: dict, batch, epoch: int) -> np.ndar
                 grad_sum[key] = grad
         sums += (losses.bce, losses.esm.l_real, losses.esm.l_fake,
                  losses.esm.l_diff, losses.total)
-        del grads  # freed before the next block runs
+        del grads  # freed before another block starts
     for grad in grad_sum.values():
         grad /= len(batch)
     adam_step(model.config.optimizer, model.adam, params, grad_sum, epoch)
@@ -765,6 +834,13 @@ def train(config: TdlConfig, train_set, dev_set,
     it improves. If the loss goes non-finite the run stops and the last
     completed epoch's state is restored (diverged=True). A resumed model
     must have epochs left to train.
+
+    A minibatch of several blocks runs them on a thread pool when the
+    usable cores exceed the BLAS threads per call (see _block_workers).
+    The first such minibatch changes malloc settings for the whole
+    process under glibc: the dynamic mmap threshold is switched off and
+    left at _AFTER_POOL_MMAP_THRESHOLD, as glibc cannot report the
+    previous setting to restore.
     """
     _validate_set(config, train_set, "train")
     _validate_set(config, dev_set, "dev", both_classes=True)

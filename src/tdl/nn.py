@@ -126,7 +126,9 @@ def _tap_param_grads(layer: Conv1dLayer, taps: np.ndarray,
     t_len = taps.shape[-1]
     flat = taps.reshape(-1, layer.kernel * layer.in_channels, t_len)
     grad = grad_out.reshape(-1, layer.out_channels, t_len)
-    grad_weights = np.matmul(flat, grad.transpose(0, 2, 1)).sum(axis=0)
+    prods = np.matmul(flat, grad.transpose(0, 2, 1))
+    # one utterance's product is its sum; no (kernel*C_in, C_out) copy
+    grad_weights = prods[0] if len(prods) == 1 else prods.sum(axis=0)
     grad_bias = grad.sum(axis=2).sum(axis=0)
     return grad_weights.reshape(layer.weights.shape), grad_bias
 

@@ -129,10 +129,17 @@ def tconv_backward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray,
     ``input_grad`` is off."""
     if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
+    # grad_a reads the unscaled taps; then taps and grad_mod are scaled in
+    # place, so no scaled copy of either is held beside the original
     taps = _taps(x, layer.kernel)
-    scale = a[..., None, :]
-    grad_weights, grad_bias = _tap_param_grads(layer, taps * scale, grad_out)
     grad_mod = _grad_taps(layer, grad_out)
     grad_a = (grad_mod * taps).sum(axis=-2)
-    grad_x = _scatter_taps(grad_mod * scale) if input_grad else None
+    scale = a[..., None, :]
+    taps *= scale
+    grad_weights, grad_bias = _tap_param_grads(layer, taps, grad_out)
+    del taps
+    grad_x = None
+    if input_grad:
+        grad_mod *= scale
+        grad_x = _scatter_taps(grad_mod)
     return grad_x, grad_a, grad_weights, grad_bias

@@ -5,6 +5,11 @@ loss and gradients must equal the sum of its utterances' B = 1 calls,
 and the Gram-matrix ESM must equal the pair-scan oracles exactly.
 """
 
+import concurrent.futures
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -208,12 +213,80 @@ def test_esm_gradient_of_a_block_stacks_single_gradients():
 
 
 # ---------------------------------------------------------------------------
+# one-utterance blocks on a thread pool
+# ---------------------------------------------------------------------------
+
+
+def _workers(monkeypatch, cores):
+    """``cores`` usable cores at one BLAS thread a call; returns the list
+    of pool sizes each ThreadPoolExecutor the model builds is given."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    built = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda workers: built.append(workers) or ThreadPoolExecutor(workers))
+    return built
+
+
+def _records(result):
+    return [{k: v for k, v in record.to_dict().items() if k != "wall_time_s"}
+            for record in result.records]
+
+
+@pytest.mark.parametrize("per_block", [1, 2])
+def test_pooled_training_is_bit_identical_to_one_worker(per_block, monkeypatch):
+    cfg = M.desk_config(epochs=2, batch_size=5)
+    pairs = _desk_pairs(cfg, 14, 11)
+    monkeypatch.setattr(M, "BLOCK_FRAMES", per_block * cfg.t_max)
+    runs, pools = [], []
+    for cores in (1, 2, 3):
+        pools.append(_workers(monkeypatch, cores))
+        runs.append(M.train(cfg, pairs[:11], pairs[11:]))
+    # minibatches of 5, 5 and 1 utterances: the last is one block, never pooled
+    assert pools == [[], [2] * 4, [3] * 4]
+    for result in runs[1:]:
+        assert result.best_checkpoint == runs[0].best_checkpoint
+        assert _records(result) == _records(runs[0])
+
+
+def test_desk_minibatches_never_build_a_pool(monkeypatch):
+    _workers(monkeypatch, 4)
+
+    def refuse(workers):
+        raise AssertionError("a desk-scale minibatch built a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    cfg = M.desk_config(epochs=1, batch_size=8)  # 8 utterances of 64 frames: one block
+    pairs = _desk_pairs(cfg, 50, 12)
+    assert len(M.train(cfg, pairs[:40], pairs[40:]).records) == 1
+
+
+def test_default_blas_threads_keep_blocks_sequential(monkeypatch):
+    _workers(monkeypatch, 4)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert M._block_workers() == 1  # BLAS already takes every core
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert M._block_workers() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP's
+    assert M._block_workers() == 4
+
+
+# ---------------------------------------------------------------------------
 # divergence inside a block
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("poisoned", [0, 3, 6])
-def test_non_finite_utterance_in_a_block_restores_last_good_epoch(poisoned):
+@pytest.mark.parametrize("poisoned,pooled", [
+    pytest.param(poisoned, pooled, id=f"{poisoned}-pooled" if pooled else str(poisoned))
+    for pooled in (False, True) for poisoned in (0, 3, 6)])
+def test_non_finite_utterance_in_a_block_restores_last_good_epoch(
+        poisoned, pooled, monkeypatch):
+    if pooled:  # one utterance per block, two blocks at a time
+        monkeypatch.setattr(M, "BLOCK_FRAMES", 1)
+        pools = _workers(monkeypatch, 2)
+    threads = set(threading.enumerate())
     cfg = M.desk_config(epochs=1, batch_size=4)
     pairs = _desk_pairs(cfg, 10, 9)
     train_set, dev_set = pairs[:8], pairs[8:]
@@ -237,3 +310,5 @@ def test_non_finite_utterance_in_a_block_restores_last_good_epoch(poisoned):
     restored = result.last_model
     restored.config = cfg  # the resumed run's config differs in epochs only
     assert M.encode_checkpoint(restored) == good
+    if pooled:  # the worker's NumericError ended its pool, threads and all
+        assert pools and set(threading.enumerate()) == threads
