@@ -24,7 +24,6 @@ still added in block order.
 
 from __future__ import annotations
 
-import collections
 import ctypes
 import io
 import itertools
@@ -349,7 +348,7 @@ def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
     if op == "l2_normalize":
         return (l2_normalize_backward(args[0], grad_out),)
     if op == "neighbor_similarity":
-        return (neighbor_similarity_backward(args[0], live, cfg.kernel, grad_out,
+        return (neighbor_similarity_backward(args[0], live, out, grad_out,
                                              cfg.rectify_similarity),)
     if op == "sigmoid":
         return (sigmoid_backward(out, grad_out),)
@@ -476,19 +475,13 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
     return TdlLoss(total, bce_total, esm_losses), param_grads
 
 
-def predict(model: TdlModel, x: FeatureSequence,
-            true_labels: int | None = None) -> np.ndarray:
-    """Per-frame scores trimmed to the utterance's true label count.
-
-    When ``true_labels`` is not given it is derived from the feature
-    true length via the label/feature time ratio.
-    """
+def predict(model: TdlModel, x: FeatureSequence, true_labels: int) -> np.ndarray:
+    """Per-frame scores trimmed to the utterance's ``true_labels`` label
+    count, as ``compile_labels`` gives it."""
     scores, _, _ = forward(model, x)
-    cfg = model.config
-    if true_labels is None:
-        true_labels = (x.true_frames - 1) * cfg.label_len // cfg.t_max + 1
-    if not 0 < true_labels <= cfg.label_len:
-        raise ShapeError(f"true_labels {true_labels} outside (0, {cfg.label_len}]")
+    label_len = model.config.label_len
+    if not 0 < true_labels <= label_len:
+        raise ShapeError(f"true_labels {true_labels} outside (0, {label_len}]")
     return scores[:true_labels].copy()
 
 
@@ -744,15 +737,15 @@ def _mmap_threshold(nbytes: int) -> None:
 def _block_losses(model: TdlModel, batch):
     """(TdlLoss, parameter gradients) of each block of ``batch``, in order.
 
-    A minibatch of several blocks runs them on a thread pool, at most one
-    block per worker at a time; the caller still adds the results in
-    block order, so they do not depend on the worker count.
+    A minibatch of several blocks maps them over a thread pool, at most
+    one block per worker at a time; the results still come back in block
+    order, so they do not depend on the worker count.
     """
     blocks = list(_blocks(batch, model.config.t_max))
     workers = min(len(blocks), _block_workers())
+    run = lambda block: _loss_block(model, *_stack_block(block))
     if workers == 1:
-        for block in blocks:
-            yield _loss_block(model, *_stack_block(block))
+        yield from map(run, blocks)
         return
     _mmap_threshold(_POOL_MMAP_THRESHOLD)
     # imported here, as only a pooled minibatch needs it (and the logging
@@ -760,14 +753,7 @@ def _block_losses(model: TdlModel, batch):
     from concurrent.futures import ThreadPoolExecutor
     try:
         with ThreadPoolExecutor(workers) as pool:
-            running = collections.deque()
-            for block in blocks:
-                running.append(pool.submit(
-                    lambda b: _loss_block(model, *_stack_block(b)), block))
-                if len(running) == workers:
-                    yield running.popleft().result()
-            while running:
-                yield running.popleft().result()
+            yield from pool.map(run, blocks)
     finally:
         _mmap_threshold(_AFTER_POOL_MMAP_THRESHOLD)
 

@@ -9,8 +9,9 @@ which masks them out entirely.
 Like the ``nn`` primitives, everything here works on plain arrays of
 one utterance or a block with a leading batch axis: embeddings e
 (B, D, T) with a boolean live-frame mask (B, T) that is False on
-padding, similarity arrays a (B, k, T), tconv inputs x (B, C, T). A
-tconv layer is a plain Conv1dLayer.
+padding, similarity arrays a (B, k, T), tconv inputs x (B, C, T). The
+similarity adjoint takes the forward's a, which holds the cosine at
+every cell that passes gradient. A tconv layer is a plain Conv1dLayer.
 """
 
 from __future__ import annotations
@@ -35,23 +36,6 @@ def tconv_init(channels: int, kernel: int, rng: np.random.Generator) -> Conv1dLa
     return conv1d_init(channels, channels, kernel, rng)
 
 
-def _neighbor_cells(normed: np.ndarray, live: np.ndarray, off: int,
-                    rectify: bool):
-    """Similarity cells of frames t in [t0, t1) with frames t + off.
-
-    Returns (t0, t1, sims, valid): the cosines, accumulated channel by
-    channel and rectified when asked, and where both frames are live.
-    """
-    t_len = normed.shape[-1]
-    t0, t1 = max(0, -off), min(t_len, t_len - off)
-    sims = np.clip(_channel_dot(normed[..., t0:t1], normed[..., t0 + off:t1 + off]),
-                   -1.0, 1.0)
-    if rectify:
-        sims = np.maximum(sims, 0.0)
-    valid = live[..., t0:t1] & live[..., t0 + off:t1 + off]
-    return t0, t1, sims, valid
-
-
 def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int,
                         rectify: bool = True) -> np.ndarray:
     """a[i, t] = [S(e_t, e_{t - k//2 + i})]+ over pairs of live frames,
@@ -72,31 +56,38 @@ def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int,
         off = i - half
         if off == 0 or abs(off) >= t_len:
             continue
-        t0, t1, sims, valid = _neighbor_cells(normed, live, off, rectify)
-        a[..., i, t0:t1] = np.where(valid, sims, 0.0)
+        t0, t1 = max(0, -off), min(t_len, t_len - off)
+        n0, n1 = t0 + off, t1 + off
+        sims = np.clip(_channel_dot(normed[..., t0:t1], normed[..., n0:n1]), -1.0, 1.0)
+        if rectify:
+            sims = np.maximum(sims, 0.0)
+        a[..., i, t0:t1] = np.where(live[..., t0:t1] & live[..., n0:n1], sims, 0.0)
     return a
 
 
-def neighbor_similarity_backward(e: np.ndarray, live: np.ndarray, k: int,
+def neighbor_similarity_backward(e: np.ndarray, live: np.ndarray, a: np.ndarray,
                                  grad_a: np.ndarray,
                                  rectify: bool = True) -> np.ndarray:
-    """Gradient of the similarity cells with respect to e.
+    """Gradient of the similarity cells ``a`` of ``neighbor_similarity``
+    with respect to e.
 
-    Constant cells (center row, masked borders/padding, rectified
-    negatives) pass no gradient.
+    A cell passes gradient where both its frames are live (and, rectified,
+    where it is positive), and there it equals the cosine. Constant cells
+    (center row, masked borders/padding, rectified negatives) pass none.
     """
     normed, norms = _normalized(e)
-    half, t_len = k // 2, e.shape[-1]
+    half, t_len = a.shape[-2] // 2, e.shape[-1]
     grad = np.zeros_like(e)
-    for i in range(k):
+    for i in range(a.shape[-2]):
         off = i - half
         if off == 0 or abs(off) >= t_len:
             continue
-        # same cells as the forward pass, so the rectification mask matches
-        t0, t1, sims, active = _neighbor_cells(normed, live, off, rectify)
+        t0, t1 = max(0, -off), min(t_len, t_len - off)
+        n0, n1 = t0 + off, t1 + off
+        sims = a[..., i, t0:t1]
+        active = live[..., t0:t1] & live[..., n0:n1]
         if rectify:
             active &= sims > 0.0
-        n0, n1 = t0 + off, t1 + off
         active, sims = active[..., None, :], sims[..., None, :]
         ga = grad_a[..., None, i, t0:t1]
         u, v = normed[..., t0:t1], normed[..., n0:n1]

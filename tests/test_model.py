@@ -211,14 +211,6 @@ def test_predict_trims_to_true_labels():
     assert np.array_equal(out, scores[:3])
 
 
-def test_predict_derives_length_from_true_frames():
-    cfg = tiny_config()
-    mdl = M.build_model(cfg)
-    x = _input(cfg, np.random.default_rng(8), true_frames=6)
-    # 6 of 12 feature frames at ratio 4/12 -> floor(5*4/12)+1 = 2 labels
-    assert M.predict(mdl, x).shape == (2,)
-
-
 # ---------------------------------------------------------------------------
 # gradcheck battery
 # ---------------------------------------------------------------------------
@@ -362,7 +354,7 @@ def test_tdlc_v1_fixture_from_before_the_layer_table_still_loads():
     header = json.loads(blob[start:start + header_len])
     assert header["params"] == list(mdl.param_items())
     x = _input(mdl.config, np.random.default_rng(2024), true_frames=10)
-    np.testing.assert_allclose(M.predict(mdl, x),
+    np.testing.assert_allclose(M.predict(mdl, x, mdl.config.label_len),
                                np.load(data / "tiny_v1_scores.npy"),
                                rtol=0, atol=1e-12)
 

@@ -36,8 +36,9 @@ def _similarity(e, k, rectify=True):
 
 def _similarity_backward(e, k, grad_a, rectify=True):
     values, classes = e
-    return tconv.neighbor_similarity_backward(values, classes != PADDING, k,
-                                              grad_a, rectify)
+    return tconv.neighbor_similarity_backward(values, classes != PADDING,
+                                              _similarity(e, k, rectify), grad_a,
+                                              rectify)
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +276,17 @@ def test_similarity_backward_ignores_masked_cells():
     grad_a2 = grad_a.copy()
     grad_a2[1] *= 2.0
     assert np.array_equal(grad, _similarity_backward(e, 3, grad_a2))
+
+
+def test_similarity_backward_at_exact_zero_cosines():
+    # orthogonal neighbours: both off-center cells are cosines of exactly 0
+    values = np.array([[2.0, 0.0], [0.0, 4.0]])
+    e = (values, np.full(2, REAL, dtype=np.int8))
+    grad_a = np.array([[5.0, 1.0], [7.0, 9.0], [2.0, 3.0]])
+    assert not _similarity(e, 3, rectify=False)[[0, 2], [1, 0]].any()
+    # rectified, a cell of exactly 0 passes nothing
+    assert not _similarity_backward(e, 3, grad_a).any()
+    # unrectified, a cell passes grad_a * v / |u| to u and grad_a * u / |v| to v
+    expected = np.array([[0.0, (1.0 + 2.0) / 4], [(1.0 + 2.0) / 2, 0.0]])
+    assert np.array_equal(_similarity_backward(e, 3, grad_a, rectify=False),
+                          expected)
