@@ -10,8 +10,7 @@ exactly to a plain convolution.
 import numpy as np
 
 from tdl import neighbor_similarity, tconv_forward
-from tdl.nn import conv1d_forward, l2_normalize_forward
-from tdl.tconv import tconv_init
+from tdl.nn import conv1d_forward, conv1d_init, l2_normalize_forward
 
 rng = np.random.default_rng(2)
 t_len = 10
@@ -28,7 +27,7 @@ print("similarity matrix (rows: left neighbor / self / right neighbor):")
 print(np.array_str(a, precision=2, suppress_small=True))
 print("note the suppressed cells around the frame-5 boundary\n")
 
-layer = tconv_init(4, 3, rng)
+layer = conv1d_init(4, 4, 3, rng)
 x = rng.standard_normal((4, t_len))
 ones = np.ones((3, t_len))
 diff = np.max(np.abs(tconv_forward(layer, x, ones) - conv1d_forward(layer, x)))

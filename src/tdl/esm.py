@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FrameLabels
-from .errors import ConfigError, ShapeError, brief
+from .data import BOUNDARY1, REAL1_FAKE0, FrameLabels
+from .errors import ConfigError, ShapeError, ValidationError, brief
 
 # frame_class codes
 FAKE = 0
@@ -69,16 +69,20 @@ class EsmLoss:
 def align_labels_to_embedding(labels: FrameLabels, t_e: int) -> np.ndarray:
     """Map each embedding frame onto the label timeline.
 
-    Embedding frame t reads label index floor(t * L / t_e); label value
-    1 is treated as real and 0 as fake, and indices past true_labels are
+    Embedding frame t reads label index floor(t * L / t_e); real is label
+    1 under real1_fake0 and 0 under real0_fake1 (boundary1 labels mark
+    transitions, not classes, and raise), and indices past true_labels are
     padding. The map is exact integer arithmetic, so it is monotone with
     j(0) = 0 and j(t_e - 1) = L - 1 whenever t_e >= L.
     """
+    if labels.setting == BOUNDARY1:
+        raise ValidationError(f"{labels.sample_id}: boundary1 labels have no classes")
     if t_e < 1:
         raise ShapeError("t_e must be >= 1")
     length = labels.labels.size
     j = (np.arange(t_e) * length) // t_e
-    classes = np.where(labels.labels[j] == 1, REAL, FAKE).astype(np.int8)
+    real = 1 if labels.setting == REAL1_FAKE0 else 0
+    classes = np.where(labels.labels[j] == real, REAL, FAKE).astype(np.int8)
     classes[j >= labels.true_labels] = PADDING
     return classes
 

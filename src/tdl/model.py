@@ -110,14 +110,14 @@ class TdlConfig:
     """Network, loss, and training configuration.
 
     The config-file key for ``esm_weight`` is ``lambda``; either spelling
-    is accepted on load, but not both.
+    is accepted on load, but not both. The tconv width is feat_dim; a
+    ``tconv_channels`` key, as TDLC v1 headers carry, must equal it.
     """
 
     feat_dim: int = 1024
     t_max: int = 1050
     embed_dim: int = 32
     conv_hidden: int = 512
-    tconv_channels: int = 1024
     kernel: int = 3
     label_len: int = 132
     label_resolution_s: float = 0.16
@@ -132,7 +132,7 @@ class TdlConfig:
 
     def __post_init__(self):
         for name in ("feat_dim", "t_max", "embed_dim", "conv_hidden", "kernel",
-                     "tconv_channels", "label_len", "epochs", "batch_size"):
+                     "label_len", "epochs", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.seed < 0:
@@ -145,11 +145,6 @@ class TdlConfig:
             )
         if not self.esm_weight >= 0:  # NaN fails too
             raise ConfigError("lambda (esm_weight) must be >= 0")
-        if self.tconv_channels != self.feat_dim:
-            raise ConfigError(
-                "tconv_channels must equal feat_dim: the tconv stack runs "
-                "directly on the front-end features"
-            )
         if self.label_setting not in LABEL_SETTINGS:
             raise ConfigError(f"unknown label_setting {brief(self.label_setting)}")
         if not self.label_resolution_s > 0:
@@ -158,6 +153,7 @@ class TdlConfig:
     def to_dict(self) -> dict:
         obj = asdict(self)
         obj["lambda"] = obj.pop("esm_weight")
+        obj["tconv_channels"] = self.feat_dim
         return obj
 
     @classmethod
@@ -167,6 +163,13 @@ class TdlConfig:
             raise ConfigError("config gives both lambda and esm_weight; keep one")
         if "lambda" in obj:
             obj["esm_weight"] = obj.pop("lambda")
+        if "tconv_channels" in obj:
+            channels = obj.pop("tconv_channels")
+            feat_dim = obj.get("feat_dim", cls.feat_dim)
+            if type(channels) is not int or channels != feat_dim:
+                raise ConfigError(
+                    f"tconv_channels {brief(channels)} must equal feat_dim "
+                    f"{brief(feat_dim)}: the tconv stack runs on the features")
         return config_from_dict(cls, obj, "config")
 
 
@@ -178,7 +181,7 @@ def full_scale_config(**overrides) -> TdlConfig:
 def desk_config(**overrides) -> TdlConfig:
     """Scaled-down configuration that trains in seconds on a laptop."""
     base = dict(feat_dim=16, t_max=64, embed_dim=8, conv_hidden=16,
-                tconv_channels=16, kernel=3, label_len=16,
+                kernel=3, label_len=16,
                 optimizer=OptimizerConfig(base_lr=1e-2),
                 epochs=30, batch_size=8, seed=7)
     base.update(overrides)
@@ -202,12 +205,12 @@ NETWORK = (
     # one similarity matrix modulates both tconv layers
     ("a", "neighbor_similarity", ("e",), None, None),
     ("t1", "tconv", ("x", "a"), "tconv_1",
-     lambda c: (c.tconv_channels, c.tconv_channels, c.kernel)),
+     lambda c: (c.feat_dim, c.feat_dim, c.kernel)),
     ("h2", "relu", ("t1",), None, None),
     ("t2", "tconv", ("h2", "a"), "tconv_2",
-     lambda c: (c.tconv_channels, c.tconv_channels, c.kernel)),
+     lambda c: (c.feat_dim, c.feat_dim, c.kernel)),
     ("h3", "relu", ("t2",), None, None),
-    ("head", "conv1d", ("h3",), "conv_head", lambda c: (c.tconv_channels, 2, 1)),
+    ("head", "conv1d", ("h3",), "conv_head", lambda c: (c.feat_dim, 2, 1)),
     ("logits", "fc", ("head",), "fc", lambda c: (2 * c.t_max, c.label_len)),
     ("scores", "sigmoid", ("logits",), None, None),
 )
@@ -277,7 +280,8 @@ def param_count_table(model: TdlModel):
 def _check_pair(config: TdlConfig, seq: FeatureSequence,
                 labels: FrameLabels | None = None) -> None:
     """ShapeError unless ``seq`` has feat_dim channels padded to t_max and
-    ``labels``, when given, are padded to label_len."""
+    ``labels``, when given, are padded to label_len; ValidationError
+    unless they were compiled under the config's label_setting."""
     if seq.dim != config.feat_dim:
         raise ShapeError(
             f"{seq.sample_id}: feature dim {seq.dim} != feat_dim {config.feat_dim}"
@@ -287,11 +291,16 @@ def _check_pair(config: TdlConfig, seq: FeatureSequence,
             f"{seq.sample_id}: {seq.num_frames} frames, expected padded t_max "
             f"{config.t_max}"
         )
-    if labels is not None and labels.labels.size != config.label_len:
+    if labels is None:
+        return
+    if labels.labels.size != config.label_len:
         raise ShapeError(
             f"{labels.sample_id}: {labels.labels.size} labels != label_len "
             f"{config.label_len}"
         )
+    if labels.setting != config.label_setting:
+        raise ValidationError(f"{labels.sample_id}: {labels.setting} labels != "
+                              f"label_setting {config.label_setting}")
 
 
 def _blocks(pairs, t_max: int):
@@ -408,17 +417,6 @@ def forward(model: TdlModel, x: FeatureSequence):
     return acts["scores"][0], acts["e"][0], acts["a"][0]
 
 
-def _esm_classes(labels: FrameLabels, true_frames: int, t_len: int) -> np.ndarray:
-    """Per-frame ESM classes; all padding under boundary1, whose labels
-    mark transitions rather than authenticity."""
-    if labels.setting == BOUNDARY1:
-        return np.full(t_len, esm_mod.PADDING, dtype=np.int8)
-    classes = esm_mod.align_labels_to_embedding(labels, t_len)
-    # feature padding trumps label alignment at the tail
-    classes[true_frames:] = esm_mod.PADDING
-    return classes
-
-
 def total_loss(model: TdlModel, x: FeatureSequence, labels: FrameLabels):
     """BCE + lambda * ESM with gradients for every parameter and the input.
 
@@ -442,18 +440,19 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
     also the (B, C, T) input gradient under "input".
     """
     cfg = model.config
-    t_len = xv.shape[-1]
     acts = _forward_block(model, xv, true_frames)
 
     y = np.stack([lab.labels for lab in labels]).astype(np.float64)
-    boundary = np.array([lab.setting == BOUNDARY1 for lab in labels])
-    weights = np.where(boundary[:, None] & (y == 1), BOUNDARY_BCE_WEIGHT, 1.0)
+    boundary = cfg.label_setting == BOUNDARY1
+    weights = np.where(y == 1, BOUNDARY_BCE_WEIGHT, 1.0) if boundary else None
     bce, grad_scores = bce_loss(acts["scores"], y, weights)
     grads = {"scores": grad_scores}
 
-    if cfg.esm_weight > 0 and not boundary.all():
-        classes = np.stack([_esm_classes(lab, tf, t_len)
-                            for lab, tf in zip(labels, true_frames)])
+    if cfg.esm_weight > 0 and not boundary:
+        classes = np.stack([esm_mod.align_labels_to_embedding(lab, xv.shape[-1])
+                            for lab in labels])
+        # feature padding trumps label alignment at the tail
+        classes[~acts["live"]] = esm_mod.PADDING
         esm_losses, grad_e_esm = esm_mod.esm_loss_from_arrays(
             acts["e"], classes, cfg.esm
         )
@@ -669,15 +668,15 @@ class TrainResult:
 
 def _validate_set(config: TdlConfig, dataset, name: str,
                   both_classes: bool = False):
-    """Shape checks; with ``both_classes`` the set must also hold frames of
-    both label values, without which its EER is undefined."""
+    """_check_pair on every pair; with ``both_classes`` the set must also hold
+    frames of both label values, without which its EER is undefined."""
     if not dataset:
         raise ValidationError(f"{name} set is empty")
     for seq, labels in dataset:
         try:
             _check_pair(config, seq, labels)
-        except ShapeError as exc:
-            raise ShapeError(f"{name}: {exc}") from exc
+        except (ShapeError, ValidationError) as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
     if both_classes:
         pooled = np.concatenate([lab.labels[:lab.true_labels] for _, lab in dataset])
         if pooled.min() == pooled.max():
@@ -909,10 +908,8 @@ def train(config: TdlConfig, train_set, dev_set,
 # ---------------------------------------------------------------------------
 
 GRADCHECK_CONFIGS = {
-    "tiny": dict(feat_dim=8, t_max=12, embed_dim=4, conv_hidden=8,
-                 tconv_channels=8, label_len=4),
-    "small": dict(feat_dim=12, t_max=24, embed_dim=6, conv_hidden=12,
-                  tconv_channels=12, label_len=8),
+    "tiny": dict(feat_dim=8, t_max=12, embed_dim=4, conv_hidden=8, label_len=4),
+    "small": dict(feat_dim=12, t_max=24, embed_dim=6, conv_hidden=12, label_len=8),
 }
 
 
@@ -963,7 +960,7 @@ def _op_reports(model: TdlModel, acts: dict, labels: FrameLabels, rng,
     entries += _checked("bce", rng, tolerance,
                         lambda: float(bce_loss(scores, y)[0].sum()),
                         {"scores": scores}, {"scores": bce_loss(scores, y)[1]})
-    classes = _esm_classes(labels, e.shape[-1], e.shape[-1])[None]
+    classes = esm_mod.align_labels_to_embedding(labels, e.shape[-1])[None]
     esm_cfg = model.config.esm
     entries += _checked(
         "esm", rng, tolerance,

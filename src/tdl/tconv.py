@@ -27,13 +27,7 @@ from .nn import (
     _scatter_taps,
     _tap_param_grads,
     _taps,
-    conv1d_init,
 )
-
-
-def tconv_init(channels: int, kernel: int, rng: np.random.Generator) -> Conv1dLayer:
-    """conv1d_init's draws for a channels -> channels layer."""
-    return conv1d_init(channels, channels, kernel, rng)
 
 
 def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int,

@@ -36,7 +36,7 @@ from tdl.model import (
     predict,
     train,
 )
-from tdl.nn import conv1d_forward, l2_normalize_forward
+from tdl.nn import conv1d_forward, conv1d_init, l2_normalize_forward
 
 from oracles import eer_reference, esm_reference, majority_labels_ms, random_ms_annotation
 
@@ -53,9 +53,7 @@ def check(criterion: int, ok: bool, detail: str):
 
 def test_criterion_1_gradient_integrity():
     assert GRADCHECK_CONFIGS["tiny"] == dict(
-        feat_dim=8, t_max=12, embed_dim=4, conv_hidden=8, tconv_channels=8,
-        label_len=4,
-    )
+        feat_dim=8, t_max=12, embed_dim=4, conv_hidden=8, label_len=4)
     start = time.perf_counter()
     report = gradcheck_battery("tiny", seed=0, tolerance=1e-4)
     elapsed = time.perf_counter() - start
@@ -80,7 +78,7 @@ def test_criterion_2_modulation_identity():
         channels = int(rng.integers(1, 9))
         t_len = int(rng.integers(1, 33))
         k = int(rng.choice([1, 3, 5]))
-        layer = tconv.tconv_init(channels, k, rng)
+        layer = conv1d_init(channels, channels, k, rng)
         x = rng.standard_normal((channels, t_len))
         ones = np.ones((k, t_len))
         diff = np.max(np.abs(tconv.tconv_forward(layer, x, ones)

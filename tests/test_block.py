@@ -123,6 +123,18 @@ def test_block_loss_and_gradients_match_sum_of_single_calls(setting, weight):
         assert _rel(block_grads["input"][b], grads["input"]) <= 1e-12
 
 
+def test_esm_terms_do_not_depend_on_the_label_encoding():
+    # real1_fake0 and real0_fake1 encode the same annotations; the real
+    # frames must be the ESM's real class under both
+    losses = []
+    for setting in (REAL1_FAKE0, REAL0_FAKE1):
+        cfg = M.desk_config(seed=3, label_setting=setting)
+        block = M._stack_block(_desk_pairs(cfg, 8, 5))
+        losses.append(M._loss_block(M.build_model(cfg), *block)[0].esm)
+    assert losses[0].l_real != losses[0].l_fake
+    assert losses[0] == losses[1]
+
+
 def test_training_block_skips_the_input_gradient():
     cfg = M.desk_config()
     pairs = _desk_pairs(cfg, 4, 6)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tdl import esm
-from tdl.data import FrameLabels, REAL1_FAKE0
-from tdl.errors import ConfigError
+from tdl.data import BOUNDARY1, REAL0_FAKE1, REAL1_FAKE0, FrameLabels
+from tdl.errors import ConfigError, ValidationError
 from tdl.nn import grad_check, l2_normalize_forward
 
 from oracles import esm_reference
@@ -30,11 +30,11 @@ def _random_embedding(rng, dim, t_len, pad=0):
 # ---------------------------------------------------------------------------
 
 
-def _labels(bits, true_labels=None, resolution=0.16):
+def _labels(bits, true_labels=None, resolution=0.16, setting=REAL1_FAKE0):
     bits = np.asarray(bits, dtype=np.int8)
     return FrameLabels("t", resolution, bits,
                        bits.size if true_labels is None else true_labels,
-                       REAL1_FAKE0)
+                       setting)
 
 
 def test_align_identity_when_lengths_match():
@@ -70,6 +70,17 @@ def test_align_marks_padding():
     classes = esm.align_labels_to_embedding(labels, 8)
     assert np.array_equal(classes[:4], [esm.REAL, esm.REAL, esm.FAKE, esm.FAKE])
     assert np.all(classes[4:] == esm.PADDING)
+
+
+def test_align_classes_follow_the_label_setting():
+    # the same annotation, real frames first, in both encodings
+    want = [esm.REAL, esm.REAL, esm.FAKE, esm.FAKE, esm.PADDING, esm.PADDING]
+    for setting, bits in ((REAL1_FAKE0, [1, 0, 0]), (REAL0_FAKE1, [0, 1, 0])):
+        classes = esm.align_labels_to_embedding(
+            _labels(bits, true_labels=2, setting=setting), 6)
+        assert np.array_equal(classes, want), setting
+    with pytest.raises(ValidationError, match="boundary1"):
+        esm.align_labels_to_embedding(_labels([0, 1, 0], setting=BOUNDARY1), 6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from tdl import model as M
 from tdl.data import (
     BOUNDARY1,
+    REAL0_FAKE1,
     REAL1_FAKE0,
     FeatureSequence,
     FrameLabels,
@@ -22,7 +24,7 @@ from tdl.nn import bce_loss, count_params
 
 def tiny_config(**overrides):
     base = dict(feat_dim=8, t_max=12, embed_dim=4, conv_hidden=8,
-                tconv_channels=8, label_len=4, epochs=2, batch_size=2, seed=3)
+                label_len=4, epochs=2, batch_size=2, seed=3)
     base.update(overrides)
     return M.TdlConfig(**base)
 
@@ -79,8 +81,16 @@ def test_config_rejects_label_len_above_t_max():
 
 
 def test_config_requires_tconv_channels_equal_feat_dim():
-    with pytest.raises(ConfigError):
-        tiny_config(tconv_channels=16)
+    obj = tiny_config().to_dict()
+    assert obj["tconv_channels"] == 8
+    assert M.TdlConfig.from_dict(obj) == tiny_config()
+    for channels in (16, 8.0, True):
+        with pytest.raises(ConfigError, match="tconv_channels"):
+            M.TdlConfig.from_dict({**obj, "tconv_channels": channels})
+    with pytest.raises(ConfigError, match="tconv_channels"):
+        M.TdlConfig.from_dict({"tconv_channels": 8})  # feat_dim 1024
+    with pytest.raises(TypeError):
+        tiny_config(tconv_channels=8)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -106,7 +116,10 @@ def test_full_scale_config_shapes():
     cfg = M.full_scale_config()
     assert (cfg.feat_dim, cfg.t_max) == (1024, 1050)
     assert (cfg.conv_hidden, cfg.embed_dim) == (512, 32)
-    assert (cfg.tconv_channels, cfg.label_len) == (1024, 132)
+    assert cfg.label_len == 132
+    layers = M.shape_model(cfg).layers
+    assert [(layers[name].in_channels, layers[name].out_channels)
+            for name in ("tconv_1", "tconv_2")] == [(1024, 1024)] * 2
     assert cfg.esm_weight == 0.1 and cfg.kernel == 3
     assert cfg.optimizer.base_lr == 1e-5
     assert cfg.optimizer.halving_period_epochs == 5
@@ -384,8 +397,7 @@ def _traced_peak(fn) -> int:
 @pytest.mark.parametrize("moments", [False, True])
 def test_checkpoint_encode_save_and_load_hold_one_payload(tmp_path, moments):
     # a payload of about 3 MB, its Adam moments set or absent
-    mdl = M.build_model(M.desk_config(feat_dim=128, tconv_channels=128,
-                                      conv_hidden=64))
+    mdl = M.build_model(M.desk_config(feat_dim=128, conv_hidden=64))
     params = mdl.param_items()
     if moments:
         for name, value in params.items():
@@ -527,6 +539,24 @@ def test_train_rejects_single_class_dev_set_before_any_epoch(monkeypatch):
     monkeypatch.setattr(M, "_loss_block", no_training)
     with pytest.raises(ValidationError, match="both classes"):
         M.train(cfg, train_set, real_only)
+
+
+@pytest.mark.parametrize("set_name", ["train", "dev"])
+def test_train_rejects_a_row_of_another_label_setting_before_any_epoch(
+        monkeypatch, set_name):
+    cfg = tiny_config()
+    sets = dict(zip(("train", "dev"), _tiny_sets(cfg)))
+    seq, lab = sets[set_name][1]
+    sets[set_name][1] = (seq, FrameLabels(lab.sample_id, lab.resolution_s, lab.labels,
+                                          lab.true_labels, REAL0_FAKE1))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("an epoch ran before the label settings were checked")
+
+    monkeypatch.setattr(M, "_loss_block", no_training)
+    pattern = f"^{set_name}: {re.escape(lab.sample_id)}: real0_fake1 .*real1_fake0"
+    with pytest.raises(ValidationError, match=pattern):
+        M.train(cfg, sets["train"], sets["dev"])
 
 
 def test_train_rejects_unpadded_features():

@@ -8,6 +8,7 @@ from tdl.nn import (
     Conv1dLayer,
     conv1d_backward,
     conv1d_forward,
+    conv1d_init,
     grad_check,
     l2_normalize_backward,
     l2_normalize_forward,
@@ -26,7 +27,7 @@ def _embedding(rng, dim, t_len, n_pad=0):
 
 
 def _layer(rng, channels, k=3):
-    return tconv.tconv_init(channels, k, rng)
+    return conv1d_init(channels, channels, k, rng)
 
 
 def _similarity(e, k, rectify=True):
