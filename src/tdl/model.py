@@ -18,8 +18,10 @@ scores a whole set in blocks for dev EER and ``tdl eval``, and
 primitive computes a block one GEMM per utterance, so an utterance's
 scores do not depend on which other utterances share its block. At full
 scale a block is one utterance, and a minibatch's blocks run on a thread
-pool when single-threaded BLAS leaves cores free; their gradients are
-still added in block order.
+pool when single-threaded BLAS leaves cores free. Each conv and tconv
+row of a pooled block hands its weight gradient to the same pool as a
+task of its own, and no task waits on another; gradients are still
+added in block order.
 """
 
 from __future__ import annotations
@@ -339,16 +341,17 @@ def _op_forward(cfg: TdlConfig, op: str, layer, args, live):
 
 
 def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
-                 live, first_grad: bool):
+                 live, first_grad: bool, submit=None):
     """Adjoint of _op_forward given the gradient of its output ``out``.
 
     Returns the gradients of ``args`` (the first is None unless
-    ``first_grad``), then of the layer's weights and bias if it has one.
+    ``first_grad``), then of the layer's weights and bias if it has one;
+    with ``submit`` a conv or tconv row's are its pool task's Future.
     """
     if op == "conv1d":
-        return conv1d_backward(layer, args[0], grad_out, first_grad)
+        return conv1d_backward(layer, args[0], grad_out, first_grad, submit)
     if op == "tconv":
-        return tconv_backward(layer, args[0], args[1], grad_out, first_grad)
+        return tconv_backward(layer, args[0], args[1], grad_out, first_grad, submit)
     if op == "fc":
         gx, gw, gb = fc_backward(layer, args[0].reshape(len(args[0]), -1), grad_out)
         return gx.reshape(args[0].shape), gw, gb
@@ -372,20 +375,22 @@ def _run_rows(model: TdlModel, rows, acts: dict) -> dict:
 
 
 def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
-                   input_grad: bool) -> dict:
+                   input_grad: bool, submit=None) -> dict:
     """Walk ``rows`` in reverse from the output gradients in ``grads``.
 
     Each row's output gradient is popped and each input's gradient is
     added into ``grads``; the feature block "x" gets one only with
     ``input_grad``. Returns the parameter gradients keyed
-    "<layer>.weights" and "<layer>.bias".
+    "<layer>.weights" and "<layer>.bias". With ``submit``, an executor's,
+    each conv and tconv row submits its weight and bias gradients as one
+    task and the walk goes on; the task's Future stands under both keys.
     """
     param_grads = {}
     for out, op, inputs, layer, _ in reversed(rows):
         row_grads = _op_backward(
             model.config, op, layer and model.layers[layer],
             [acts[n] for n in inputs], acts[out], grads.pop(out),
-            acts["live"], input_grad or inputs[0] != "x")
+            acts["live"], input_grad or inputs[0] != "x", submit)
         for name, grad in zip(inputs, row_grads):
             if grad is not None:
                 grads[name] = grads[name] + grad if name in grads else grad
@@ -432,12 +437,13 @@ def total_loss(model: TdlModel, x: FeatureSequence, labels: FrameLabels):
 
 
 def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
-                input_grad: bool = False):
+                input_grad: bool = False, submit=None):
     """Loss core on a block xv (B, C, T) with one FrameLabels per utterance.
 
     Returns the block's TdlLoss, each term summed over its utterances,
     and the parameter gradients summed over them; with ``input_grad``
-    also the (B, C, T) input gradient under "input".
+    also the (B, C, T) input gradient under "input". ``submit`` leaves
+    the conv and tconv weight gradients to tasks (see _backprop_rows).
     """
     cfg = model.config
     acts = _forward_block(model, xv, true_frames)
@@ -468,7 +474,7 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
         ids = ", ".join(bad or [lab.sample_id for lab in labels])
         raise NumericError(f"{ids}: non-finite {term} loss")
 
-    param_grads = _backprop_rows(model, NETWORK, acts, grads, input_grad)
+    param_grads = _backprop_rows(model, NETWORK, acts, grads, input_grad, submit)
     if input_grad:
         param_grads["input"] = grads["x"]
     return TdlLoss(total, bce_total, esm_losses), param_grads
@@ -477,10 +483,10 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
 def predict(model: TdlModel, x: FeatureSequence, true_labels: int) -> np.ndarray:
     """Per-frame scores trimmed to the utterance's ``true_labels`` label
     count, as ``compile_labels`` gives it."""
-    scores, _, _ = forward(model, x)
     label_len = model.config.label_len
     if not 0 < true_labels <= label_len:
         raise ShapeError(f"true_labels {true_labels} outside (0, {label_len}]")
+    scores, _, _ = forward(model, x)
     return scores[:true_labels].copy()
 
 
@@ -733,16 +739,33 @@ def _mmap_threshold(nbytes: int) -> None:
         mallopt(-3, nbytes)  # M_MMAP_THRESHOLD
 
 
+def _resolved(result):
+    """A pooled block's (TdlLoss, gradients) once its rows' weight tasks
+    are done: the Future of (weights, bias) under a conv or tconv row's
+    two keys is replaced by each key's array."""
+    losses, grads = result
+    return losses, {key: grad if isinstance(grad, np.ndarray)
+                    else grad.result()[1 if key.endswith(".bias") else 0]
+                    for key, grad in grads.items()}
+
+
 def _block_losses(model: TdlModel, batch):
     """(TdlLoss, parameter gradients) of each block of ``batch``, in order.
 
     A minibatch of several blocks maps them over a thread pool, at most
-    one block per worker at a time; the results still come back in block
-    order, so they do not depend on the worker count.
+    one block per worker at a time. Each block's conv and tconv rows
+    submit their weight gradients to the same pool and go on down the
+    input-gradient chain. The pool runs tasks in the order they were
+    queued, and every block is queued when the pool starts, so a free
+    worker takes a waiting block before the weight tasks queued after
+    it. No task waits on another: this thread waits for each block and
+    then its weight tasks, in block order, so the results do not depend
+    on the worker count.
     """
     blocks = list(_blocks(batch, model.config.t_max))
     workers = min(len(blocks), _block_workers())
-    run = lambda block: _loss_block(model, *_stack_block(block))
+    run = lambda block, submit=None: _loss_block(model, *_stack_block(block),
+                                                 submit=submit)
     if workers == 1:
         yield from map(run, blocks)
         return
@@ -752,7 +775,8 @@ def _block_losses(model: TdlModel, batch):
     from concurrent.futures import ThreadPoolExecutor
     try:
         with ThreadPoolExecutor(workers) as pool:
-            yield from pool.map(run, blocks)
+            yield from map(_resolved,
+                           pool.map(lambda block: run(block, pool.submit), blocks))
     finally:
         _mmap_threshold(_AFTER_POOL_MMAP_THRESHOLD)
 
@@ -822,6 +846,11 @@ def train(config: TdlConfig, train_set, dev_set,
 
     A minibatch of several blocks runs them on a thread pool when the
     usable cores exceed the BLAS threads per call (see _block_workers).
+    The weight-gradient GEMM and bias sum of each of their conv and tconv
+    rows is a pool task too, queued behind the blocks, so a worker left
+    without a block computes them while the last block runs; no task
+    waits on another, and gradients are added in block order, so the
+    result does not depend on the worker count.
     The first such minibatch changes malloc settings for the whole
     process under glibc: the dynamic mmap threshold is switched off and
     left at _AFTER_POOL_MMAP_THRESHOLD, as glibc cannot report the

@@ -9,7 +9,8 @@ optional leading batch axis, (C, T) or (B, C, T) for the convolutions
 and (F,) or (B, F) for the dense layer. A block is computed one GEMM per
 utterance, each the same GEMM a lone utterance runs, so an utterance's
 outputs do not depend on which other utterances share its block. Weight
-and bias gradients come back summed over the block in utterance order.
+and bias gradients come back summed over the block in utterance order;
+the conv and tconv backwards can hand them to an executor as one task.
 """
 
 from __future__ import annotations
@@ -133,6 +134,17 @@ def _tap_param_grads(layer: Conv1dLayer, taps: np.ndarray,
     return grad_weights.reshape(layer.weights.shape), grad_bias
 
 
+def _input_param_grads(layer: Conv1dLayer, x: np.ndarray, grad_out: np.ndarray,
+                       scale: np.ndarray | None = None):
+    """_tap_param_grads of a row from its input x, the taps scaled by
+    ``scale`` (a tconv's similarities) when given. An executor task of it
+    holds x, not the kernel-times larger taps."""
+    taps = _taps(x, layer.kernel)
+    if scale is not None:
+        taps *= scale
+    return _tap_param_grads(layer, taps, grad_out)
+
+
 def _grad_taps(layer: Conv1dLayer, grad_out: np.ndarray) -> np.ndarray:
     """Gradient of the loss with respect to each tap, (..., kernel, C, T)."""
     g = np.matmul(_flat_weights(layer), grad_out)
@@ -165,15 +177,19 @@ def conv1d_forward(layer: Conv1dLayer, x: np.ndarray) -> np.ndarray:
 
 
 def conv1d_backward(layer: Conv1dLayer, x: np.ndarray, grad_out: np.ndarray,
-                    input_grad: bool = True):
+                    input_grad: bool = True, submit=None):
     """Adjoint of conv1d_forward; returns (grad_x, grad_weights, grad_bias).
 
-    grad_x is None when ``input_grad`` is off.
+    grad_x is None when ``input_grad`` is off. With ``submit``, an
+    executor's, the weight and bias gradients are one task submitted to
+    it, and its Future of the pair stands in for each of them.
     """
     if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
-    grad_weights, grad_bias = _tap_param_grads(layer, _taps(x, layer.kernel),
-                                               grad_out)
+    if submit is None:
+        grad_weights, grad_bias = _input_param_grads(layer, x, grad_out)
+    else:
+        grad_weights = grad_bias = submit(_input_param_grads, layer, x, grad_out)
     grad_x = _scatter_taps(_grad_taps(layer, grad_out)) if input_grad else None
     return grad_x, grad_weights, grad_bias
 

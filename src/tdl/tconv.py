@@ -24,6 +24,7 @@ from .nn import (
     Conv1dLayer,
     _apply_taps,
     _grad_taps,
+    _input_param_grads,
     _scatter_taps,
     _tap_param_grads,
     _taps,
@@ -109,9 +110,10 @@ def tconv_forward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray) -> np.ndarra
 
 
 def tconv_backward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray,
-                   grad_out: np.ndarray, input_grad: bool = True):
+                   grad_out: np.ndarray, input_grad: bool = True, submit=None):
     """Adjoints for (x, a, weights, bias); the x adjoint is None when
-    ``input_grad`` is off."""
+    ``input_grad`` is off. ``submit`` defers the weight and bias adjoints
+    to one executor task, as in conv1d_backward."""
     if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
     # grad_a reads the unscaled taps; then taps and grad_mod are scaled in
@@ -120,8 +122,12 @@ def tconv_backward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray,
     grad_mod = _grad_taps(layer, grad_out)
     grad_a = (grad_mod * taps).sum(axis=-2)
     scale = a[..., None, :]
-    taps *= scale
-    grad_weights, grad_bias = _tap_param_grads(layer, taps, grad_out)
+    if submit is None:
+        taps *= scale
+        grad_weights, grad_bias = _tap_param_grads(layer, taps, grad_out)
+    else:  # the task scales taps of its own, so these are freed here
+        grad_weights = grad_bias = submit(_input_param_grads, layer, x, grad_out,
+                                          scale)
     del taps
     grad_x = None
     if input_grad:

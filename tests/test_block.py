@@ -8,6 +8,7 @@ and the Gram-matrix ESM must equal the pair-scan oracles exactly.
 import concurrent.futures
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -260,6 +261,29 @@ def test_pooled_training_is_bit_identical_to_one_worker(per_block, monkeypatch):
     for result in runs[1:]:
         assert result.best_checkpoint == runs[0].best_checkpoint
         assert _records(result) == _records(runs[0])
+
+
+def test_pooled_rows_submit_their_weight_gradients_as_pool_tasks(monkeypatch):
+    _workers(monkeypatch, 2)
+    submitted = []
+
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append((fn, args))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    cfg = M.desk_config(batch_size=3)
+    monkeypatch.setattr(M, "BLOCK_FRAMES", cfg.t_max)  # one utterance per block
+    model = M.build_model(cfg)
+    M._minibatch_step(model, model.param_items(), _desk_pairs(cfg, 3, 13), 0)
+    # three blocks and one task per conv or tconv row of each block, whose
+    # first argument is the row's layer
+    weight_tasks = [args for fn, args in submitted if fn.__name__ == "_input_param_grads"]
+    assert len(submitted) - len(weight_tasks) == 3
+    names = {id(layer): name for name, layer in model.layers.items()}
+    rows = Counter(names[id(args[0])] for args in weight_tasks)
+    assert rows == {name: 3 for name in M.LAYERS if name != "fc"}
 
 
 def test_desk_minibatches_never_build_a_pool(monkeypatch):

@@ -224,6 +224,20 @@ def test_predict_trims_to_true_labels():
     assert np.array_equal(out, scores[:3])
 
 
+@pytest.mark.parametrize("true_labels", [0, -1, 5])
+def test_predict_rejects_a_label_count_before_the_forward(true_labels, monkeypatch):
+    cfg = tiny_config()  # label_len 4
+    mdl = M.build_model(cfg)
+    x = _input(cfg, np.random.default_rng(7))
+
+    def no_forward(*args):
+        raise AssertionError("predict ran the network on a bad true_labels")
+
+    monkeypatch.setattr(M, "_forward_block", no_forward)
+    with pytest.raises(ShapeError, match="true_labels"):
+        M.predict(mdl, x, true_labels)
+
+
 # ---------------------------------------------------------------------------
 # gradcheck battery
 # ---------------------------------------------------------------------------
