@@ -23,6 +23,7 @@ from .data import (
     load_dataset,
     load_feature_file,
     pad_features,
+    stream_dataset,
     synth_dataset,
     write_dataset,
     write_feature_file,

@@ -72,12 +72,13 @@ def _load_train_config(path) -> model_mod.TdlConfig:
 
 def _prepared(data_dir, config: model_mod.TdlConfig):
     """Yield each utterance of the dataset in ``data_dir`` as a (features,
-    labels) pair prepared for ``config``: features padded to t_max one at a
-    time, and labels compiled to label_len in one pass per block of the size
-    ``model.score_pool`` scores. The model checks each pair's shapes, the
-    feature dim included, before it runs it."""
-    features, annotations = data_mod.load_dataset(data_dir)
-    for block in model_mod._blocks(zip(features, annotations), config.t_max):
+    labels) pair prepared for ``config``. Its manifest is checked whole
+    first; then each block of the size ``model.score_pool`` scores is read
+    from disk when it is reached, its labels compiled to label_len in one
+    pass and its features padded to t_max one at a time. The model checks
+    each pair's shapes, the feature dim included, before it runs it."""
+    for block in model_mod._blocks(data_mod.stream_dataset(data_dir),
+                                   config.t_max):
         labels = data_mod.compile_labels(
             [ann for _, ann in block], config.label_resolution_s,
             config.label_len, config.label_setting)

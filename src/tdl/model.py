@@ -34,6 +34,7 @@ import math
 import os
 import platform
 import struct
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -704,13 +705,21 @@ def block_scores(model: TdlModel, block) -> list:
 
 def score_pool(model: TdlModel, pairs) -> metrics_mod.EvalPool:
     """The pooled per-frame scores and labels of prepared (features,
-    labels) ``pairs``, an iterable consumed and scored one block at a time."""
-    scores, labels = [], []
+    labels) ``pairs``, an iterable consumed and scored one block at a time.
+    Each block's frames are pooled into two arrays before the next block
+    is taken, so no per-utterance object outlives its block."""
+    scores, labels, count = [], [], 0
     for block in _blocks(pairs, model.config.t_max):
-        scores += block_scores(model, block)
-        labels += [lab for _, lab in block]
-        del block  # freed before the next is prepared: a third fewer page faults
-    return metrics_mod.pool_predictions(scores, labels)
+        pool = metrics_mod.pool_predictions(block_scores(model, block),
+                                            [lab for _, lab in block])
+        scores.append(pool.scores)
+        labels.append(pool.labels)
+        count += pool.num_utterances
+        del block, pool  # freed before the next is prepared: fewer page faults
+    if not count:
+        raise ValidationError("pool_predictions: empty input")
+    return metrics_mod.EvalPool(np.concatenate(scores), np.concatenate(labels),
+                                count)
 
 
 def dev_eer(model: TdlModel, dev_set) -> float:
@@ -756,11 +765,11 @@ def _block_losses(model: TdlModel, batch):
     one block per worker at a time. Each block's conv and tconv rows
     submit their weight gradients to the same pool and go on down the
     input-gradient chain. The pool runs tasks in the order they were
-    queued, and every block is queued when the pool starts, so a free
-    worker takes a waiting block before the weight tasks queued after
-    it. No task waits on another: this thread waits for each block and
-    then its weight tasks, in block order, so the results do not depend
-    on the worker count.
+    queued, and no block starts before every block is queued, so a free
+    worker takes a waiting block before any weight task. No task waits
+    on another task: this thread waits for each block and then its
+    weight tasks, in block order, so the results do not depend on the
+    worker count.
     """
     blocks = list(_blocks(batch, model.config.t_max))
     workers = min(len(blocks), _block_workers())
@@ -773,10 +782,18 @@ def _block_losses(model: TdlModel, batch):
     # imported here, as only a pooled minibatch needs it (and the logging
     # module it loads)
     from concurrent.futures import ThreadPoolExecutor
+    queued = threading.Event()
+
+    def run_queued(block):
+        queued.wait()
+        return run(block, pool.submit)
     try:
         with ThreadPoolExecutor(workers) as pool:
-            yield from map(_resolved,
-                           pool.map(lambda block: run(block, pool.submit), blocks))
+            try:
+                results = pool.map(run_queued, blocks)
+            finally:
+                queued.set()
+            yield from map(_resolved, results)
     finally:
         _mmap_threshold(_AFTER_POOL_MMAP_THRESHOLD)
 

@@ -6,8 +6,11 @@ and the Gram-matrix ESM must equal the pair-scan oracles exactly.
 """
 
 import concurrent.futures
+import dataclasses
 import os
 import threading
+import time
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 from tdl import esm
+from tdl import metrics
 from tdl import model as M
 from tdl.data import (
     BOUNDARY1,
@@ -87,6 +91,31 @@ def test_dev_eer_does_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(M, "BLOCK_FRAMES", 1)  # never less than one utterance
     assert len(list(M._blocks(pairs, cfg.t_max))) == 20
     assert M.dev_eer(mdl, pairs) == default
+
+
+def test_score_pool_pools_each_block_and_keeps_no_labels():
+    cfg = M.desk_config()
+    mdl = M.build_model(cfg)
+    pairs = _desk_pairs(cfg, 37, 21)
+    per_utterance = metrics.pool_predictions(
+        [M.predict(mdl, seq, lab.true_labels) for seq, lab in pairs],
+        [lab for _, lab in pairs])
+    refs, alive = [], []
+
+    def stream():  # fresh labels, so that only score_pool can keep them
+        for seq, lab in pairs:
+            alive.append(sum(ref() is not None for ref in refs))
+            lab = dataclasses.replace(lab)
+            refs.append(weakref.ref(lab))
+            yield seq, lab
+
+    pool = M.score_pool(mdl, stream())
+    assert [len(b) for b in M._blocks(pairs, cfg.t_max)] == [16, 16, 5]
+    # the labels of a scored block are gone before the next block is read
+    assert max(alive) == 15
+    assert pool.scores.tobytes() == per_utterance.scores.tobytes()
+    assert pool.labels.tobytes() == per_utterance.labels.tobytes()
+    assert pool.num_utterances == per_utterance.num_utterances == 37
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +313,32 @@ def test_pooled_rows_submit_their_weight_gradients_as_pool_tasks(monkeypatch):
     names = {id(layer): name for name, layer in model.layers.items()}
     rows = Counter(names[id(args[0])] for args in weight_tasks)
     assert rows == {name: 3 for name in M.LAYERS if name != "fc"}
+
+
+def test_every_block_is_queued_before_any_block_runs(monkeypatch):
+    _workers(monkeypatch, 2)
+    main, submitted = threading.current_thread(), []
+
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            block = threading.current_thread() is main
+            submitted.append("block" if block else "weights")
+            future = super().submit(fn, *args, **kwargs)
+            if submitted == ["block"]:
+                # a busy machine can stall this thread after the first
+                # block is queued: give that block time to queue weight tasks
+                deadline = time.monotonic() + 0.5
+                while "weights" not in submitted and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    cfg = M.desk_config(batch_size=3)
+    monkeypatch.setattr(M, "BLOCK_FRAMES", cfg.t_max)  # one utterance per block
+    model = M.build_model(cfg)
+    M._minibatch_step(model, model.param_items(), _desk_pairs(cfg, 3, 13), 0)
+    assert submitted[:3] == ["block"] * 3
+    assert submitted.count("weights") == 3 * (len(M.LAYERS) - 1)
 
 
 def test_desk_minibatches_never_build_a_pool(monkeypatch):

@@ -457,6 +457,92 @@ def test_block_eval_dim_mismatch_in_last_block_writes_no_report(tmp_path, capsys
     assert not report.exists()
 
 
+def test_eval_opens_each_file_once(tmp_path, monkeypatch, capsys):
+    from tdl import data as data_mod
+
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 20)
+    opened = []
+
+    class CountingFileIO(data_mod.FileIO):
+        def __init__(self, name, *args, **kwargs):
+            opened.append(Path(name))
+            super().__init__(name, *args, **kwargs)
+
+    monkeypatch.setattr(data_mod, "FileIO", CountingFileIO)
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(tmp_path / "r.json")]) == 0
+    samples = json.loads((test_dir / "manifest.json").read_text())["samples"]
+    expected = [test_dir / "manifest.json"] + [
+        test_dir / entry[key] for entry in samples
+        for key in ("features", "annotations")]
+    assert opened == expected
+    capsys.readouterr()
+
+
+def _truncated(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4])
+    return f"{path}: payload is {len(raw) - 24} bytes, expected {len(raw) - 20}"
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    return (f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+            "position 0: invalid start byte")
+
+
+def _bad_json(path):
+    text = path.read_text(encoding="utf-8")[:-3]
+    path.write_text(text, encoding="utf-8")
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return f"{path}: invalid JSON: {exc}"
+    raise AssertionError("cut annotation still parses")
+
+
+_LATE_DAMAGE = {"truncated-tdlf": ("features", _truncated),
+                "not-utf8-annotation": ("annotations", _not_utf8),
+                "bad-json-annotation": ("annotations", _bad_json)}
+
+
+@pytest.fixture(scope="module")
+def late_error_corpus(tmp_path_factory):
+    """A 37-utterance desk corpus (three blocks), a checkpoint and a report
+    of the intact corpus, shared read-only by the late-error cases."""
+    tmp = tmp_path_factory.mktemp("late")
+    test_dir, checkpoint = _eval_corpus(tmp, [16] * 37)
+    report = tmp / "good.json"
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(report)]) == 0
+    return test_dir, checkpoint, report.read_bytes()
+
+
+@pytest.mark.parametrize("position", [0, 18, 36], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("damage", sorted(_LATE_DAMAGE))
+def test_bad_file_late_in_the_stream_exits_one_and_writes_no_report(
+        tmp_path, late_error_corpus, capsys, damage, position):
+    import shutil
+
+    source, checkpoint, good_report = late_error_corpus
+    test_dir = tmp_path / "test"
+    shutil.copytree(source, test_dir)
+    key, damage_fn = _LATE_DAMAGE[damage]
+    entry = json.loads((test_dir / "manifest.json").read_text())["samples"][position]
+    message = damage_fn(test_dir / entry[key])
+    out = tmp_path / "out"
+    out.mkdir()
+    previous = out / "previous.json"
+    previous.write_bytes(good_report)
+    capsys.readouterr()
+    for report in (out / "new.json", previous):
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                         str(test_dir), "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert previous.read_bytes() == good_report
+    assert sorted(p.name for p in out.iterdir()) == ["previous.json"]
+
+
 # ---------------------------------------------------------------------------
 # unreadable inputs
 # ---------------------------------------------------------------------------

@@ -209,6 +209,34 @@ def test_feature_file_raises_only_tdl_errors(raw):
         _decodes_or_tdl_error(load_feature_file, path)
 
 
+@st.composite
+def damaged_files(draw):
+    """(sample index, manifest key, new bytes or None, cut): one sample's
+    feature or annotation file, replaced, or else cut to ``cut`` bytes."""
+    key = draw(st.sampled_from(["features", "annotations"]))
+    if key == "features":
+        new = st.binary(max_size=64) | tdlf_files()
+    else:
+        new = st.binary(max_size=32) | (json_values | annotation_like).map(
+            lambda obj: json.dumps(obj).encode())
+    return (draw(st.integers(0, 2)), key, draw(st.none() | new),
+            draw(st.integers(0, 4000)))
+
+
+@FUZZ
+@given(damaged_files())
+def test_streamed_eval_raises_only_tdl_errors(damage):
+    index, key, new, cut = damage
+    cfg = M.desk_config()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, *synth_dataset(desk_benchmark_spec(3), 0))
+        entry = json.loads((Path(tmp) / "manifest.json").read_text())["samples"][index]
+        path = Path(tmp) / entry[key]
+        path.write_bytes(path.read_bytes()[:cut] if new is None else new)
+        _decodes_or_tdl_error(
+            lambda: M.score_pool(M.build_model(cfg), cli._prepared(tmp, cfg)))
+
+
 # ---------------------------------------------------------------------------
 # numbers the strategies do not reach
 # ---------------------------------------------------------------------------
