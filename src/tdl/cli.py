@@ -178,8 +178,8 @@ def run_eval(args) -> int:
 def run_stats(args) -> int:
     _print_resolved({"data": str(args.data), "resolution_s": args.resolution},
                     "none")
-    _, annotations = data_mod.load_dataset(args.data)
-    stats = data_mod.dataset_stats(annotations, args.resolution)
+    stats = data_mod.dataset_stats(
+        (ann for _, ann in data_mod.stream_dataset(args.data)), args.resolution)
     print(f"{'subset':>12} {'frame-level':>12} {'utterance-level':>16}")
     print(f"{Path(str(args.data)).name:>12} {stats.frame_fake_pct:>12.2f} "
           f"{stats.utterance_fake_pct:>16.2f}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BOUNDARY1, REAL1_FAKE0, FrameLabels
-from .errors import ConfigError, ShapeError, ValidationError, brief
+from .errors import ConfigError, ShapeError, ValidationError
 
 # frame_class codes
 FAKE = 0
@@ -31,12 +31,10 @@ _COS_EPS = 1e-12
 
 @dataclass
 class EsmConfig:
-    """Margins and optional pair-sampling budget for the hinge losses."""
+    """Margins of the hinge losses."""
 
     tau_same: float = 0.9
     tau_diff: float = 0.0
-    pair_budget: int | None = None
-    sample_seed: int = 0
 
     def __post_init__(self):
         if not -1.0 < self.tau_same <= 1.0:
@@ -48,11 +46,6 @@ class EsmConfig:
                 f"tau_same {self.tau_same} must exceed tau_diff {self.tau_diff}; "
                 "the margins are jointly unsatisfiable otherwise"
             )
-        if self.pair_budget is not None and self.pair_budget < 1:
-            raise ConfigError("pair_budget must be positive when set")
-        if self.sample_seed < 0:
-            raise ConfigError(
-                f"sample_seed {brief(self.sample_seed)} must be non-negative")
 
 
 @dataclass
@@ -124,47 +117,15 @@ def _gram(normed: np.ndarray) -> np.ndarray:
     return np.clip(gram, -1.0, 1.0, out=gram)
 
 
-def _keep_only(mask: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
-    mask[...] = False
-    mask[xs, ys] = True
-
-
-def _sample_pairs(masks, b: int, real_idx: np.ndarray, fake_idx: np.ndarray,
-                  cfg: EsmConfig) -> None:
-    """Cut utterance b's pair sets down to ``pair_budget`` seeded samples.
-
-    Pairs are numbered in lexicographic order; each term with more pairs
-    than the budget draws a sorted sample from one ``sample_seed`` stream
-    per utterance, in the order real, fake, cross.
-    """
-    rng = np.random.default_rng(cfg.sample_seed)
-    for mask, idx in ((masks[0], real_idx), (masks[1], fake_idx)):
-        count = idx.size * (idx.size - 1) // 2
-        if count > cfg.pair_budget:
-            keep = np.sort(rng.choice(count, size=cfg.pair_budget, replace=False))
-            pi, pj = np.triu_indices(idx.size, k=1)
-            _keep_only(mask[b], idx[pi[keep]], idx[pj[keep]])
-    total = real_idx.size * fake_idx.size
-    if total > cfg.pair_budget:
-        flat = np.sort(rng.choice(total, size=cfg.pair_budget, replace=False))
-        _keep_only(masks[2][b], real_idx[flat // fake_idx.size],
-                   fake_idx[flat % fake_idx.size])
-
-
-def _candidate_pairs(frame_class: np.ndarray, cfg: EsmConfig):
+def _candidate_pairs(frame_class: np.ndarray):
     """(B, T, T) masks of the pairs each term scans: real-real and fake-fake
     pairs x < y, and cross pairs (real x, fake y)."""
     real = frame_class == REAL
     fake = frame_class == FAKE
     upper = np.triu(np.ones((frame_class.shape[-1],) * 2, dtype=bool), k=1)
-    masks = (real[:, :, None] & real[:, None, :] & upper,
-             fake[:, :, None] & fake[:, None, :] & upper,
-             real[:, :, None] & fake[:, None, :])
-    if cfg.pair_budget is not None:
-        for b in range(frame_class.shape[0]):
-            _sample_pairs(masks, b, np.nonzero(real[b])[0], np.nonzero(fake[b])[0],
-                          cfg)
-    return masks
+    return (real[:, :, None] & real[:, None, :] & upper,
+            fake[:, :, None] & fake[:, None, :] & upper,
+            real[:, :, None] & fake[:, None, :])
 
 
 def _pair_sims(gram: np.ndarray, candidates: np.ndarray, fill: float) -> np.ndarray:
@@ -196,7 +157,7 @@ def _components(values: np.ndarray, frame_class: np.ndarray, cfg: EsmConfig):
     """
     normed, norms = _normalized(values)
     gram = _gram(normed)
-    real, fake, cross = _candidate_pairs(frame_class, cfg)
+    real, fake, cross = _candidate_pairs(frame_class)
     worst = (_worst_pairs(gram, real, True), _worst_pairs(gram, fake, True),
              _worst_pairs(gram, cross, False))
     losses = np.stack([np.maximum(0.0, cfg.tau_same - worst[0][0]),

@@ -107,6 +107,13 @@ _AFTER_POOL_MMAP_THRESHOLD = 16 << 20
 _STREAM_INIT = 1
 _STREAM_BATCH = 2
 
+# Keys of deleted settings as (section, key, value): TDLC v1 headers
+# carry each at its one remaining value, which to_dict still writes and
+# from_dict alone accepts.
+_RETIRED_KEYS = ((None, "rectify_similarity", True),
+                 ("esm", "pair_budget", None),
+                 ("esm", "sample_seed", 0))
+
 
 @dataclass
 class TdlConfig:
@@ -114,7 +121,8 @@ class TdlConfig:
 
     The config-file key for ``esm_weight`` is ``lambda``; either spelling
     is accepted on load, but not both. The tconv width is feat_dim; a
-    ``tconv_channels`` key, as TDLC v1 headers carry, must equal it.
+    ``tconv_channels`` key, as TDLC v1 headers carry, must equal it, and
+    each key of ``_RETIRED_KEYS`` must hold its v1 value.
     """
 
     feat_dim: int = 1024
@@ -127,7 +135,6 @@ class TdlConfig:
     label_setting: str = REAL1_FAKE0
     esm: EsmConfig = field(default_factory=EsmConfig)
     esm_weight: float = 0.1
-    rectify_similarity: bool = True
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     epochs: int = 100
     batch_size: int = 8
@@ -157,11 +164,24 @@ class TdlConfig:
         obj = asdict(self)
         obj["lambda"] = obj.pop("esm_weight")
         obj["tconv_channels"] = self.feat_dim
+        for section, key, value in _RETIRED_KEYS:
+            (obj[section] if section else obj)[key] = value
         return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TdlConfig":
         obj = dict(obj)
+        if isinstance(obj.get("esm"), dict):
+            obj["esm"] = dict(obj["esm"])  # retired keys are popped from copies
+        for section, key, value in _RETIRED_KEYS:
+            where = obj.get(section) if section else obj
+            if isinstance(where, dict) and key in where:
+                given = where.pop(key)
+                if type(given) is not type(value) or given != value:
+                    name = f"{section}.{key}" if section else key
+                    raise ConfigError(
+                        f"{name} {brief(given)} is retired: only its TDLC v1 "
+                        f"value {json.dumps(value)} is accepted")
         if "lambda" in obj and "esm_weight" in obj:
             raise ConfigError("config gives both lambda and esm_weight; keep one")
         if "lambda" in obj:
@@ -336,13 +356,13 @@ def _op_forward(cfg: TdlConfig, op: str, layer, args, live):
     if op == "l2_normalize":
         return l2_normalize_forward(args[0])
     if op == "neighbor_similarity":
-        return neighbor_similarity(args[0], live, cfg.kernel, cfg.rectify_similarity)
+        return neighbor_similarity(args[0], live, cfg.kernel)
     if op == "sigmoid":
         return sigmoid_forward(args[0])
 
 
-def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
-                 live, first_grad: bool, submit=None):
+def _op_backward(op: str, layer, args, out, grad_out, live, first_grad: bool,
+                 submit=None):
     """Adjoint of _op_forward given the gradient of its output ``out``.
 
     Returns the gradients of ``args`` (the first is None unless
@@ -361,8 +381,7 @@ def _op_backward(cfg: TdlConfig, op: str, layer, args, out, grad_out,
     if op == "l2_normalize":
         return (l2_normalize_backward(args[0], grad_out),)
     if op == "neighbor_similarity":
-        return (neighbor_similarity_backward(args[0], live, out, grad_out,
-                                             cfg.rectify_similarity),)
+        return (neighbor_similarity_backward(args[0], live, out, grad_out),)
     if op == "sigmoid":
         return (sigmoid_backward(out, grad_out),)
 
@@ -389,9 +408,9 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
     param_grads = {}
     for out, op, inputs, layer, _ in reversed(rows):
         row_grads = _op_backward(
-            model.config, op, layer and model.layers[layer],
-            [acts[n] for n in inputs], acts[out], grads.pop(out),
-            acts["live"], input_grad or inputs[0] != "x", submit)
+            op, layer and model.layers[layer], [acts[n] for n in inputs],
+            acts[out], grads.pop(out), acts["live"], input_grad or inputs[0] != "x",
+            submit)
         for name, grad in zip(inputs, row_grads):
             if grad is not None:
                 grads[name] = grads[name] + grad if name in grads else grad

@@ -31,15 +31,13 @@ from .nn import (
 )
 
 
-def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int,
-                        rectify: bool = True) -> np.ndarray:
+def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int) -> np.ndarray:
     """a[i, t] = [S(e_t, e_{t - k//2 + i})]+ over pairs of live frames,
     as a (..., k, T) array.
 
     The center row is exactly 1 on live frames (cosine self-similarity
     is scale invariant, so its gradient is zero and the constant is
-    exact). With ``rectify`` off, negative similarities are kept instead
-    of clipped.
+    exact).
     """
     if k % 2 != 1:
         raise ConfigError(f"neighbor kernel must be odd, got {k}")
@@ -54,21 +52,19 @@ def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int,
         t0, t1 = max(0, -off), min(t_len, t_len - off)
         n0, n1 = t0 + off, t1 + off
         sims = np.clip(_channel_dot(normed[..., t0:t1], normed[..., n0:n1]), -1.0, 1.0)
-        if rectify:
-            sims = np.maximum(sims, 0.0)
+        sims = np.maximum(sims, 0.0)  # np.clip(..., 0, 1) would leave -0.0 cells
         a[..., i, t0:t1] = np.where(live[..., t0:t1] & live[..., n0:n1], sims, 0.0)
     return a
 
 
 def neighbor_similarity_backward(e: np.ndarray, live: np.ndarray, a: np.ndarray,
-                                 grad_a: np.ndarray,
-                                 rectify: bool = True) -> np.ndarray:
+                                 grad_a: np.ndarray) -> np.ndarray:
     """Gradient of the similarity cells ``a`` of ``neighbor_similarity``
     with respect to e.
 
-    A cell passes gradient where both its frames are live (and, rectified,
-    where it is positive), and there it equals the cosine. Constant cells
-    (center row, masked borders/padding, rectified negatives) pass none.
+    A cell passes gradient where both its frames are live and it is
+    positive, and there it equals the cosine. Constant cells (center row,
+    masked borders/padding, rectified negatives) pass none.
     """
     normed, norms = _normalized(e)
     half, t_len = a.shape[-2] // 2, e.shape[-1]
@@ -80,10 +76,8 @@ def neighbor_similarity_backward(e: np.ndarray, live: np.ndarray, a: np.ndarray,
         t0, t1 = max(0, -off), min(t_len, t_len - off)
         n0, n1 = t0 + off, t1 + off
         sims = a[..., i, t0:t1]
-        active = live[..., t0:t1] & live[..., n0:n1]
-        if rectify:
-            active &= sims > 0.0
-        active, sims = active[..., None, :], sims[..., None, :]
+        active = (live[..., t0:t1] & live[..., n0:n1] & (sims > 0.0))[..., None, :]
+        sims = sims[..., None, :]
         ga = grad_a[..., None, i, t0:t1]
         u, v = normed[..., t0:t1], normed[..., n0:n1]
         # each t (and each n = t + off) appears once per offset

@@ -86,7 +86,7 @@ def esm_reference(values, classes, tau_same, tau_diff):
     return l_real, l_fake, l_diff
 
 
-def neighbor_similarity_reference(values, classes, k, rectify=True):
+def neighbor_similarity_reference(values, classes, k):
     """Per-cell cosine computation for the similarity matrix."""
     t_len = values.shape[1]
     half = k // 2
@@ -101,8 +101,7 @@ def neighbor_similarity_reference(values, classes, k, rectify=True):
             if n == t:
                 a[i, t] = 1.0
                 continue
-            s = cosine_reference(values, t, n)
-            a[i, t] = max(s, 0.0) if rectify else s
+            a[i, t] = max(cosine_reference(values, t, n), 0.0)
     return a
 
 
@@ -177,43 +176,3 @@ def random_ms_annotation(rng, sample_id="rnd", max_ms=4000):
         label = "real" if rng.random() < 0.5 else "fake"
         segs.append(Segment(lo / 1000.0, hi / 1000.0, label))
     return SegmentAnnotation(sample_id, dur_ms / 1000.0, segs)
-
-
-def esm_sampled_reference(values, classes, tau_same, tau_diff, budget, seed):
-    """Hinge components over seeded pair samples, scanned pair by pair.
-
-    Pairs are numbered lexicographically: (i, j) with i < j within a
-    class, (r, f) over real x fake. A term with more pairs than ``budget``
-    keeps a sorted sample of ``budget`` pair numbers drawn without
-    replacement from one generator seeded with ``seed``, drawn for the
-    real, fake and cross terms in that order.
-    """
-    rng = np.random.default_rng(seed)
-    t_len = values.shape[1]
-    real = [t for t in range(t_len) if classes[t] == 1]
-    fake = [t for t in range(t_len) if classes[t] == 0]
-
-    def sample(pairs):
-        if len(pairs) > budget:
-            keep = np.sort(rng.choice(len(pairs), size=budget, replace=False))
-            return [pairs[k] for k in keep]
-        return pairs
-
-    def same_pairs(idx):
-        return [(idx[i], idx[j]) for i in range(len(idx))
-                for j in range(i + 1, len(idx))]
-
-    real_pairs = sample(same_pairs(real))
-    fake_pairs = sample(same_pairs(fake))
-    cross_pairs = sample([(r, f) for r in real for f in fake])
-
-    def same_loss(pairs):
-        worst = 0.0
-        for x, y in pairs:
-            worst = max(worst, max(0.0, tau_same - cosine_reference(values, x, y)))
-        return worst
-
-    l_diff = 0.0
-    for r, f in cross_pairs:
-        l_diff = max(l_diff, max(0.0, cosine_reference(values, r, f) - tau_diff))
-    return same_loss(real_pairs), same_loss(fake_pairs), l_diff

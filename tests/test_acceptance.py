@@ -111,7 +111,7 @@ def test_criterion_3_esm_brute_force_equivalence():
             mismatches += 1
     check(3, mismatches == 0,
           f"200 random embeddings, {mismatches} brute-force mismatches "
-          "(exact equality, pair_budget unset)")
+          "(exact equality, every pair scanned)")
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,31 @@ def test_stats_reports_corpus_composition(tmp_path, synth_spec_file, capsys):
     assert "frame-level" in stdout and "utterance-level" in stdout
 
 
+def test_stats_holds_one_feature_file_at_a_time(tmp_path, synth_spec_file,
+                                                monkeypatch, capsys):
+    import weakref
+
+    from tdl import data as data_mod
+
+    out = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
+    refs, alive = [], []
+    real_load = data_mod.load_feature_file
+
+    def tracked_load(path):
+        alive.append(sum(ref() is not None for ref in refs))
+        seq = real_load(path)
+        refs.append(weakref.ref(seq))
+        return seq
+
+    monkeypatch.setattr(data_mod, "load_feature_file", tracked_load)
+    capsys.readouterr()
+    assert cli.main(["stats", "--data", str(out)]) == 0
+    assert "utterances: 8" in capsys.readouterr().out
+    # every feature file is still read and checked, but only the last
+    # sample's matrix is alive when the next file is read
+    assert len(refs) == 8 and max(alive) <= 1
+
+
 def test_stats_missing_manifest_exits_one(tmp_path, capsys):
     assert cli.main(["stats", "--data", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err

@@ -220,32 +220,8 @@ def test_gradient_matches_finite_differences():
     assert report.passed, report.worst()
 
 
-def test_pair_budget_deterministic_and_bounded():
-    rng = np.random.default_rng(11)
-    e = _random_embedding(rng, 4, 40)
-    cfg = esm.EsmConfig(pair_budget=20, sample_seed=3)
-    a, _ = _loss(*e, cfg)
-    b, _ = _loss(*e, cfg)
-    assert (a.l_real, a.l_fake, a.l_diff) == (b.l_real, b.l_fake, b.l_diff)
-    full, _ = _loss(*e, esm.EsmConfig())
-    # a sampled max never exceeds the exhaustive max
-    assert a.l_real <= full.l_real and a.l_fake <= full.l_fake
-    assert a.l_diff <= full.l_diff
-
-
-def test_large_pair_budget_equals_exhaustive():
-    rng = np.random.default_rng(12)
-    e = _random_embedding(rng, 4, 20)
-    capped, _ = _loss(*e, esm.EsmConfig(pair_budget=10 ** 6))
-    full, _ = _loss(*e, esm.EsmConfig())
-    assert (capped.l_real, capped.l_fake, capped.l_diff) == \
-        (full.l_real, full.l_fake, full.l_diff)
-
-
 def test_config_rejects_unusable_margins():
     with pytest.raises(ConfigError):
         esm.EsmConfig(tau_same=0.0, tau_diff=0.5)
     with pytest.raises(ConfigError):
         esm.EsmConfig(tau_same=1.5)
-    with pytest.raises(ConfigError):
-        esm.EsmConfig(pair_budget=0)

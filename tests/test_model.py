@@ -93,6 +93,32 @@ def test_config_requires_tconv_channels_equal_feat_dim():
         tiny_config(tconv_channels=8)
 
 
+def test_retired_keys_load_only_at_their_v1_values():
+    obj = tiny_config().to_dict()
+    assert obj["rectify_similarity"] is True
+    assert obj["esm"]["pair_budget"] is None and obj["esm"]["sample_seed"] == 0
+    snapshot = json.dumps(obj)
+    assert M.TdlConfig.from_dict(obj).to_dict() == obj
+    assert json.dumps(obj) == snapshot  # neither obj nor obj["esm"] was touched
+    for key, bad in (("rectify_similarity", False), ("rectify_similarity", 1),
+                     ("esm.pair_budget", 4), ("esm.pair_budget", 0),
+                     ("esm.sample_seed", 3), ("esm.sample_seed", False),
+                     ("esm.sample_seed", 0.0), ("esm.sample_seed", None)):
+        section, _, name = key.rpartition(".")
+        wrong = json.loads(snapshot)
+        (wrong[section] if section else wrong)[name] = bad
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            M.TdlConfig.from_dict(wrong)
+    # absent keys, and a non-object esm section, go to the usual checks
+    assert M.TdlConfig.from_dict({}) == M.TdlConfig()
+    with pytest.raises(ConfigError, match="config.esm must be a JSON object"):
+        M.TdlConfig.from_dict({"esm": 5})
+    with pytest.raises(TypeError):
+        tiny_config(rectify_similarity=True)
+    with pytest.raises(TypeError):
+        M.EsmConfig(pair_budget=None)
+
+
 @pytest.mark.parametrize("key, value", [
     ("esm_weight", -0.1), ("esm_weight", float("nan")),
     ("label_resolution_s", 0.0), ("label_resolution_s", float("nan")),

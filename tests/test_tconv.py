@@ -30,16 +30,15 @@ def _layer(rng, channels, k=3):
     return conv1d_init(channels, channels, k, rng)
 
 
-def _similarity(e, k, rectify=True):
+def _similarity(e, k):
     values, classes = e
-    return tconv.neighbor_similarity(values, classes != PADDING, k, rectify)
+    return tconv.neighbor_similarity(values, classes != PADDING, k)
 
 
-def _similarity_backward(e, k, grad_a, rectify=True):
+def _similarity_backward(e, k, grad_a):
     values, classes = e
     return tconv.neighbor_similarity_backward(values, classes != PADDING,
-                                              _similarity(e, k, rectify), grad_a,
-                                              rectify)
+                                              _similarity(e, k), grad_a)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +90,6 @@ def test_rectification_clips_negative_similarity():
     e = (values, np.full(2, REAL, dtype=np.int8))
     a = _similarity(e, 3)
     assert a[2, 0] == 0.0 and a[0, 1] == 0.0
-    raw = _similarity(e, 3, rectify=False)
-    assert raw[2, 0] == -1.0 and raw[0, 1] == -1.0
 
 
 def test_similarity_values_bounded():
@@ -237,8 +234,7 @@ def test_backward_with_ones_matches_conv_backward():
     assert np.array_equal(gb, cb)
 
 
-@pytest.mark.parametrize("rectify", [True, False])
-def test_full_chain_finite_difference(rectify):
+def test_full_chain_finite_difference():
     rng = np.random.default_rng(13)
     layer = _layer(rng, 6)
     x = rng.standard_normal((6, 9))
@@ -249,14 +245,13 @@ def test_full_chain_finite_difference(rectify):
 
     def scalar():
         e = (l2_normalize_forward(raw_e), classes)
-        a = _similarity(e, 3, rectify)
+        a = _similarity(e, 3)
         return float(np.sum(tconv.tconv_forward(layer, x, a) * proj))
 
     e = (l2_normalize_forward(raw_e), classes)
-    a = _similarity(e, 3, rectify)
-    assert rectify or (a < 0).any()  # the unrectified branch is exercised
+    a = _similarity(e, 3)
     gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, proj)
-    ge = l2_normalize_backward(raw_e, _similarity_backward(e, 3, ga, rectify))
+    ge = l2_normalize_backward(raw_e, _similarity_backward(e, 3, ga))
     report = grad_check(
         scalar,
         {"x": x, "e": raw_e, "w": layer.weights, "b": layer.bias},
@@ -284,10 +279,6 @@ def test_similarity_backward_at_exact_zero_cosines():
     values = np.array([[2.0, 0.0], [0.0, 4.0]])
     e = (values, np.full(2, REAL, dtype=np.int8))
     grad_a = np.array([[5.0, 1.0], [7.0, 9.0], [2.0, 3.0]])
-    assert not _similarity(e, 3, rectify=False)[[0, 2], [1, 0]].any()
-    # rectified, a cell of exactly 0 passes nothing
+    assert not _similarity(e, 3)[[0, 2], [1, 0]].any()
+    # a cell of exactly 0 passes nothing
     assert not _similarity_backward(e, 3, grad_a).any()
-    # unrectified, a cell passes grad_a * v / |u| to u and grad_a * u / |v| to v
-    expected = np.array([[0.0, (1.0 + 2.0) / 4], [(1.0 + 2.0) / 2, 0.0]])
-    assert np.array_equal(_similarity_backward(e, 3, grad_a, rectify=False),
-                          expected)
