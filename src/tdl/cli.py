@@ -1,10 +1,10 @@
 """Command-line entry points: synth, train, eval, stats, gradcheck, params.
 
-Exit codes: 0 success, 1 validation/config error, 2 numeric failure
-(training divergence or a failed gradient check). Every run prints its
-resolved configuration and seed before doing work; given the same seed,
-config, and inputs, runs with one BLAS thread are bit-reproducible at any
-core count.
+Exit codes: 0 success, 1 validation/config error or an input too large
+for memory, 2 numeric failure (training divergence or a failed gradient
+check). Every run prints its resolved configuration and seed before
+doing work; given the same seed, config, and inputs, runs with one BLAS
+thread are bit-reproducible at any core count.
 """
 
 from __future__ import annotations
@@ -280,6 +280,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -5,7 +5,8 @@ branch (conv_a, relu, conv_b, l2 normalize) whose neighbor similarities
 modulate two tconv layers over the features, then a k=1 conv head, fc
 and sigmoid that score every label frame. Time length is preserved up
 to the fc. Forward, backward, layer construction, parameter and
-checkpoint order, and the gradient-check battery all loop over its rows.
+checkpoint order, and the gradient-check battery all loop over its rows,
+and ``OPS`` gives each row's op its forward, backward and layer init.
 
 Total loss is BCE(scores, labels) plus ``esm_weight`` times the
 embedding-separation loss; gradients flow through both the hinge terms
@@ -186,14 +187,14 @@ class TdlConfig:
             raise ConfigError("config gives both lambda and esm_weight; keep one")
         if "lambda" in obj:
             obj["esm_weight"] = obj.pop("lambda")
-        if "tconv_channels" in obj:
-            channels = obj.pop("tconv_channels")
-            feat_dim = obj.get("feat_dim", cls.feat_dim)
-            if type(channels) is not int or channels != feat_dim:
-                raise ConfigError(
-                    f"tconv_channels {brief(channels)} must equal feat_dim "
-                    f"{brief(feat_dim)}: the tconv stack runs on the features")
-        return config_from_dict(cls, obj, "config")
+        has_channels = "tconv_channels" in obj
+        channels = obj.pop("tconv_channels", None)
+        config = config_from_dict(cls, obj, "config")  # types feat_dim first
+        if has_channels and (type(channels) is not int or channels != config.feat_dim):
+            raise ConfigError(
+                f"tconv_channels {brief(channels)} must equal feat_dim "
+                f"{brief(config.feat_dim)}: the tconv stack runs on the features")
+        return config
 
 
 def full_scale_config(**overrides) -> TdlConfig:
@@ -240,6 +241,42 @@ NETWORK = (
 LAYERS = tuple(row[3] for row in NETWORK if row[3] is not None)
 
 
+def _fc_backward(layer, x, grad_out):
+    gx, gw, gb = fc_backward(layer, x.reshape(len(x), -1), grad_out)
+    return gx.reshape(x.shape), gw, gb
+
+
+# Each NETWORK op's (forward, backward), plus the init of a layer op.
+# forward(config, layer, args, live) is the row's output on its inputs
+# ``args``. backward(layer, args, out, grad_out, live, first_grad, submit)
+# returns the gradients of ``args`` (the first is None unless
+# ``first_grad``), then of the layer's weights and bias if it has one;
+# with ``submit`` a conv or tconv row's are its pool task's Future.
+# init(*dims, rng) builds the layer. Entries look each primitive up as a
+# tdl.model global when called, as bench/probes.py patches it there.
+OPS = {
+    "conv1d": (lambda c, w, a, live: conv1d_forward(w, a[0]),
+               lambda w, a, out, g, live, *r: conv1d_backward(w, a[0], g, *r),
+               conv1d_init),
+    "tconv": (lambda c, w, a, live: tconv_forward(w, a[0], a[1]),
+              lambda w, a, out, g, live, *r: tconv_backward(w, a[0], a[1], g, *r),
+              conv1d_init),
+    "fc": (lambda c, w, a, live: fc_forward(w, a[0].reshape(len(a[0]), -1)),
+           lambda w, a, out, g, *_: _fc_backward(w, a[0], g),
+           fc_init),
+    "relu": (lambda c, w, a, live: relu_forward(a[0]),
+             lambda w, a, out, g, *_: (relu_backward(a[0], g),)),
+    "l2_normalize": (lambda c, w, a, live: l2_normalize_forward(a[0]),
+                     lambda w, a, out, g, *_: (l2_normalize_backward(a[0], g),)),
+    "neighbor_similarity": (
+        lambda c, w, a, live: neighbor_similarity(a[0], live, c.kernel),
+        lambda w, a, out, g, live, *_:
+            (neighbor_similarity_backward(a[0], live, out, g),)),
+    "sigmoid": (lambda c, w, a, live: sigmoid_forward(a[0]),
+                lambda w, a, out, g, *_: (sigmoid_backward(out, g),)),
+}
+
+
 @dataclass
 class TdlModel:
     config: TdlConfig
@@ -267,7 +304,7 @@ def build_model(config: TdlConfig, rng=None) -> TdlModel:
     ``rng`` replaces the seeded init stream."""
     if rng is None:
         rng = np.random.default_rng([config.seed, _STREAM_INIT])
-    layers = {layer: (fc_init if op == "fc" else conv1d_init)(*dims(config), rng)
+    layers = {layer: OPS[op][2](*dims(config), rng)
               for _, op, _, layer, dims in NETWORK if layer is not None}
     return TdlModel(config=config, layers=layers, adam=AdamState())
 
@@ -343,54 +380,11 @@ def _stack_block(pairs):
     return xv, [seq.true_frames for seq, _ in pairs], [lab for _, lab in pairs]
 
 
-def _op_forward(cfg: TdlConfig, op: str, layer, args, live):
-    """Output of NETWORK primitive ``op`` of ``layer`` (or None) on ``args``."""
-    if op == "conv1d":
-        return conv1d_forward(layer, args[0])
-    if op == "tconv":
-        return tconv_forward(layer, args[0], args[1])
-    if op == "fc":
-        return fc_forward(layer, args[0].reshape(len(args[0]), -1))
-    if op == "relu":
-        return relu_forward(args[0])
-    if op == "l2_normalize":
-        return l2_normalize_forward(args[0])
-    if op == "neighbor_similarity":
-        return neighbor_similarity(args[0], live, cfg.kernel)
-    if op == "sigmoid":
-        return sigmoid_forward(args[0])
-
-
-def _op_backward(op: str, layer, args, out, grad_out, live, first_grad: bool,
-                 submit=None):
-    """Adjoint of _op_forward given the gradient of its output ``out``.
-
-    Returns the gradients of ``args`` (the first is None unless
-    ``first_grad``), then of the layer's weights and bias if it has one;
-    with ``submit`` a conv or tconv row's are its pool task's Future.
-    """
-    if op == "conv1d":
-        return conv1d_backward(layer, args[0], grad_out, first_grad, submit)
-    if op == "tconv":
-        return tconv_backward(layer, args[0], args[1], grad_out, first_grad, submit)
-    if op == "fc":
-        gx, gw, gb = fc_backward(layer, args[0].reshape(len(args[0]), -1), grad_out)
-        return gx.reshape(args[0].shape), gw, gb
-    if op == "relu":
-        return (relu_backward(args[0], grad_out),)
-    if op == "l2_normalize":
-        return (l2_normalize_backward(args[0], grad_out),)
-    if op == "neighbor_similarity":
-        return (neighbor_similarity_backward(args[0], live, out, grad_out),)
-    if op == "sigmoid":
-        return (sigmoid_backward(out, grad_out),)
-
-
 def _run_rows(model: TdlModel, rows, acts: dict) -> dict:
     """Run ``rows`` forward, adding each output to the activations ``acts``."""
     for out, op, inputs, layer, _ in rows:
-        acts[out] = _op_forward(model.config, op, layer and model.layers[layer],
-                                [acts[n] for n in inputs], acts["live"])
+        acts[out] = OPS[op][0](model.config, layer and model.layers[layer],
+                               [acts[n] for n in inputs], acts["live"])
     return acts
 
 
@@ -407,10 +401,9 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
     """
     param_grads = {}
     for out, op, inputs, layer, _ in reversed(rows):
-        row_grads = _op_backward(
-            op, layer and model.layers[layer], [acts[n] for n in inputs],
-            acts[out], grads.pop(out), acts["live"], input_grad or inputs[0] != "x",
-            submit)
+        row_grads = OPS[op][1](
+            layer and model.layers[layer], [acts[n] for n in inputs], acts[out],
+            grads.pop(out), acts["live"], input_grad or inputs[0] != "x", submit)
         for name, grad in zip(inputs, row_grads):
             if grad is not None:
                 grads[name] = grads[name] + grad if name in grads else grad

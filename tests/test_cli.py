@@ -661,6 +661,8 @@ def _numeric_input(case, tmp_path, data_dir):
         obj = desk_benchmark_spec(num_utterances=2).to_dict()
         if case == "synth-segment-count-past-int64":
             obj["fake_segment_count_range"] = [1, 2 ** 64]
+        elif case == "synth-dim-past-memory":
+            obj["dim"] = 10 ** 15
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(obj))
         return ["synth", "--out", str(tmp_path / "o"), "--spec", str(spec),
@@ -693,7 +695,10 @@ def _numeric_input(case, tmp_path, data_dir):
                            }[case])
         return ["params", "--config", str(config)]
     obj = desk_config(epochs=1, batch_size=2).to_dict()
-    if case in _OPTIMIZER_LINES:
+    if case == "train-t-max-past-memory":
+        obj["t_max"] = 10 ** 15  # padded features past any address space
+        config.write_text("\n".join(_key_value_lines(obj)) + "\n")
+    elif case in _OPTIMIZER_LINES:
         # a desk key=value config with one line added
         lines = [*_key_value_lines(obj), _OPTIMIZER_LINES[case]]
         config.write_text("\n".join(lines) + "\n")
@@ -716,7 +721,8 @@ def _numeric_input(case, tmp_path, data_dir):
     "params-seed", "train-sample-seed", "train-resolution-nan",
     "stats-duration-nan", "params-base-lr-nan", "params-dim-past-numpy",
     "params-kernel-negative", "train-kernel-negative",
-    "synth-segment-count-past-int64", *_OPTIMIZER_LINES])
+    "synth-segment-count-past-int64", "synth-dim-past-memory",
+    "train-t-max-past-memory", *_OPTIMIZER_LINES])
 def test_bad_numeric_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
     argv = _numeric_input(case, tmp_path, data_dir)
@@ -726,6 +732,9 @@ def test_bad_numeric_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     assert "error:" in err and "Traceback" not in err
     if "kernel" in case:
         assert "kernel" in err
+    if "past-memory" in case:
+        assert "error: out of memory" in err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "o").exists()
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000  # nests past the JSON decoder's recursion limit

@@ -89,6 +89,11 @@ def test_config_requires_tconv_channels_equal_feat_dim():
             M.TdlConfig.from_dict({**obj, "tconv_channels": channels})
     with pytest.raises(ConfigError, match="tconv_channels"):
         M.TdlConfig.from_dict({"tconv_channels": 8})  # feat_dim 1024
+    # feat_dim is typed before tconv_channels is compared with it
+    for feat_dim, channels in ((16.5, 16.5), ("16", 16)):
+        with pytest.raises(ConfigError, match="config.feat_dim must be int"):
+            M.TdlConfig.from_dict({**obj, "feat_dim": feat_dim,
+                                   "tconv_channels": channels})
     with pytest.raises(TypeError):
         tiny_config(tconv_channels=8)
 
@@ -239,6 +244,27 @@ def test_total_loss_gradients_cover_all_parameters():
         assert grads[name].any(), f"zero gradient for {name}"
 
 
+# the NETWORK primitives bench/probes.py patches on tdl.model
+_PROBED_PRIMITIVES = (
+    "conv1d_forward", "conv1d_backward", "tconv_forward", "tconv_backward",
+    "fc_forward", "fc_backward", "relu_forward", "relu_backward",
+    "l2_normalize_forward", "l2_normalize_backward", "neighbor_similarity",
+    "neighbor_similarity_backward", "sigmoid_forward", "sigmoid_backward")
+
+
+def test_ops_call_each_primitive_through_its_module_global(monkeypatch):
+    calls = dict.fromkeys(_PROBED_PRIMITIVES, 0)
+    for name in _PROBED_PRIMITIVES:
+        def counted(*args, _name=name, _call=getattr(M, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(M, name, counted)
+    cfg = tiny_config()
+    x = _input(cfg, np.random.default_rng(6))
+    M.total_loss(M.build_model(cfg), x, _labels(cfg, [1, 0, 0, 1]))
+    assert all(calls.values()), calls
+
+
 def test_predict_trims_to_true_labels():
     cfg = tiny_config()
     mdl = M.build_model(cfg)
@@ -280,6 +306,7 @@ def test_gradcheck_battery_covers_every_network_row_and_layer():
     names = {e.name for e in M.gradcheck_battery("tiny").entries}
     prefixes = {n.split(".")[0] for n in names}
     assert {op for _, op, _, _, _ in M.NETWORK} | {"bce", "esm"} <= prefixes
+    assert set(M.OPS) == {op for _, op, *_ in M.NETWORK}  # no dead entry
     # the similarity row is checked on its own, at its embedding input
     assert "neighbor_similarity.e" in names
     for layer in M.LAYERS:
