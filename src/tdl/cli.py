@@ -127,6 +127,11 @@ def run_synth(args) -> int:
 
 
 def run_train(args) -> int:
+    # a file where the output directory goes would fail only after training
+    out_dir = Path(args.out)
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {out_dir}: {path} is not a directory")
     config = _load_train_config(args.config)
     _print_resolved(config.to_dict(), config.seed)
     train_set = list(_prepared(args.train, config))
@@ -138,7 +143,6 @@ def run_train(args) -> int:
 
     result = model_mod.train(config, train_set, dev_set, init_model=init_model)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_atomic(out_dir / "best.tdlc", result.best_checkpoint)
     model_mod.save_checkpoint(result.last_model, out_dir / "last.tdlc")

@@ -491,10 +491,6 @@ def _typed(value, hint, name: str):
             raise ConfigError(
                 f"{name} must be an array of {len(args)}, got {brief(value)}")
         return tuple(_typed(v, h, name) for v, h in zip(value, args))
-    if type(None) in args:
-        if value is None:
-            return None
-        hint = args[0]
     if hint is float:
         # exact comparisons: NaN, infinities and ints beyond float fail
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)

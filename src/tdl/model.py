@@ -214,11 +214,11 @@ def desk_config(**overrides) -> TdlConfig:
 
 # The layer stack in forward order. Each row is (output, op, inputs,
 # layer, dims): ``op`` names a primitive, ``inputs`` name the feature
-# block "x" or outputs of earlier rows, ``layer`` names the key of the
-# row's parameters in TdlModel.layers and ``dims(config)`` gives that
-# layer's (in, out, kernel), or (in, out) for the fc. The layer order is
-# also the parameter order of checkpoints and the order of the seeded
-# init draws.
+# block "x", its (B, T) mask "live" of non-padding frames or outputs of
+# earlier rows, ``layer`` names the key of the row's parameters in
+# TdlModel.layers and ``dims(config)`` gives that layer's (in, out,
+# kernel), or (in, out) for the fc. The layer order is also the
+# parameter order of checkpoints and the order of the seeded init draws.
 NETWORK = (
     ("g1", "conv1d", ("x",), "conv_a",
      lambda c: (c.feat_dim, c.conv_hidden, c.kernel)),
@@ -227,7 +227,7 @@ NETWORK = (
      lambda c: (c.conv_hidden, c.embed_dim, c.kernel)),
     ("e", "l2_normalize", ("g2",), None, None),
     # one similarity matrix modulates both tconv layers
-    ("a", "neighbor_similarity", ("e",), None, None),
+    ("a", "neighbor_similarity", ("e", "live"), None, None),
     ("t1", "tconv", ("x", "a"), "tconv_1",
      lambda c: (c.feat_dim, c.feat_dim, c.kernel)),
     ("h2", "relu", ("t1",), None, None),
@@ -247,32 +247,32 @@ def _fc_backward(layer, x, grad_out):
 
 
 # Each NETWORK op's (forward, backward), plus the init of a layer op.
-# forward(config, layer, args, live) is the row's output on its inputs
-# ``args``. backward(layer, args, out, grad_out, live, first_grad, submit)
+# forward(config, layer, args) is the row's output on its inputs
+# ``args``. backward(layer, args, out, grad_out, first_grad, submit)
 # returns the gradients of ``args`` (the first is None unless
-# ``first_grad``), then of the layer's weights and bias if it has one;
-# with ``submit`` a conv or tconv row's are its pool task's Future.
+# ``first_grad``, and the live mask's is None), then of the layer's
+# weights and bias if it has one; with ``submit`` a conv or tconv
+# row's are its pool task's Future.
 # init(*dims, rng) builds the layer. Entries look each primitive up as a
 # tdl.model global when called, as bench/probes.py patches it there.
 OPS = {
-    "conv1d": (lambda c, w, a, live: conv1d_forward(w, a[0]),
-               lambda w, a, out, g, live, *r: conv1d_backward(w, a[0], g, *r),
+    "conv1d": (lambda c, w, a: conv1d_forward(w, a[0]),
+               lambda w, a, out, g, *r: conv1d_backward(w, a[0], g, *r),
                conv1d_init),
-    "tconv": (lambda c, w, a, live: tconv_forward(w, a[0], a[1]),
-              lambda w, a, out, g, live, *r: tconv_backward(w, a[0], a[1], g, *r),
+    "tconv": (lambda c, w, a: tconv_forward(w, a[0], a[1]),
+              lambda w, a, out, g, *r: tconv_backward(w, a[0], a[1], g, *r),
               conv1d_init),
-    "fc": (lambda c, w, a, live: fc_forward(w, a[0].reshape(len(a[0]), -1)),
+    "fc": (lambda c, w, a: fc_forward(w, a[0].reshape(len(a[0]), -1)),
            lambda w, a, out, g, *_: _fc_backward(w, a[0], g),
            fc_init),
-    "relu": (lambda c, w, a, live: relu_forward(a[0]),
+    "relu": (lambda c, w, a: relu_forward(a[0]),
              lambda w, a, out, g, *_: (relu_backward(a[0], g),)),
-    "l2_normalize": (lambda c, w, a, live: l2_normalize_forward(a[0]),
+    "l2_normalize": (lambda c, w, a: l2_normalize_forward(a[0]),
                      lambda w, a, out, g, *_: (l2_normalize_backward(a[0], g),)),
     "neighbor_similarity": (
-        lambda c, w, a, live: neighbor_similarity(a[0], live, c.kernel),
-        lambda w, a, out, g, live, *_:
-            (neighbor_similarity_backward(a[0], live, out, g),)),
-    "sigmoid": (lambda c, w, a, live: sigmoid_forward(a[0]),
+        lambda c, w, a: neighbor_similarity(a[0], a[1], c.kernel),
+        lambda w, a, out, g, *_: (neighbor_similarity_backward(a[0], out, g), None)),
+    "sigmoid": (lambda c, w, a: sigmoid_forward(a[0]),
                 lambda w, a, out, g, *_: (sigmoid_backward(out, g),)),
 }
 
@@ -384,7 +384,7 @@ def _run_rows(model: TdlModel, rows, acts: dict) -> dict:
     """Run ``rows`` forward, adding each output to the activations ``acts``."""
     for out, op, inputs, layer, _ in rows:
         acts[out] = OPS[op][0](model.config, layer and model.layers[layer],
-                               [acts[n] for n in inputs], acts["live"])
+                               [acts[n] for n in inputs])
     return acts
 
 
@@ -403,7 +403,7 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
     for out, op, inputs, layer, _ in reversed(rows):
         row_grads = OPS[op][1](
             layer and model.layers[layer], [acts[n] for n in inputs], acts[out],
-            grads.pop(out), acts["live"], input_grad or inputs[0] != "x", submit)
+            grads.pop(out), input_grad or inputs[0] != "x", submit)
         for name, grad in zip(inputs, row_grads):
             if grad is not None:
                 grads[name] = grads[name] + grad if name in grads else grad
@@ -416,8 +416,8 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
 def _forward_block(model: TdlModel, xv: np.ndarray, true_frames) -> dict:
     """The stack on a block xv (B, C, T); frames past true_frames are padding.
 
-    Returns every activation by its NETWORK name, plus "live", the (B, T)
-    mask of non-padding frames the similarity rows mask with.
+    Returns every activation by its NETWORK name, plus the row inputs
+    "x" and "live", the (B, T) mask of non-padding frames.
     """
     live = np.arange(xv.shape[-1]) < np.asarray(true_frames)[:, None]
     return _run_rows(model, NETWORK, {"x": xv, "live": live})
@@ -985,8 +985,9 @@ def _row_check(model: TdlModel, row, acts: dict, rng, tolerance: float) -> list:
     """Finite-difference check of one NETWORK row at ``acts``.
 
     The scalar is a fixed random projection of the row's output; the
-    checked tensors are the row's inputs and layer parameters, through
-    the same forward and backward loops as training.
+    checked tensors are the row's inputs that take a gradient (not the
+    live mask) and its layer parameters, through the same forward and
+    backward loops as training.
     """
     out, op, inputs, layer, _ = row
     proj = rng.standard_normal(acts[out].shape)
@@ -996,8 +997,8 @@ def _row_check(model: TdlModel, row, acts: dict, rng, tolerance: float) -> list:
 
     grads = {out: proj}
     layer_grads = _backprop_rows(model, (row,), acts, grads, True)
-    params = {name: acts[name] for name in inputs}
-    analytic = {name: grads[name] for name in inputs}
+    params = {name: acts[name] for name in inputs if name in grads}
+    analytic = {name: grads[name] for name in params}
     if layer is not None:
         for part in ("weights", "bias"):
             params[part] = getattr(model.layers[layer], part)

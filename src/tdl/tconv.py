@@ -10,8 +10,11 @@ Like the ``nn`` primitives, everything here works on plain arrays of
 one utterance or a block with a leading batch axis: embeddings e
 (B, D, T) with a boolean live-frame mask (B, T) that is False on
 padding, similarity arrays a (B, k, T), tconv inputs x (B, C, T). The
-similarity adjoint takes the forward's a, which holds the cosine at
-every cell that passes gradient. A tconv layer is a plain Conv1dLayer.
+embeddings are the unit columns of the l2_normalize row, so the
+similarity of two frames is their plain dot product and is not
+normalized again. The similarity adjoint takes the forward's a, whose
+positive cells are the only ones that pass gradient, so it needs no
+mask. A tconv layer is a plain Conv1dLayer.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .esm import _channel_dot, _normalized
+from .esm import _channel_dot
 from .nn import (
     Conv1dLayer,
     _apply_taps,
@@ -32,16 +35,15 @@ from .nn import (
 
 
 def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int) -> np.ndarray:
-    """a[i, t] = [S(e_t, e_{t - k//2 + i})]+ over pairs of live frames,
+    """a[i, t] = [e_t . e_{t - k//2 + i}]+ over pairs of live frames,
     as a (..., k, T) array.
 
-    The center row is exactly 1 on live frames (cosine self-similarity
-    is scale invariant, so its gradient is zero and the constant is
-    exact).
+    ``e`` must have unit columns, as the l2_normalize row leaves them, so
+    each dot product is the pair's cosine. The center row is the
+    constant 1 on live frames.
     """
     if k % 2 != 1:
         raise ConfigError(f"neighbor kernel must be odd, got {k}")
-    normed, _ = _normalized(e)
     half, t_len = k // 2, e.shape[-1]
     a = np.zeros(live.shape[:-1] + (k, t_len))
     a[..., half, :] = live
@@ -51,22 +53,21 @@ def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int) -> np.ndarray:
             continue
         t0, t1 = max(0, -off), min(t_len, t_len - off)
         n0, n1 = t0 + off, t1 + off
-        sims = np.clip(_channel_dot(normed[..., t0:t1], normed[..., n0:n1]), -1.0, 1.0)
+        sims = np.clip(_channel_dot(e[..., t0:t1], e[..., n0:n1]), -1.0, 1.0)
         sims = np.maximum(sims, 0.0)  # np.clip(..., 0, 1) would leave -0.0 cells
         a[..., i, t0:t1] = np.where(live[..., t0:t1] & live[..., n0:n1], sims, 0.0)
     return a
 
 
-def neighbor_similarity_backward(e: np.ndarray, live: np.ndarray, a: np.ndarray,
+def neighbor_similarity_backward(e: np.ndarray, a: np.ndarray,
                                  grad_a: np.ndarray) -> np.ndarray:
     """Gradient of the similarity cells ``a`` of ``neighbor_similarity``
-    with respect to e.
+    with respect to e: the adjoint of the dot product e_t . e_n.
 
-    A cell passes gradient where both its frames are live and it is
-    positive, and there it equals the cosine. Constant cells (center row,
-    masked borders/padding, rectified negatives) pass none.
+    Only positive cells pass gradient. The forward writes 0 to every cell
+    that touches a padding frame, so a positive cell has two live frames
+    and no mask is needed; the constant center row passes none either.
     """
-    normed, norms = _normalized(e)
     half, t_len = a.shape[-2] // 2, e.shape[-1]
     grad = np.zeros_like(e)
     for i in range(a.shape[-2]):
@@ -75,16 +76,10 @@ def neighbor_similarity_backward(e: np.ndarray, live: np.ndarray, a: np.ndarray,
             continue
         t0, t1 = max(0, -off), min(t_len, t_len - off)
         n0, n1 = t0 + off, t1 + off
-        sims = a[..., i, t0:t1]
-        active = (live[..., t0:t1] & live[..., n0:n1] & (sims > 0.0))[..., None, :]
-        sims = sims[..., None, :]
-        ga = grad_a[..., None, i, t0:t1]
-        u, v = normed[..., t0:t1], normed[..., n0:n1]
+        ga = np.where(a[..., i, t0:t1] > 0.0, grad_a[..., i, t0:t1], 0.0)[..., None, :]
         # each t (and each n = t + off) appears once per offset
-        grad[..., t0:t1] += np.where(
-            active, ga * ((v - sims * u) / norms[..., None, t0:t1]), 0.0)
-        grad[..., n0:n1] += np.where(
-            active, ga * ((u - sims * v) / norms[..., None, n0:n1]), 0.0)
+        grad[..., t0:t1] += ga * e[..., n0:n1]
+        grad[..., n0:n1] += ga * e[..., t0:t1]
     return grad
 
 

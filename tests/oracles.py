@@ -105,6 +105,35 @@ def neighbor_similarity_reference(values, classes, k):
     return a
 
 
+def neighbor_similarity_backward_reference(values, classes, k, grad_a):
+    """Per-cell cosine adjoint of the similarity matrix: a positive cell
+    a[i, t] = cos(u, v) of frame t's column u and neighbor n's column v
+    adds grad_a[i, t] * (v_hat - cos * u_hat) / |u| to column t and
+    grad_a[i, t] * (u_hat - cos * v_hat) / |v| to column n."""
+    d, t_len = values.shape
+    half = k // 2
+    grad = np.zeros((d, t_len))
+    a = neighbor_similarity_reference(values, classes, k)
+
+    def norm(x):
+        sq = 0.0
+        for c in range(d):
+            sq += float(values[c, x]) * float(values[c, x])
+        return max(np.sqrt(sq), 1e-12)
+
+    for t in range(t_len):
+        for i in range(k):
+            n = t - half + i
+            if n == t or not 0 <= n < t_len or a[i, t] <= 0.0:
+                continue
+            s, nt, nn = a[i, t], norm(t), norm(n)
+            for c in range(d):
+                ut, vn = float(values[c, t]) / nt, float(values[c, n]) / nn
+                grad[c, t] += grad_a[i, t] * (vn - s * ut) / nt
+                grad[c, n] += grad_a[i, t] * (ut - s * vn) / nn
+    return grad
+
+
 def eer_reference(scores, labels):
     """Exhaustive threshold sweep with linear interpolation at the
     FAR/FRR crossing. Returns (eer_pct, threshold)."""

@@ -202,9 +202,11 @@ def test_params_counts_without_allocating_the_parameters(tmp_path, capsys):
     ("synth", "s.json", '{"dim": "x", "num_utterances": 4}'),
     ("synth", "s.json", '{"dim": 4, "num_utterances": 2.5}'),
     ("synth", "s.json", '{"dim": 4, "num_utterances": 4, "duration_range_s": 5}'),
+    ("params", "c.json", '{"esm": {"tau_same": null}}'),
+    ("params", "c.cfg", "seed = null\n"),
 ], ids=["tau-str", "seed-str", "esm-int", "dims-float", "bool-int",
         "period-bool", "lambda-and-esm_weight", "dim-str", "count-float",
-        "range-int"])
+        "range-int", "tau-null", "seed-null"])
 def test_wrong_typed_config_value_exits_one(tmp_path, capsys, command, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -264,6 +266,27 @@ def test_train_with_kernel_wider_than_t_max(tmp_path):
     dev_dir = _make_dataset(tmp_path, spec, "dev", 2)
     assert cli.main(["train", "--config", str(config), "--train", str(train_dir),
                      "--dev", str(dev_dir), "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("out", ["outfile", "outfile/run"])
+def test_train_refuses_a_file_as_out_before_training(tmp_path, synth_spec_file,
+                                                     smoke_config_file, monkeypatch,
+                                                     capsys, out):
+    from tdl import model as model_mod
+
+    data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
+    (tmp_path / "outfile").write_text("")
+
+    def no_training(*args, **kw):
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr(model_mod, "train", no_training)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(smoke_config_file),
+                     "--train", str(data_dir), "--dev", str(data_dir),
+                     "--out", str(tmp_path / out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert (tmp_path / "outfile").read_text() == ""
 
 
 def test_train_resume_reproduces_uninterrupted_run(tmp_path, synth_spec_file,

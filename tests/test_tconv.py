@@ -14,7 +14,12 @@ from tdl.nn import (
     l2_normalize_forward,
 )
 
-from oracles import conv1d_reference, neighbor_similarity_reference, tconv_reference
+from oracles import (
+    conv1d_reference,
+    neighbor_similarity_backward_reference,
+    neighbor_similarity_reference,
+    tconv_reference,
+)
 
 
 def _embedding(rng, dim, t_len, n_pad=0):
@@ -36,9 +41,7 @@ def _similarity(e, k):
 
 
 def _similarity_backward(e, k, grad_a):
-    values, classes = e
-    return tconv.neighbor_similarity_backward(values, classes != PADDING,
-                                              _similarity(e, k), grad_a)
+    return tconv.neighbor_similarity_backward(e[0], _similarity(e, k), grad_a)
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +285,24 @@ def test_similarity_backward_at_exact_zero_cosines():
     assert not _similarity(e, 3)[[0, 2], [1, 0]].any()
     # a cell of exactly 0 passes nothing
     assert not _similarity_backward(e, 3, grad_a).any()
+
+
+def test_dot_adjoint_matches_cosine_adjoint_through_l2_normalize():
+    # the similarity adjoint treats e as unit columns, so it lacks the
+    # cosine adjoint's radial term; l2_normalize_backward projects that
+    # term out, and the two chains agree on a padded block of two
+    rng = np.random.default_rng(15)
+    k, t_len = 5, 12
+    scale = rng.uniform(0.5, 5.0, (2, 1, t_len))
+    g2 = scale * rng.standard_normal((2, 4, t_len))
+    e = l2_normalize_forward(g2)
+    live = np.arange(t_len) < np.array([[t_len], [8]])
+    a = tconv.neighbor_similarity(e, live, k)
+    grad_a = rng.standard_normal(a.shape)
+    grad = l2_normalize_backward(g2, tconv.neighbor_similarity_backward(e, a, grad_a))
+    classes = np.where(live, REAL, PADDING)
+    ref = np.stack([neighbor_similarity_backward_reference(e[b], classes[b], k,
+                                                           grad_a[b])
+                    for b in range(2)])
+    assert (a > 0).any() and grad.any()
+    assert np.max(np.abs(grad - l2_normalize_backward(g2, ref))) <= 1e-12
