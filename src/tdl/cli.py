@@ -164,6 +164,13 @@ def run_train(args) -> int:
 
 
 def run_eval(args) -> int:
+    # a bad report path would fail only after every utterance is scored
+    report_path = Path(args.report)
+    if report_path.is_dir():
+        raise ConfigError(f"--report {report_path} is a directory")
+    if not report_path.parent.is_dir():
+        raise ConfigError(
+            f"--report {report_path}: {report_path.parent} is not a directory")
     model = model_mod.load_checkpoint(args.checkpoint)
     config = model.config
     _print_resolved(config.to_dict(), config.seed)

@@ -18,7 +18,8 @@ scores a whole set in blocks for dev EER and ``tdl eval``, and
 ``forward``/``predict``/``total_loss`` call it with B = 1. Every
 primitive computes a block one GEMM per utterance, so an utterance's
 scores do not depend on which other utterances share its block. At full
-scale a block is one utterance, and a minibatch's blocks run on a thread
+scale a block is one utterance, run on its live frame columns only and
+widened to t_max before the fc, and a minibatch's blocks run on a thread
 pool when single-threaded BLAS leaves cores free. Each conv and tconv
 row of a pooled block hands its weight gradient to the same pool as a
 task of its own, and no task waits on another; gradients are still
@@ -66,6 +67,8 @@ from .nn import (
     conv1d_forward,
     conv1d_init,
     count_params,
+    extend_columns_backward,
+    extend_columns_forward,
     fc_backward,
     fc_forward,
     fc_init,
@@ -88,8 +91,12 @@ BOUNDARY_BCE_WEIGHT = 100.0
 
 # A block holds whole utterances and at most this many frame columns, or
 # a single utterance that is longer on its own. At full scale (t_max
-# 1050) that is one utterance per block, so the working set does not
-# grow with the batch size.
+# 1050) that is one utterance per block, so a block run in turn holds one
+# utterance's activations whatever the batch size; the pool, which queues
+# every block of a minibatch at once, still grows with it. Only a
+# one-utterance block is cut to its live columns (_live_width): a GEMM's
+# column bits depend on its width, and an utterance's scores must be
+# bit-identical alone and in any block.
 BLOCK_FRAMES = 1024
 
 # glibc's M_MMAP_THRESHOLD (bytes) while blocks run on a thread pool, and
@@ -235,7 +242,10 @@ NETWORK = (
      lambda c: (c.feat_dim, c.feat_dim, c.kernel)),
     ("h3", "relu", ("t2",), None, None),
     ("head", "conv1d", ("h3",), "conv_head", lambda c: (c.feat_dim, 2, 1)),
-    ("logits", "fc", ("head",), "fc", lambda c: (2 * c.t_max, c.label_len)),
+    # a block cut to its live columns ends in padding frames, where head is
+    # one constant column per utterance: repeat it out to t_max
+    ("head_t", "extend_columns", ("head",), None, None),
+    ("logits", "fc", ("head_t",), "fc", lambda c: (2 * c.t_max, c.label_len)),
     ("scores", "sigmoid", ("logits",), None, None),
 )
 LAYERS = tuple(row[3] for row in NETWORK if row[3] is not None)
@@ -272,6 +282,9 @@ OPS = {
     "neighbor_similarity": (
         lambda c, w, a: neighbor_similarity(a[0], a[1], c.kernel),
         lambda w, a, out, g, *_: (neighbor_similarity_backward(a[0], out, g), None)),
+    "extend_columns": (
+        lambda c, w, a: extend_columns_forward(a[0], c.t_max),
+        lambda w, a, out, g, *_: (extend_columns_backward(g, a[0].shape[-1]),)),
     "sigmoid": (lambda c, w, a: sigmoid_forward(a[0]),
                 lambda w, a, out, g, *_: (sigmoid_backward(out, g),)),
 }
@@ -373,11 +386,36 @@ def _blocks(pairs, t_max: int):
         del block  # see score_pool
 
 
-def _stack_block(pairs):
-    """(features (B, C, T) float64, true frame counts, labels) of
-    (FeatureSequence, FrameLabels) pairs."""
-    xv = np.stack([seq.values for seq, _ in pairs]).astype(np.float64)
-    return xv, [seq.true_frames for seq, _ in pairs], [lab for _, lab in pairs]
+def _live_width(config: TdlConfig, true_frames) -> int:
+    """The frame columns a block of utterances with ``true_frames`` runs on.
+
+    A one-utterance block (see BLOCK_FRAMES) runs on its live frames and
+    a halo of 2*(kernel//2), at least 1: conv_b at the last live frame
+    reads h1 kernel//2 frames on, conv_a's input gradient reaches
+    kernel//2 further, and the last column must be a padding frame for
+    the extend_columns row to repeat. Any other block runs on t_max.
+    """
+    if BLOCK_FRAMES // config.t_max > 1:
+        return config.t_max
+    return min(config.t_max, max(true_frames) + max(1, 2 * (config.kernel // 2)))
+
+
+def _zero_extended(array: np.ndarray, t_len: int) -> np.ndarray:
+    """``array`` (..., W) with zero columns appended up to t_len."""
+    if array.shape[-1] == t_len:
+        return array
+    out = np.zeros(array.shape[:-1] + (t_len,))
+    out[..., :array.shape[-1]] = array
+    return out
+
+
+def _stack_block(config: TdlConfig, pairs):
+    """(features (B, C, W) float64, true frame counts, labels) of
+    (FeatureSequence, FrameLabels) pairs, cut to their _live_width W."""
+    true_frames = [seq.true_frames for seq, _ in pairs]
+    width = _live_width(config, true_frames)
+    xv = np.stack([seq.values[:, :width] for seq, _ in pairs], dtype=np.float64)
+    return xv, true_frames, [lab for _, lab in pairs]
 
 
 def _run_rows(model: TdlModel, rows, acts: dict) -> dict:
@@ -416,23 +454,30 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
 def _forward_block(model: TdlModel, xv: np.ndarray, true_frames) -> dict:
     """The stack on a block xv (B, C, T); frames past true_frames are padding.
 
-    Returns every activation by its NETWORK name, plus the row inputs
-    "x" and "live", the (B, T) mask of non-padding frames.
+    Every row up to head runs on the block's first W = _live_width
+    columns of xv, and head_t on t_max. Returns every activation by its
+    NETWORK name, plus the row inputs "x" and "live", the block's (B, C,
+    W) features and (B, W) mask of non-padding frames.
     """
-    live = np.arange(xv.shape[-1]) < np.asarray(true_frames)[:, None]
-    return _run_rows(model, NETWORK, {"x": xv, "live": live})
+    width = _live_width(model.config, true_frames)
+    live = np.arange(width) < np.asarray(true_frames)[:, None]
+    return _run_rows(model, NETWORK, {"x": xv[..., :width], "live": live})
 
 
 def forward(model: TdlModel, x: FeatureSequence):
     """Run the network on one padded utterance.
 
     Returns the arrays (scores in (0,1)^L, embedding (embed_dim, t_max),
-    similarity (kernel, t_max)).
+    similarity (kernel, t_max)). Where the utterance runs on its live
+    columns only (_live_width), the embedding and similarity read 0 past
+    them; the similarity is 0 on every padding frame anyway.
     """
     _check_pair(model.config, x)
-    xv, true_frames, _ = _stack_block([(x, None)])
+    xv, true_frames, _ = _stack_block(model.config, [(x, None)])
     acts = _forward_block(model, xv, true_frames)
-    return acts["scores"][0], acts["e"][0], acts["a"][0]
+    t_max = model.config.t_max
+    return (acts["scores"][0], _zero_extended(acts["e"][0], t_max),
+            _zero_extended(acts["a"][0], t_max))
 
 
 def total_loss(model: TdlModel, x: FeatureSequence, labels: FrameLabels):
@@ -443,7 +488,7 @@ def total_loss(model: TdlModel, x: FeatureSequence, labels: FrameLabels):
     carry per-frame authenticity classes.
     """
     _check_pair(model.config, x, labels)
-    losses, grads = _loss_block(model, *_stack_block([(x, labels)]),
+    losses, grads = _loss_block(model, *_stack_block(model.config, [(x, labels)]),
                                 input_grad=True)
     grads["input"] = grads["input"][0]
     return losses, grads
@@ -455,7 +500,8 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
 
     Returns the block's TdlLoss, each term summed over its utterances,
     and the parameter gradients summed over them; with ``input_grad``
-    also the (B, C, T) input gradient under "input". ``submit`` leaves
+    also the (B, C, t_max) input gradient under "input", 0 past the
+    block's _live_width columns. ``submit`` leaves
     the conv and tconv weight gradients to tasks (see _backprop_rows).
     """
     cfg = model.config
@@ -468,12 +514,8 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
     grads = {"scores": grad_scores}
 
     if cfg.esm_weight > 0 and not boundary:
-        classes = np.stack([esm_mod.align_labels_to_embedding(lab, xv.shape[-1])
-                            for lab in labels])
-        # feature padding trumps label alignment at the tail
-        classes[~acts["live"]] = esm_mod.PADDING
         esm_losses, grad_e_esm = esm_mod.esm_loss_from_arrays(
-            acts["e"], classes, cfg.esm
+            acts["e"], _esm_classes(cfg, labels, acts["live"]), cfg.esm
         )
         grads["e"] = cfg.esm_weight * grad_e_esm
     else:
@@ -489,8 +531,19 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
 
     param_grads = _backprop_rows(model, NETWORK, acts, grads, input_grad, submit)
     if input_grad:
-        param_grads["input"] = grads["x"]
+        param_grads["input"] = _zero_extended(grads["x"], cfg.t_max)
     return TdlLoss(total, bce_total, esm_losses), param_grads
+
+
+def _esm_classes(config: TdlConfig, labels, live: np.ndarray) -> np.ndarray:
+    """(B, W) ESM classes of a block's labels: aligned on the t_max frames
+    the labels span, cut to the W columns of the (B, W) mask ``live``,
+    and PADDING wherever ``live`` is False."""
+    classes = np.stack([esm_mod.align_labels_to_embedding(lab, config.t_max)
+                        for lab in labels])[:, :live.shape[-1]]
+    # feature padding trumps label alignment at the tail
+    classes[~live] = esm_mod.PADDING
+    return classes
 
 
 def predict(model: TdlModel, x: FeatureSequence, true_labels: int) -> np.ndarray:
@@ -707,10 +760,11 @@ def _validate_set(config: TdlConfig, dataset, name: str,
 
 def block_scores(model: TdlModel, block) -> list:
     """Per-frame scores of one block of prepared (features, labels) pairs,
-    each trimmed to its true label count; bit-identical to ``predict``."""
+    each trimmed to its true label count; bit-identical to ``predict`` on
+    the blocks that _blocks forms."""
     for seq, labels in block:
         _check_pair(model.config, seq, labels)
-    xv, true_frames, labels = _stack_block(block)
+    xv, true_frames, labels = _stack_block(model.config, block)
     scores = _forward_block(model, xv, true_frames)["scores"]
     return [row[:lab.true_labels].copy() for row, lab in zip(scores, labels)]
 
@@ -785,8 +839,8 @@ def _block_losses(model: TdlModel, batch):
     """
     blocks = list(_blocks(batch, model.config.t_max))
     workers = min(len(blocks), _block_workers())
-    run = lambda block, submit=None: _loss_block(model, *_stack_block(block),
-                                                 submit=submit)
+    run = lambda block, submit=None: _loss_block(
+        model, *_stack_block(model.config, block), submit=submit)
     if workers == 1:
         yield from map(run, blocks)
         return
@@ -1019,7 +1073,7 @@ def _op_reports(model: TdlModel, acts: dict, labels: FrameLabels, rng,
     entries += _checked("bce", rng, tolerance,
                         lambda: float(bce_loss(scores, y)[0].sum()),
                         {"scores": scores}, {"scores": bce_loss(scores, y)[1]})
-    classes = esm_mod.align_labels_to_embedding(labels, e.shape[-1])[None]
+    classes = _esm_classes(model.config, [labels], acts["live"])
     esm_cfg = model.config.esm
     entries += _checked(
         "esm", rng, tolerance,
@@ -1031,7 +1085,8 @@ def _op_reports(model: TdlModel, acts: dict, labels: FrameLabels, rng,
 def gradcheck_battery(size: str = "tiny", seed: int = 0,
                       tolerance: float = 1e-4) -> GradReport:
     """Finite-difference audit of every NETWORK row, both loss terms and
-    the full model loss, all on one random utterance.
+    the full model loss, all on one random utterance whose last quarter
+    of frames is zero padding.
 
     The row and loss-term checks run at the utterance's activations. The
     model check perturbs all parameters and all input coordinates and
@@ -1044,8 +1099,9 @@ def gradcheck_battery(size: str = "tiny", seed: int = 0,
     config = TdlConfig(**dims, seed=seed, esm_weight=0.1,
                        esm=EsmConfig(tau_same=0.9, tau_diff=0.0))
     model = build_model(config)
-    t = config.t_max
-    x64 = rng.standard_normal((config.feat_dim, t))
+    t = config.t_max - config.t_max // 4
+    x64 = rng.standard_normal((config.feat_dim, config.t_max))
+    x64[:, t:] = 0.0
     lab = np.zeros(config.label_len, dtype=np.int8)
     lab[: config.label_len // 2] = 1
     labels = FrameLabels("gradcheck", config.label_resolution_s, lab,

@@ -225,6 +225,25 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, grad_out, 0.0)
 
 
+def extend_columns_forward(x: np.ndarray, t_len: int) -> np.ndarray:
+    """x (..., W) widened to t_len columns by repeating its last column;
+    x itself when W is t_len."""
+    width = x.shape[-1]
+    if width == t_len:
+        return x
+    return x[..., np.minimum(np.arange(t_len), width - 1)]
+
+
+def extend_columns_backward(grad_out: np.ndarray, width: int) -> np.ndarray:
+    """Adjoint of extend_columns_forward from ``width`` columns: the
+    gradients of the last column and its repeats are summed into it."""
+    if grad_out.shape[-1] == width:
+        return grad_out
+    grad = grad_out[..., :width].copy()
+    grad[..., -1] = grad_out[..., width - 1:].sum(axis=-1)
+    return grad
+
+
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0

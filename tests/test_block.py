@@ -25,6 +25,7 @@ from tdl.data import (
     REAL0_FAKE1,
     REAL1_FAKE0,
     FeatureSequence,
+    FrameLabels,
     compile_frame_labels,
     desk_benchmark_spec,
     pad_features,
@@ -69,7 +70,7 @@ def test_scores_bit_identical_alone_and_in_a_mixed_block():
     mdl = M.build_model(cfg)
     rng = np.random.default_rng(0)
     seqs = [_padded(cfg, rng, tf, f"u{i}") for i, tf in enumerate(MIXED_TRUE_FRAMES)]
-    xv, true_frames, _ = M._stack_block([(seq, None) for seq in seqs])
+    xv, true_frames, _ = M._stack_block(cfg, [(seq, None) for seq in seqs])
     assert xv.shape == (8, cfg.feat_dim, cfg.t_max)
     block = M._forward_block(mdl, xv, true_frames)["scores"]
     reordered = M._forward_block(mdl, xv[::-1].copy(), true_frames[::-1])["scores"]
@@ -131,7 +132,7 @@ def test_block_loss_and_gradients_match_sum_of_single_calls(setting, weight):
                         esm=EsmConfig(tau_same=0.99, tau_diff=-0.5))
     pairs = _desk_pairs(cfg, 8, 5)
     mdl = M.build_model(cfg)
-    block_loss, block_grads = M._loss_block(mdl, *M._stack_block(pairs),
+    block_loss, block_grads = M._loss_block(mdl, *M._stack_block(cfg, pairs),
                                             input_grad=True)
     singles = [M.total_loss(mdl, seq, lab) for seq, lab in pairs]
 
@@ -159,7 +160,7 @@ def test_esm_terms_do_not_depend_on_the_label_encoding():
     losses = []
     for setting in (REAL1_FAKE0, REAL0_FAKE1):
         cfg = M.desk_config(seed=3, label_setting=setting)
-        block = M._stack_block(_desk_pairs(cfg, 8, 5))
+        block = M._stack_block(cfg, _desk_pairs(cfg, 8, 5))
         losses.append(M._loss_block(M.build_model(cfg), *block)[0].esm)
     assert losses[0].l_real != losses[0].l_fake
     assert losses[0] == losses[1]
@@ -169,8 +170,53 @@ def test_training_block_skips_the_input_gradient():
     cfg = M.desk_config()
     pairs = _desk_pairs(cfg, 4, 6)
     mdl = M.build_model(cfg)
-    _, grads = M._loss_block(mdl, *M._stack_block(pairs))
+    _, grads = M._loss_block(mdl, *M._stack_block(cfg, pairs))
     assert set(grads) == set(mdl.param_items())
+
+
+# ---------------------------------------------------------------------------
+# one-utterance blocks run on their live columns
+# ---------------------------------------------------------------------------
+
+LIVE_CFG = M.TdlConfig(feat_dim=6, t_max=600, embed_dim=4, conv_hidden=6,
+                       label_len=16, esm=EsmConfig(tau_same=0.99, tau_diff=-0.5),
+                       seed=2)
+
+
+@pytest.mark.parametrize("true_frames", [600, 599, 437, 1])
+def test_live_columns_match_the_full_width_path(true_frames, monkeypatch):
+    cfg = LIVE_CFG  # t_max > BLOCK_FRAMES / 2: one utterance per block
+    rng = np.random.default_rng(true_frames)
+    seq = _padded(cfg, rng, true_frames)
+    bits = (rng.random(cfg.label_len) < 0.5).astype(np.int8)
+    true_labels = -(-true_frames * cfg.label_len // cfg.t_max)
+    bits[true_labels:] = 0
+    labels = FrameLabels("x", cfg.label_resolution_s, bits, true_labels,
+                         REAL1_FAKE0)
+    mdl = M.build_model(cfg)
+    width = min(cfg.t_max, true_frames + 2)  # kernel 3: a halo of 2
+    assert M._live_width(cfg, [true_frames]) == width
+
+    def run():
+        return (M.total_loss(mdl, seq, labels),
+                M.block_scores(mdl, [(seq, labels)])[0], M.forward(mdl, seq))
+
+    (loss, grads), scores, (_, e, a) = run()
+    monkeypatch.setattr(M, "BLOCK_FRAMES", 2 * cfg.t_max)  # full width
+    assert M._live_width(cfg, [true_frames]) == cfg.t_max
+    (want_loss, want_grads), want_scores, (_, want_e, want_a) = run()
+
+    assert _rel(loss.total, want_loss.total) <= 1e-12
+    assert _rel(scores, want_scores) <= 1e-12
+    assert set(grads) == set(want_grads) == set(mdl.param_items()) | {"input"}
+    for key, want in want_grads.items():
+        assert grads[key].shape == want.shape
+        assert _rel(grads[key], want) <= 1e-12, key
+    # forward keeps its shapes; the cut columns read 0
+    assert e.shape == want_e.shape and a.shape == want_a.shape
+    assert not e[:, width:].any() and not a[:, width:].any()
+    assert _rel(e[:, :true_frames], want_e[:, :true_frames]) <= 1e-12
+    assert _rel(a, want_a) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,27 @@ def test_eval_checks_each_feature_matrix_and_annotation_once(tmp_path,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("report", ["nodir/r.json", "adir", "afile/r.json"])
+def test_eval_refuses_a_bad_report_path_before_scoring(tmp_path, monkeypatch,
+                                                       capsys, report):
+    from tdl import model as model_mod
+
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 6)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+
+    def no_scoring(*args, **kw):
+        raise AssertionError("loaded the checkpoint before checking --report")
+
+    monkeypatch.setattr(model_mod, "load_checkpoint", no_scoring)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(tmp_path / report)]) == 1
+    assert "error: --report" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
 def test_block_eval_dim_mismatch_in_last_block_writes_no_report(tmp_path, capsys):
     test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 36 + [24])
     report = tmp_path / "r.json"

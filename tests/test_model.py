@@ -313,6 +313,21 @@ def test_gradcheck_battery_covers_every_network_row_and_layer():
         assert {f"model.{layer}.weights", f"model.{layer}.bias"} <= names
 
 
+def test_gradcheck_battery_checks_a_real_fold_on_live_columns(monkeypatch):
+    # one utterance per block: the padded battery utterance runs on its
+    # live columns, so the extend_columns row folds a real tail
+    cfg = M.TdlConfig(**M.GRADCHECK_CONFIGS["tiny"])
+    monkeypatch.setattr(M, "BLOCK_FRAMES", cfg.t_max)
+    true_frames = cfg.t_max - cfg.t_max // 4
+    width = M._live_width(cfg, [true_frames])
+    assert true_frames < width < cfg.t_max
+    report = M.gradcheck_battery("tiny")
+    assert report.passed, report.worst()
+    entries = {e.name: e for e in report.entries}
+    assert entries["extend_columns.head"].coords_checked == 2 * width
+    assert entries["model.input"].coords_checked == cfg.feat_dim * cfg.t_max
+
+
 def test_gradcheck_battery_rejects_unknown_size():
     with pytest.raises(ConfigError):
         M.gradcheck_battery("huge")

@@ -162,6 +162,18 @@ def test_sigmoid_backward_finite_difference():
     assert report.passed, report.worst()
 
 
+def test_extend_columns_repeats_the_last_column_and_folds_its_gradient():
+    x = np.arange(6.0).reshape(1, 2, 3)
+    out = nn.extend_columns_forward(x, 5)
+    assert np.array_equal(out, [[[0, 1, 2, 2, 2], [3, 4, 5, 5, 5]]])
+    grad_out = np.arange(10.0).reshape(1, 2, 5)
+    grad = nn.extend_columns_backward(grad_out, 3)
+    assert np.array_equal(grad, [[[0, 1, 2 + 3 + 4], [5, 6, 7 + 8 + 9]]])
+    # at full width the row passes its array and its gradient through
+    assert nn.extend_columns_forward(x, 3) is x
+    assert nn.extend_columns_backward(grad_out, 5) is grad_out
+
+
 def test_l2_normalize_unit_column_unchanged():
     x = np.zeros((3, 1))
     x[0, 0] = 1.0
