@@ -134,12 +134,12 @@ def run_train(args) -> int:
             raise ConfigError(f"--out {out_dir}: {path} is not a directory")
     config = _load_train_config(args.config)
     _print_resolved(config.to_dict(), config.seed)
-    train_set = list(_prepared(args.train, config))
-    dev_set = list(_prepared(args.dev, config))
     init_model = None
-    if args.resume:
+    if args.resume:  # a bad checkpoint is reported before the data is read
         init_model = model_mod.load_checkpoint(args.resume)
         print(f"resuming from {args.resume} at epoch {init_model.epoch}")
+    train_set = list(_prepared(args.train, config))
+    dev_set = list(_prepared(args.dev, config))
 
     result = model_mod.train(config, train_set, dev_set, init_model=init_model)
 

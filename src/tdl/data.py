@@ -242,9 +242,11 @@ def write_atomic(path, *chunks) -> None:
     """Write the bytes-like ``chunks`` one after another to ``path``
     through a temporary file in the same directory and a rename, so a
     failed or killed write never leaves a truncated file under ``path``
-    (the data is not fsynced, so this does not guard against a power cut)."""
+    (the data is not fsynced, so this does not guard against a power cut).
+    The temporary name keeps at most 32 characters (128 bytes) of
+    ``path``'s name, so any name the file system takes can be written."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name[:32]}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
             for chunk in chunks:

@@ -6,7 +6,8 @@ modulate two tconv layers over the features, then a k=1 conv head, fc
 and sigmoid that score every label frame. Time length is preserved up
 to the fc. Forward, backward, layer construction, parameter and
 checkpoint order, and the gradient-check battery all loop over its rows,
-and ``OPS`` gives each row's op its forward, backward and layer init.
+and ``OPS`` gives each row's op its forward and input backward, and a
+layer op also its parameter gradients and init.
 
 Total loss is BCE(scores, labels) plus ``esm_weight`` times the
 embedding-separation loss; gradients flow through both the hinge terms
@@ -20,10 +21,10 @@ primitive computes a block one GEMM per utterance, so an utterance's
 scores do not depend on which other utterances share its block. At full
 scale a block is one utterance, run on its live frame columns only and
 widened to t_max before the fc, and a minibatch's blocks run on a thread
-pool when single-threaded BLAS leaves cores free. Each conv and tconv
-row of a pooled block hands its weight gradient to the same pool as a
-task of its own, and no task waits on another; gradients are still
-added in block order.
+pool when single-threaded BLAS leaves cores free. Each layer row of a
+pooled block hands its weight gradient to the same pool as a task of
+its own, and no task waits on another; gradients are still added in
+block order.
 """
 
 from __future__ import annotations
@@ -66,12 +67,14 @@ from .nn import (
     conv1d_backward,
     conv1d_forward,
     conv1d_init,
+    conv_param_grads,
     count_params,
     extend_columns_backward,
     extend_columns_forward,
     fc_backward,
     fc_forward,
     fc_init,
+    fc_param_grads,
     grad_check,
     l2_normalize_backward,
     l2_normalize_forward,
@@ -251,29 +254,28 @@ NETWORK = (
 LAYERS = tuple(row[3] for row in NETWORK if row[3] is not None)
 
 
-def _fc_backward(layer, x, grad_out):
-    gx, gw, gb = fc_backward(layer, x.reshape(len(x), -1), grad_out)
-    return gx.reshape(x.shape), gw, gb
-
-
-# Each NETWORK op's (forward, backward), plus the init of a layer op.
-# forward(config, layer, args) is the row's output on its inputs
-# ``args``. backward(layer, args, out, grad_out, first_grad, submit)
-# returns the gradients of ``args`` (the first is None unless
-# ``first_grad``, and the live mask's is None), then of the layer's
-# weights and bias if it has one; with ``submit`` a conv or tconv
-# row's are its pool task's Future.
+# Each NETWORK op's (forward, backward), plus the params and init of a
+# layer op. forward(config, layer, args) is the row's output on its
+# inputs ``args``. backward(layer, args, out, grad_out, first_grad)
+# returns the gradients of ``args``: the first is None unless
+# ``first_grad``, and the live mask's is None. params(layer, args,
+# grad_out) returns the gradients of the layer's weights and bias, and
 # init(*dims, rng) builds the layer. Entries look each primitive up as a
 # tdl.model global when called, as bench/probes.py patches it there.
 OPS = {
     "conv1d": (lambda c, w, a: conv1d_forward(w, a[0]),
-               lambda w, a, out, g, *r: conv1d_backward(w, a[0], g, *r),
+               lambda w, a, out, g, first: (
+                   conv1d_backward(w, a[0], g) if first else None,),
+               lambda w, a, g: conv_param_grads(w, a[0], g),
                conv1d_init),
     "tconv": (lambda c, w, a: tconv_forward(w, a[0], a[1]),
-              lambda w, a, out, g, *r: tconv_backward(w, a[0], a[1], g, *r),
+              lambda w, a, out, g, first: tconv_backward(w, a[0], a[1], g, first),
+              lambda w, a, g: conv_param_grads(w, a[0], g, a[1]),
               conv1d_init),
     "fc": (lambda c, w, a: fc_forward(w, a[0].reshape(len(a[0]), -1)),
-           lambda w, a, out, g, *_: _fc_backward(w, a[0], g),
+           lambda w, a, out, g, *_: (
+               fc_backward(w, a[0].reshape(len(a[0]), -1), g).reshape(a[0].shape),),
+           lambda w, a, g: fc_param_grads(w, a[0], g),
            fc_init),
     "relu": (lambda c, w, a: relu_forward(a[0]),
              lambda w, a, out, g, *_: (relu_backward(a[0], g),)),
@@ -317,7 +319,7 @@ def build_model(config: TdlConfig, rng=None) -> TdlModel:
     ``rng`` replaces the seeded init stream."""
     if rng is None:
         rng = np.random.default_rng([config.seed, _STREAM_INIT])
-    layers = {layer: OPS[op][2](*dims(config), rng)
+    layers = {layer: OPS[op][3](*dims(config), rng)
               for _, op, _, layer, dims in NETWORK if layer is not None}
     return TdlModel(config=config, layers=layers, adam=AdamState())
 
@@ -433,21 +435,25 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
     Each row's output gradient is popped and each input's gradient is
     added into ``grads``; the feature block "x" gets one only with
     ``input_grad``. Returns the parameter gradients keyed
-    "<layer>.weights" and "<layer>.bias". With ``submit``, an executor's,
-    each conv and tconv row submits its weight and bias gradients as one
-    task and the walk goes on; the task's Future stands under both keys.
+    "<layer>.weights" and "<layer>.bias". Each layer row's OPS params run
+    here, or with ``submit``, an executor's, as one task while the walk
+    goes on; the task's Future stands under both keys.
     """
     param_grads = {}
     for out, op, inputs, layer, _ in reversed(rows):
-        row_grads = OPS[op][1](
-            layer and model.layers[layer], [acts[n] for n in inputs], acts[out],
-            grads.pop(out), input_grad or inputs[0] != "x", submit)
+        w, args, grad_out = (layer and model.layers[layer], [acts[n] for n in inputs],
+                             grads.pop(out))
+        if layer is not None:
+            keys, params = (f"{layer}.weights", f"{layer}.bias"), OPS[op][2]
+            if submit is None:
+                param_grads.update(zip(keys, params(w, args, grad_out)))
+            else:
+                param_grads.update(dict.fromkeys(keys, submit(params, w, args, grad_out)))
+        row_grads = OPS[op][1](w, args, acts[out], grad_out,
+                               input_grad or inputs[0] != "x")
         for name, grad in zip(inputs, row_grads):
             if grad is not None:
                 grads[name] = grads[name] + grad if name in grads else grad
-        if layer is not None:
-            grad_w, grad_b = row_grads[len(inputs):]
-            param_grads[f"{layer}.weights"], param_grads[f"{layer}.bias"] = grad_w, grad_b
     return param_grads
 
 
@@ -501,8 +507,8 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
     Returns the block's TdlLoss, each term summed over its utterances,
     and the parameter gradients summed over them; with ``input_grad``
     also the (B, C, t_max) input gradient under "input", 0 past the
-    block's _live_width columns. ``submit`` leaves
-    the conv and tconv weight gradients to tasks (see _backprop_rows).
+    block's _live_width columns. ``submit`` leaves the weight gradients
+    to tasks (see _backprop_rows).
     """
     cfg = model.config
     acts = _forward_block(model, xv, true_frames)
@@ -816,8 +822,8 @@ def _mmap_threshold(nbytes: int) -> None:
 
 def _resolved(result):
     """A pooled block's (TdlLoss, gradients) once its rows' weight tasks
-    are done: the Future of (weights, bias) under a conv or tconv row's
-    two keys is replaced by each key's array."""
+    are done: the Future of (weights, bias) under a layer row's two keys
+    is replaced by each key's array."""
     losses, grads = result
     return losses, {key: grad if isinstance(grad, np.ndarray)
                     else grad.result()[1 if key.endswith(".bias") else 0]
@@ -828,7 +834,7 @@ def _block_losses(model: TdlModel, batch):
     """(TdlLoss, parameter gradients) of each block of ``batch``, in order.
 
     A minibatch of several blocks maps them over a thread pool, at most
-    one block per worker at a time. Each block's conv and tconv rows
+    one block per worker at a time. Each block's layer rows
     submit their weight gradients to the same pool and go on down the
     input-gradient chain. The pool runs tasks in the order they were
     queued, and no block starts before every block is queued, so a free

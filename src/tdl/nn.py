@@ -8,9 +8,10 @@ Every layer primitive takes one utterance or a block of them: an
 optional leading batch axis, (C, T) or (B, C, T) for the convolutions
 and (F,) or (B, F) for the dense layer. A block is computed one GEMM per
 utterance, each the same GEMM a lone utterance runs, so an utterance's
-outputs do not depend on which other utterances share its block. Weight
-and bias gradients come back summed over the block in utterance order;
-the conv and tconv backwards can hand them to an executor as one task.
+outputs do not depend on which other utterances share its block. Each
+layer has two adjoints: its ``*_backward`` gives the input gradient, and
+its ``*_param_grads`` the weight and bias gradients, summed over the
+block in utterance order; the caller decides where the latter runs.
 """
 
 from __future__ import annotations
@@ -121,9 +122,15 @@ def _apply_taps(layer: Conv1dLayer, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tap_param_grads(layer: Conv1dLayer, taps: np.ndarray,
-                     grad_out: np.ndarray):
-    """(grad_weights, grad_bias), each summed over the block in order."""
+def conv_param_grads(layer: Conv1dLayer, x: np.ndarray, grad_out: np.ndarray,
+                     scale: np.ndarray | None = None):
+    """(grad_weights, grad_bias) of a conv row with input x, each summed
+    over the block in order; a tconv row's taps are scaled by its
+    similarities ``scale`` (..., kernel, T). A task of it holds x, not
+    the kernel-times larger taps."""
+    taps = _taps(x, layer.kernel)
+    if scale is not None:
+        taps *= scale[..., None, :]
     t_len = taps.shape[-1]
     flat = taps.reshape(-1, layer.kernel * layer.in_channels, t_len)
     grad = grad_out.reshape(-1, layer.out_channels, t_len)
@@ -132,17 +139,6 @@ def _tap_param_grads(layer: Conv1dLayer, taps: np.ndarray,
     grad_weights = prods[0] if len(prods) == 1 else prods.sum(axis=0)
     grad_bias = grad.sum(axis=2).sum(axis=0)
     return grad_weights.reshape(layer.weights.shape), grad_bias
-
-
-def _input_param_grads(layer: Conv1dLayer, x: np.ndarray, grad_out: np.ndarray,
-                       scale: np.ndarray | None = None):
-    """_tap_param_grads of a row from its input x, the taps scaled by
-    ``scale`` (a tconv's similarities) when given. An executor task of it
-    holds x, not the kernel-times larger taps."""
-    taps = _taps(x, layer.kernel)
-    if scale is not None:
-        taps *= scale
-    return _tap_param_grads(layer, taps, grad_out)
 
 
 def _grad_taps(layer: Conv1dLayer, grad_out: np.ndarray) -> np.ndarray:
@@ -176,22 +172,12 @@ def conv1d_forward(layer: Conv1dLayer, x: np.ndarray) -> np.ndarray:
     return _apply_taps(layer, _taps(x, layer.kernel))
 
 
-def conv1d_backward(layer: Conv1dLayer, x: np.ndarray, grad_out: np.ndarray,
-                    input_grad: bool = True, submit=None):
-    """Adjoint of conv1d_forward; returns (grad_x, grad_weights, grad_bias).
-
-    grad_x is None when ``input_grad`` is off. With ``submit``, an
-    executor's, the weight and bias gradients are one task submitted to
-    it, and its Future of the pair stands in for each of them.
-    """
+def conv1d_backward(layer: Conv1dLayer, x: np.ndarray,
+                    grad_out: np.ndarray) -> np.ndarray:
+    """Adjoint of conv1d_forward in x; conv_param_grads gives the rest."""
     if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
-    if submit is None:
-        grad_weights, grad_bias = _input_param_grads(layer, x, grad_out)
-    else:
-        grad_weights = grad_bias = submit(_input_param_grads, layer, x, grad_out)
-    grad_x = _scatter_taps(_grad_taps(layer, grad_out)) if input_grad else None
-    return grad_x, grad_weights, grad_bias
+    return _scatter_taps(_grad_taps(layer, grad_out))
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +192,19 @@ def fc_forward(layer: FcLayer, x: np.ndarray) -> np.ndarray:
     return np.matmul(layer.weights, x[..., None])[..., 0] + layer.bias
 
 
-def fc_backward(layer: FcLayer, x: np.ndarray, grad_out: np.ndarray):
+def fc_backward(layer: FcLayer, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Adjoint of fc_forward in x; fc_param_grads gives the rest."""
     if grad_out.shape != x.shape[:-1] + (layer.out_features,):
         raise ShapeError(f"fc grad shape {grad_out.shape}")
-    grad_x = np.matmul(layer.weights.T, grad_out[..., None])[..., 0]
+    return np.matmul(layer.weights.T, grad_out[..., None])[..., 0]
+
+
+def fc_param_grads(layer: FcLayer, x: np.ndarray, grad_out: np.ndarray):
+    """(grad_weights, grad_bias) of fc_forward, summed over the block."""
     grad = grad_out.reshape(-1, layer.out_features)
     grad_weights = (grad[:, :, None] * x.reshape(-1, layer.in_features)[:, None, :]
                     ).sum(axis=0)
-    return grad_x, grad_weights, grad.sum(axis=0)
+    return grad_weights, grad.sum(axis=0)
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

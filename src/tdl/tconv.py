@@ -23,15 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .esm import _channel_dot
-from .nn import (
-    Conv1dLayer,
-    _apply_taps,
-    _grad_taps,
-    _input_param_grads,
-    _scatter_taps,
-    _tap_param_grads,
-    _taps,
-)
+from .nn import Conv1dLayer, _apply_taps, _grad_taps, _scatter_taps, _taps
 
 
 def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int) -> np.ndarray:
@@ -99,27 +91,25 @@ def tconv_forward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray) -> np.ndarra
 
 
 def tconv_backward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray,
-                   grad_out: np.ndarray, input_grad: bool = True, submit=None):
-    """Adjoints for (x, a, weights, bias); the x adjoint is None when
-    ``input_grad`` is off. ``submit`` defers the weight and bias adjoints
-    to one executor task, as in conv1d_backward."""
+                   grad_out: np.ndarray, input_grad: bool = True):
+    """Adjoints (grad_x, grad_a) of tconv_forward; grad_x is None when
+    ``input_grad`` is off. conv_param_grads with ``scale`` a gives the
+    weight and bias adjoints."""
     if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
-    # grad_a reads the unscaled taps; then taps and grad_mod are scaled in
-    # place, so no scaled copy of either is held beside the original
-    taps = _taps(x, layer.kernel)
+    half, t_len = layer.kernel // 2, x.shape[-1]
     grad_mod = _grad_taps(layer, grad_out)
-    grad_a = (grad_mod * taps).sum(axis=-2)
-    scale = a[..., None, :]
-    if submit is None:
-        taps *= scale
-        grad_weights, grad_bias = _tap_param_grads(layer, taps, grad_out)
-    else:  # the task scales taps of its own, so these are freed here
-        grad_weights = grad_bias = submit(_input_param_grads, layer, x, grad_out,
-                                          scale)
-    del taps
+    # grad_a[i, t] = grad_mod[i, :, t] . x[:, t - k//2 + i], one tap at a
+    # time from x zero-padded by k//2 at each end: no tap array is built.
+    # Each product keeps all T columns, so numpy sums its channels in the
+    # order it sums the tap array's (a 1-column product sums pairwise).
+    xp = np.zeros(x.shape[:-1] + (t_len + 2 * half,))
+    xp[..., half:half + t_len] = x
+    grad_a = np.empty(a.shape)
+    for i in range(layer.kernel):
+        grad_a[..., i, :] = (grad_mod[..., i, :, :] * xp[..., i:i + t_len]).sum(axis=-2)
     grad_x = None
     if input_grad:
-        grad_mod *= scale
+        grad_mod *= a[..., None, :]
         grad_x = _scatter_taps(grad_mod)
-    return grad_x, grad_a, grad_weights, grad_bias
+    return grad_x, grad_a

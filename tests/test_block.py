@@ -316,13 +316,14 @@ def test_pooled_rows_submit_their_weight_gradients_as_pool_tasks(monkeypatch):
     monkeypatch.setattr(M, "BLOCK_FRAMES", cfg.t_max)  # one utterance per block
     model = M.build_model(cfg)
     M._minibatch_step(model, model.param_items(), _desk_pairs(cfg, 3, 13), 0)
-    # three blocks and one task per conv or tconv row of each block, whose
-    # first argument is the row's layer
-    weight_tasks = [args for fn, args in submitted if fn.__name__ == "_input_param_grads"]
+    # three blocks and one task per layer row of each block: the row's OPS
+    # params, whose first argument is the row's layer
+    params = {entry[2] for entry in M.OPS.values() if len(entry) == 4}
+    weight_tasks = [args for fn, args in submitted if fn in params]
     assert len(submitted) - len(weight_tasks) == 3
     names = {id(layer): name for name, layer in model.layers.items()}
     rows = Counter(names[id(args[0])] for args in weight_tasks)
-    assert rows == {name: 3 for name in M.LAYERS if name != "fc"}
+    assert rows == {name: 3 for name in M.LAYERS}
 
 
 def test_every_block_is_queued_before_any_block_runs(monkeypatch):
@@ -348,7 +349,7 @@ def test_every_block_is_queued_before_any_block_runs(monkeypatch):
     model = M.build_model(cfg)
     M._minibatch_step(model, model.param_items(), _desk_pairs(cfg, 3, 13), 0)
     assert submitted[:3] == ["block"] * 3
-    assert submitted.count("weights") == 3 * (len(M.LAYERS) - 1)
+    assert submitted.count("weights") == 3 * len(M.LAYERS)
 
 
 def test_desk_minibatches_never_build_a_pool(monkeypatch):

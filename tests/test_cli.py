@@ -321,6 +321,19 @@ def test_train_resume_reproduces_uninterrupted_run(tmp_path, synth_spec_file,
     assert (resumed / "last.tdlc").read_bytes() == (full / "last.tdlc").read_bytes()
 
 
+def test_train_reports_a_missing_resume_before_reading_the_data(
+        tmp_path, smoke_config_file, capsys):
+    no_manifest = tmp_path / "no_manifest"
+    no_manifest.mkdir()
+    assert cli.main(["train", "--config", str(smoke_config_file),
+                     "--train", str(no_manifest), "--dev", str(no_manifest),
+                     "--out", str(tmp_path / "run"),
+                     "--resume", str(tmp_path / "gone.tdlc")]) == 1
+    err = capsys.readouterr().err
+    assert "gone.tdlc" in err and "manifest" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_resume_past_the_epoch_budget_exits_one_and_writes_nothing(
         tmp_path, synth_spec_file, smoke_config_file, capsys):
     train_dir = _make_dataset(tmp_path, synth_spec_file, "train", 1)

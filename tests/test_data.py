@@ -420,6 +420,16 @@ def test_stats_matches_label_recount():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["r" * 250 + ".json", "\N{HEADPHONE}" * 63 + ".js"])
+def test_write_atomic_takes_a_255_byte_name(tmp_path, name):
+    # the longest name most file systems take, with no room for a suffix
+    assert len(name.encode()) == 255
+    path = tmp_path / name
+    data.write_atomic(path, b"{}", b"\n")
+    assert path.read_bytes() == b"{}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
+
+
 def test_write_and_load_dataset(tmp_path):
     spec = data.desk_benchmark_spec(num_utterances=6)
     feats, anns = data.synth_dataset(spec, 4)

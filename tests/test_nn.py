@@ -68,7 +68,8 @@ def test_conv_backward_zero_grad():
     rng = np.random.default_rng(4)
     layer = _rand_conv(rng, 3, 2, 3)
     x = rng.standard_normal((3, 6))
-    gx, gw, gb = nn.conv1d_backward(layer, x, np.zeros((2, 6)))
+    gx = nn.conv1d_backward(layer, x, np.zeros((2, 6)))
+    gw, gb = nn.conv_param_grads(layer, x, np.zeros((2, 6)))
     assert not gx.any() and not gw.any() and not gb.any()
 
 
@@ -78,7 +79,7 @@ def test_conv_backward_one_hot_picks_input_slice():
     x = rng.standard_normal((2, 6))
     grad_out = np.zeros((2, 6))
     grad_out[1, 3] = 1.0
-    _, gw, gb = nn.conv1d_backward(layer, x, grad_out)
+    gw, gb = nn.conv_param_grads(layer, x, grad_out)
     # grad_weights[i, c, 1] = x[c, 3 - 1 + i]; other output channel zero
     for i in range(3):
         assert np.allclose(gw[i, :, 1], x[:, 2 + i])
@@ -91,7 +92,8 @@ def test_conv_backward_finite_difference():
     layer = _rand_conv(rng, 3, 4, 3)
     x = rng.standard_normal((3, 7))
     proj = rng.standard_normal((4, 7))
-    gx, gw, gb = nn.conv1d_backward(layer, x, proj)
+    gx = nn.conv1d_backward(layer, x, proj)
+    gw, gb = nn.conv_param_grads(layer, x, proj)
     report = nn.grad_check(
         lambda: float(np.sum(nn.conv1d_forward(layer, x) * proj)),
         {"x": x, "w": layer.weights, "b": layer.bias},
@@ -111,7 +113,8 @@ def test_fc_backward_finite_difference():
     layer = nn.fc_init(6, 4, rng)
     x = rng.standard_normal(6)
     proj = rng.standard_normal(4)
-    gx, gw, gb = nn.fc_backward(layer, x, proj)
+    gx = nn.fc_backward(layer, x, proj)
+    gw, gb = nn.fc_param_grads(layer, x, proj)
     report = nn.grad_check(
         lambda: float(np.sum(nn.fc_forward(layer, x) * proj)),
         {"x": x, "w": layer.weights, "b": layer.bias},

@@ -6,9 +6,12 @@ from tdl.errors import ConfigError, ShapeError
 from tdl.esm import FAKE, PADDING, REAL
 from tdl.nn import (
     Conv1dLayer,
+    _grad_taps,
+    _taps,
     conv1d_backward,
     conv1d_forward,
     conv1d_init,
+    conv_param_grads,
     grad_check,
     l2_normalize_backward,
     l2_normalize_forward,
@@ -155,7 +158,8 @@ def test_kernel_wider_than_input_matches_references(k):
     ref = tconv_reference(layer.weights, layer.bias, x, a)
     assert np.max(np.abs(tconv.tconv_forward(layer, x, a) - ref)) < 1e-12
     proj = rng.standard_normal((3, 6))
-    gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, proj)
+    gx, ga = tconv.tconv_backward(layer, x, a, proj)
+    gw, gb = conv_param_grads(layer, x, proj, a)
     report = grad_check(
         lambda: float(np.sum(tconv.tconv_forward(layer, x, a) * proj)),
         {"x": x, "a": a, "w": layer.weights, "b": layer.bias},
@@ -221,7 +225,8 @@ def test_backward_zero_grad_out():
     layer = _layer(rng, 3)
     x = rng.standard_normal((3, 6))
     a = np.ones((3, 6))
-    gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, np.zeros((3, 6)))
+    gx, ga = tconv.tconv_backward(layer, x, a, np.zeros((3, 6)))
+    gw, gb = conv_param_grads(layer, x, np.zeros((3, 6)), a)
     assert not gx.any() and not ga.any() and not gw.any() and not gb.any()
 
 
@@ -230,11 +235,30 @@ def test_backward_with_ones_matches_conv_backward():
     layer = _layer(rng, 4)
     x = rng.standard_normal((4, 9))
     grad_out = rng.standard_normal((4, 9))
-    gx, _, gw, gb = tconv.tconv_backward(layer, x, np.ones((3, 9)), grad_out)
-    cx, cw, cb = conv1d_backward(layer, x, grad_out)
+    gx, _ = tconv.tconv_backward(layer, x, np.ones((3, 9)), grad_out)
+    gw, gb = conv_param_grads(layer, x, grad_out, np.ones((3, 9)))
+    cx = conv1d_backward(layer, x, grad_out)
+    cw, cb = conv_param_grads(layer, x, grad_out)
     assert np.allclose(gx, cx, atol=1e-12)
     assert np.allclose(gw, cw, atol=1e-12)
     assert np.array_equal(gb, cb)
+
+
+@pytest.mark.parametrize("shape, k", [
+    ((8, 16, 64), 3),    # a desk block
+    ((1, 1024, 1037), 3),  # a full-scale utterance on its live columns
+    ((2, 3, 6), 15),     # a kernel wider than the input
+    ((1, 40, 3), 5),     # taps that reach one frame each
+])
+def test_grad_a_is_bit_equal_to_the_tap_array_formula(shape, k):
+    rng = np.random.default_rng(k)
+    layer = _layer(rng, shape[1], k)
+    x = rng.standard_normal(shape)
+    a = rng.uniform(0.0, 1.0, (shape[0], k, shape[2]))
+    grad_out = rng.standard_normal(shape)
+    _, ga = tconv.tconv_backward(layer, x, a, grad_out)
+    want = (_grad_taps(layer, grad_out) * _taps(x, k)).sum(axis=-2)
+    assert ga.tobytes() == want.tobytes()
 
 
 def test_full_chain_finite_difference():
@@ -253,7 +277,8 @@ def test_full_chain_finite_difference():
 
     e = (l2_normalize_forward(raw_e), classes)
     a = _similarity(e, 3)
-    gx, ga, gw, gb = tconv.tconv_backward(layer, x, a, proj)
+    gx, ga = tconv.tconv_backward(layer, x, a, proj)
+    gw, gb = conv_param_grads(layer, x, proj, a)
     ge = l2_normalize_backward(raw_e, _similarity_backward(e, 3, ga))
     report = grad_check(
         scalar,
