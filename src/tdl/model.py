@@ -294,10 +294,16 @@ OPS = {
 
 @dataclass
 class TdlModel:
+    """A network's layers and Adam state. ``flat`` (3, N) holds the
+    parameters, Adam's m and Adam's v, one row each, in TDLC payload
+    order; every layer array and moment is a view of it (None in a
+    shape_model)."""
+
     config: TdlConfig
     layers: dict[str, Conv1dLayer | FcLayer]  # in LAYERS order
     adam: AdamState
     epoch: int = 0
+    flat: np.ndarray | None = None
 
     def param_items(self) -> dict:
         out = {}
@@ -314,28 +320,60 @@ class TdlLoss:
     esm: EsmLoss
 
 
-def build_model(config: TdlConfig, rng=None) -> TdlModel:
-    """Seeded construction; parameters are uniform in +-sqrt(1/fan_in).
-    ``rng`` replaces the seeded init stream."""
-    if rng is None:
-        rng = np.random.default_rng([config.seed, _STREAM_INIT])
+def _views(model: TdlModel, row: np.ndarray) -> dict:
+    """Views of a flat buffer ``row`` in TDLC payload order, keyed and
+    shaped as model.param_items()."""
+    views, lo = {}, 0
+    for name, value in model.param_items().items():
+        views[name] = row[lo:lo + value.size].reshape(value.shape)
+        lo += value.size
+    return views
+
+
+def _attach(model: TdlModel, flat: np.ndarray) -> TdlModel:
+    """``model`` with ``flat`` (3, N) as its parameters and Adam moments:
+    each layer array and moment becomes a view of it."""
+    params, model.adam.m, model.adam.v = [_views(model, row) for row in flat]
+    for name, layer in model.layers.items():
+        layer.weights, layer.bias = params[f"{name}.weights"], params[f"{name}.bias"]
+    model.flat = flat
+    return model
+
+
+def _layers_only(config: TdlConfig, rng) -> TdlModel:
+    """The model's layers, each drawing its arrays from ``rng``."""
     layers = {layer: OPS[op][3](*dims(config), rng)
               for _, op, _, layer, dims in NETWORK if layer is not None}
     return TdlModel(config=config, layers=layers, adam=AdamState())
 
 
+def build_model(config: TdlConfig, rng=None) -> TdlModel:
+    """Seeded construction; parameters are uniform in +-sqrt(1/fan_in).
+    ``rng`` replaces the seeded init stream. Adam's moments start at 0."""
+    if rng is None:
+        rng = np.random.default_rng([config.seed, _STREAM_INIT])
+    model = _layers_only(config, rng)
+    params = model.param_items()
+    # zeroed pages are mapped on first write: moments cost no memory until
+    # the first Adam step
+    flat = np.zeros((3, count_params(params)))
+    np.concatenate([value.ravel() for value in params.values()], out=flat[0])
+    return _attach(model, flat)
+
+
 class _ShapeDraws:
-    """An init rng whose draws are read-only zero-stride zeros, so
-    build_model gives each parameter its shape but not its memory."""
+    """An init rng whose draws are read-only zero-stride zeros, so each
+    layer gets its parameters' shapes but not their memory."""
 
     uniform = staticmethod(lambda low, high, size: np.broadcast_to(0.0, size))
 
 
 def shape_model(config: TdlConfig) -> TdlModel:
-    """build_model with each parameter's shape but not its memory;
-    ConfigError when a dim is past numpy or float range."""
+    """The layers of build_model with each parameter's shape but not its
+    memory, and no flat buffers; ConfigError when a dim is past numpy or
+    float range."""
     try:
-        return build_model(config, _ShapeDraws())
+        return _layers_only(config, _ShapeDraws())
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config too large: {exc}") from exc
 
@@ -545,8 +583,7 @@ def _esm_classes(config: TdlConfig, labels, live: np.ndarray) -> np.ndarray:
     """(B, W) ESM classes of a block's labels: aligned on the t_max frames
     the labels span, cut to the W columns of the (B, W) mask ``live``,
     and PADDING wherever ``live`` is False."""
-    classes = np.stack([esm_mod.align_labels_to_embedding(lab, config.t_max)
-                        for lab in labels])[:, :live.shape[-1]]
+    classes = esm_mod.align_block_to_embedding(labels, config.t_max)[:, :live.shape[-1]]
     # feature padding trumps label alignment at the tail
     classes[~live] = esm_mod.PADDING
     return classes
@@ -571,13 +608,9 @@ TDLC_VERSION = 1
 _TDLC_HEAD = struct.Struct("<4sII")
 
 
-# absent Adam moments are written as slices of this one zero buffer
-_ZEROS = memoryview(bytes(1 << 16))
-
-
 def _checkpoint_chunks(model: TdlModel) -> list:
     """The TDLC encoding of ``model`` as a list of buffers: the fixed and
-    JSON headers, then zero-copy views of the float64 arrays."""
+    JSON headers, then a zero-copy view of its flat buffers."""
     params = model.param_items()
     header = {
         "format": "TDLC",
@@ -590,18 +623,10 @@ def _checkpoint_chunks(model: TdlModel) -> list:
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    chunks = [_TDLC_HEAD.pack(TDLC_MAGIC, TDLC_VERSION, len(header_bytes)),
-              header_bytes]
-    for arrays in (params, model.adam.m, model.adam.v):
-        for name, value in params.items():
-            if name in arrays:
-                # a view unless the array is not C-contiguous little-endian f8
-                flat = np.ascontiguousarray(arrays[name], dtype="<f8")
-                chunks.append(memoryview(flat).cast("B"))
-            else:
-                whole, rest = divmod(8 * value.size, len(_ZEROS))
-                chunks += [_ZEROS] * whole + [_ZEROS[:rest]]
-    return chunks
+    # a view unless the host is big-endian
+    payload = np.ascontiguousarray(model.flat, dtype="<f8")
+    return [_TDLC_HEAD.pack(TDLC_MAGIC, TDLC_VERSION, len(header_bytes)),
+            header_bytes, memoryview(payload).cast("B")]
 
 
 def encode_checkpoint(model: TdlModel) -> bytes:
@@ -636,8 +661,8 @@ def _check_header(header) -> None:
 
 def _read_checkpoint(fh, size: int) -> TdlModel:
     """The model in the TDLC stream ``fh`` of ``size`` bytes. Every check
-    runs before any array is allocated; each array is then read straight
-    into its own memory."""
+    runs before any array is allocated; the payload is then read straight
+    into the model's flat buffers."""
     head = fh.read(_TDLC_HEAD.size)
     if len(head) < _TDLC_HEAD.size:
         raise FormatError("checkpoint truncated in fixed header")
@@ -674,25 +699,15 @@ def _read_checkpoint(fh, size: int) -> TdlModel:
     if header["params"] != list(shapes) or header["param_shapes"] != {
             name: list(shape) for name, shape in shapes.items()}:
         raise FormatError("checkpoint parameter list mismatch")
-    payload = 3 * 8 * sum(math.prod(shape) for shape in shapes.values())
-    if size != offset + payload:
+    count = sum(math.prod(shape) for shape in shapes.values())
+    if size != offset + 3 * 8 * count:
         raise FormatError(
-            f"checkpoint payload is {size - offset} bytes, expected {payload}"
+            f"checkpoint payload is {size - offset} bytes, expected {3 * 8 * count}"
         )
-
-    def read(shape) -> np.ndarray:
-        value = np.empty(shape, dtype="<f8")
-        if fh.readinto(memoryview(value).cast("B")) != value.nbytes:
-            raise FormatError("checkpoint truncated while reading")
-        return value.astype(np.float64, copy=False)
-
-    for name, layer in model.layers.items():
-        layer.weights = read(shapes[f"{name}.weights"])
-        layer.bias = read(shapes[f"{name}.bias"])
-    for moments in (model.adam.m, model.adam.v):
-        for name, shape in shapes.items():
-            moments[name] = read(shape)
-    return model
+    flat = np.empty((3, count), dtype="<f8")
+    if fh.readinto(memoryview(flat).cast("B")) != flat.nbytes:
+        raise FormatError("checkpoint truncated while reading")
+    return _attach(model, flat.astype(np.float64, copy=False))
 
 
 def decode_checkpoint(blob: bytes) -> TdlModel:
@@ -812,12 +827,16 @@ def _block_workers() -> int:
 
 def _mmap_threshold(nbytes: int) -> None:
     """Have glibc map each buffer over ``nbytes`` on its own, so that
-    freeing one returns its pages to the system; other C libraries are
-    left alone."""
+    freeing one returns its pages to the system, and return a free heap
+    top over ``nbytes`` too: freeing a mapped buffer before (as
+    build_model does with its drawn arrays) raises glibc's trim
+    threshold to twice that buffer, and the heap keeps that much freed
+    memory. Other C libraries are left alone."""
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-3, nbytes)  # M_MMAP_THRESHOLD
+        mallopt(-1, nbytes)  # M_TRIM_THRESHOLD
 
 
 def _resolved(result):
@@ -870,54 +889,58 @@ def _block_losses(model: TdlModel, batch):
         _mmap_threshold(_AFTER_POOL_MMAP_THRESHOLD)
 
 
-def _minibatch_step(model: TdlModel, params: dict, batch, epoch: int) -> np.ndarray:
+def _minibatch_step(model: TdlModel, batch, epoch: int) -> np.ndarray:
     """One Adam step on the mean gradient of a minibatch of (features,
-    labels) pairs; returns its summed (bce, real, fake, diff, total)."""
-    grad_sum, sums = {}, np.zeros(5)
-    for losses, grads in _block_losses(model, batch):
-        for key, grad in grads.items():
-            if key in grad_sum:
-                grad_sum[key] += grad
-            else:
-                grad_sum[key] = grad
+    labels) pairs; returns its summed (bce, real, fake, diff, total).
+
+    The blocks' gradients are summed in block order into one flat buffer
+    that lives only as long as the step. Every gradient is checked before
+    the Adam state or any parameter changes.
+    """
+    grad, sums = np.empty(model.flat.shape[1]), np.zeros(5)
+    views = _views(model, grad)
+    for i, (losses, grads) in enumerate(_block_losses(model, batch)):
         sums += (losses.bce, losses.esm.l_real, losses.esm.l_fake,
                  losses.esm.l_diff, losses.total)
-        del grads  # freed before another block starts
-    for grad in grad_sum.values():
-        grad /= len(batch)
-    adam_step(model.config.optimizer, model.adam, params, grad_sum, epoch)
+        while grads:  # each array is freed once it is added
+            key, value = grads.popitem()
+            if i:
+                views[key] += value
+            else:
+                views[key][...] = value
+        del value
+    grad /= len(batch)
+    # one Adam update over the flat buffers, as a single parameter
+    flat = AdamState(model.adam.step, {"": model.flat[1]}, {"": model.flat[2]})
+    try:
+        adam_step(model.config.optimizer, flat, {"": model.flat[0]}, {"": grad}, epoch)
+    except NumericError:
+        bad = next(k for k, value in views.items() if not np.isfinite(value).all())
+        raise NumericError(f"non-finite gradient for parameter {bad}") from None
+    model.adam.step = flat.step
     return sums
 
 
-def _state_arrays(model: TdlModel) -> dict:
-    """The model's parameters and any Adam moments, keyed (part, name)."""
-    arrays = {("param", k): v for k, v in model.param_items().items()}
-    for part, moments in (("m", model.adam.m), ("v", model.adam.v)):
-        arrays.update({(part, k): v for k, v in moments.items()})
-    return arrays
-
-
 class _Snapshot:
-    """The training state a divergence restores, copied into buffers that
-    the first copy needing each one allocates."""
+    """The training state a divergence restores, copied into a buffer that
+    the first copy allocates. Adam's moments are 0 before its first step,
+    and only the parameters are copied then."""
 
-    def __init__(self):
-        self.buffers = {}
+    buffer = None
 
     def take(self, model: TdlModel) -> None:
-        self.counters = model.epoch, model.adam.step, bool(model.adam.m)
-        for key, value in _state_arrays(model).items():
-            if key not in self.buffers:
-                self.buffers[key] = np.empty_like(value)
-            np.copyto(self.buffers[key], value)
+        self.counters = model.epoch, model.adam.step
+        if self.buffer is None:
+            self.buffer = np.empty_like(model.flat)
+        rows = 3 if model.adam.step else 1
+        np.copyto(self.buffer[:rows], model.flat[:rows])
 
     def restore(self, model: TdlModel) -> None:
-        """Copy the snapshot back into ``model``'s own arrays."""
-        model.epoch, model.adam.step, moments = self.counters
-        if not moments:
-            model.adam.m, model.adam.v = {}, {}
-        for key, value in _state_arrays(model).items():
-            np.copyto(value, self.buffers[key])
+        """Copy the snapshot back into ``model``'s own buffers."""
+        model.epoch, model.adam.step = self.counters
+        rows = 3 if model.adam.step else 1
+        np.copyto(model.flat[:rows], self.buffer[:rows])
+        model.flat[rows:] = 0.0
 
 
 def train(config: TdlConfig, train_set, dev_set,
@@ -926,12 +949,14 @@ def train(config: TdlConfig, train_set, dev_set,
 
     Datasets are lists of (FeatureSequence, FrameLabels), features
     pre-padded to t_max and labels to label_len. Each minibatch runs as
-    one block (several when it exceeds BLOCK_FRAMES columns) and its
-    gradients are averaged over its utterances. Per-epoch dev EER is
-    recorded, and the model is encoded as the best checkpoint whenever
-    it improves. If the loss goes non-finite the run stops and the last
-    completed epoch's state is restored (diverged=True). A resumed model
-    must have epochs left to train.
+    one block (several when it exceeds BLOCK_FRAMES columns), its
+    gradients are averaged over its utterances in one flat buffer that
+    lives only as long as the step, and one adam_step updates the
+    model's flat parameter and moment buffers (TdlModel.flat) from it.
+    Per-epoch dev EER is recorded, and the model is encoded as the best
+    checkpoint whenever it improves. If the loss goes non-finite the run
+    stops and the last completed epoch's state is restored
+    (diverged=True). A resumed model must have epochs left to train.
 
     A minibatch of several blocks runs them on a thread pool when the
     usable cores exceed the BLAS threads per call (see _block_workers).
@@ -942,8 +967,8 @@ def train(config: TdlConfig, train_set, dev_set,
     result does not depend on the worker count.
     The first such minibatch changes malloc settings for the whole
     process under glibc: the dynamic mmap threshold is switched off and
-    left at _AFTER_POOL_MMAP_THRESHOLD, as glibc cannot report the
-    previous setting to restore.
+    left at _AFTER_POOL_MMAP_THRESHOLD, and the trim threshold with it,
+    as glibc cannot report the previous settings to restore.
     """
     _validate_set(config, train_set, "train")
     _validate_set(config, dev_set, "dev", both_classes=True)
@@ -959,7 +984,6 @@ def train(config: TdlConfig, train_set, dev_set,
                 f"resume checkpoint is at epoch {init_model.epoch}, which leaves "
                 f"nothing to train in epochs {config.epochs}")
         model.config = config
-    params = model.param_items()
     n = len(train_set)
 
     records = []
@@ -979,7 +1003,7 @@ def train(config: TdlConfig, train_set, dev_set,
         try:
             for lo in range(0, n, config.batch_size):
                 batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
-                sums += _minibatch_step(model, params, batch, epoch)
+                sums += _minibatch_step(model, batch, epoch)
         except NumericError:
             last_good.restore(model)
             diverged = True

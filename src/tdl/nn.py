@@ -353,7 +353,11 @@ def adam_step(config: OptimizerConfig, state: AdamState, params: dict,
 
     Weight decay enters as an additive wd*theta gradient term before the
     moment updates (coupled L2 form). Every gradient is checked before
-    the state or any parameter changes.
+    the state or any parameter changes; a name's moments are allocated on
+    its first step. Each array is updated ADAM_SLICE rows at a time with
+    two scratch arrays of that size, so a flat buffer that holds many
+    parameters (TdlModel's) needs only cache-sized temporaries; every
+    operation is elementwise, so the slices change no bit.
     """
     for name, theta in params.items():
         if grads[name].shape != theta.shape:
@@ -361,19 +365,45 @@ def adam_step(config: OptimizerConfig, state: AdamState, params: dict,
         if not np.all(np.isfinite(grads[name])):
             raise NumericError(f"non-finite gradient for parameter {name}")
     state.step += 1
-    t = state.step
-    lr = config.lr_for_epoch(epoch)
-    bc1 = 1.0 - config.beta1 ** t
-    bc2 = 1.0 - config.beta2 ** t
     for name, theta in params.items():
-        g = grads[name] + config.weight_decay * theta
-        m = state.m.setdefault(name, np.zeros_like(theta))
-        v = state.v.setdefault(name, np.zeros_like(theta))
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(theta), np.zeros_like(theta)
+        _adam_update(config, state.step, epoch, theta, grads[name], state.m[name],
+                     state.v[name])
+
+
+# rows of an array that _adam_update updates at a time
+ADAM_SLICE = 1 << 16
+
+
+def _adam_update(config: OptimizerConfig, step: int, epoch: int, theta: np.ndarray,
+                 grad: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+    """Adam's update number ``step`` of theta and its moments m and v, in
+    place and in slices, from grad; the four arrays share one shape."""
+    theta, grad, m, v = np.atleast_1d(theta, grad, m, v)
+    lr = config.lr_for_epoch(epoch)
+    bc1 = 1.0 - config.beta1 ** step
+    bc2 = 1.0 - config.beta2 ** step
+    g_all, t_all = np.empty_like(theta[:ADAM_SLICE]), np.empty_like(theta[:ADAM_SLICE])
+    for lo in range(0, len(theta), ADAM_SLICE):
+        s = slice(lo, lo + ADAM_SLICE)
+        th, ms, vs = theta[s], m[s], v[s]
+        g, t = g_all[:len(th)], t_all[:len(th)]
+        np.multiply(th, config.weight_decay, out=g)
+        g += grad[s]
+        ms *= config.beta1
+        ms += np.multiply(g, 1.0 - config.beta1, out=t)
+        vs *= config.beta2
+        np.multiply(g, g, out=t)
+        t *= 1.0 - config.beta2
+        vs += t
+        # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.sqrt(np.divide(vs, bc2, out=t), out=t)
+        t += config.eps
+        np.divide(ms, bc1, out=g)
+        g *= lr
+        g /= t
+        th -= g
 
 
 # ---------------------------------------------------------------------------

@@ -205,3 +205,26 @@ def random_ms_annotation(rng, sample_id="rnd", max_ms=4000):
         label = "real" if rng.random() < 0.5 else "fake"
         segs.append(Segment(lo / 1000.0, hi / 1000.0, label))
     return SegmentAnnotation(sample_id, dur_ms / 1000.0, segs)
+
+
+def esm_worst_pairs_reference(values, classes):
+    """The pair each hinge term picks, by a lexicographic brute-force scan:
+    the first (similarity, x, y) minimum over real-real and over fake-fake
+    pairs x < y, and the first (-similarity, x, y) minimum over cross
+    pairs (real x, fake y), each similarity from cosine_reference. Returns
+    three (similarity, x, y) tuples, None for a term without pairs."""
+    t_len = values.shape[1]
+    real = [t for t in range(t_len) if classes[t] == 1]
+    fake = [t for t in range(t_len) if classes[t] == 0]
+
+    def first(pairs, sign):
+        best = None
+        for x, y in pairs:
+            s = cosine_reference(values, x, y)
+            if best is None or (sign * s, x, y) < (sign * best[0], best[1], best[2]):
+                best = (s, x, y)
+        return best
+
+    return (first([(x, y) for x in real for y in real if x < y], 1.0),
+            first([(x, y) for x in fake for y in fake if x < y], 1.0),
+            first([(x, y) for x in real for y in fake], -1.0))

@@ -315,7 +315,7 @@ def test_pooled_rows_submit_their_weight_gradients_as_pool_tasks(monkeypatch):
     cfg = M.desk_config(batch_size=3)
     monkeypatch.setattr(M, "BLOCK_FRAMES", cfg.t_max)  # one utterance per block
     model = M.build_model(cfg)
-    M._minibatch_step(model, model.param_items(), _desk_pairs(cfg, 3, 13), 0)
+    M._minibatch_step(model, _desk_pairs(cfg, 3, 13), 0)
     # three blocks and one task per layer row of each block: the row's OPS
     # params, whose first argument is the row's layer
     params = {entry[2] for entry in M.OPS.values() if len(entry) == 4}
@@ -347,7 +347,7 @@ def test_every_block_is_queued_before_any_block_runs(monkeypatch):
     cfg = M.desk_config(batch_size=3)
     monkeypatch.setattr(M, "BLOCK_FRAMES", cfg.t_max)  # one utterance per block
     model = M.build_model(cfg)
-    M._minibatch_step(model, model.param_items(), _desk_pairs(cfg, 3, 13), 0)
+    M._minibatch_step(model, _desk_pairs(cfg, 3, 13), 0)
     assert submitted[:3] == ["block"] * 3
     assert submitted.count("weights") == 3 * len(M.LAYERS)
 

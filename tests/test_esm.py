@@ -6,7 +6,7 @@ from tdl.data import BOUNDARY1, REAL0_FAKE1, REAL1_FAKE0, FrameLabels
 from tdl.errors import ConfigError, ValidationError
 from tdl.nn import grad_check, l2_normalize_forward
 
-from oracles import esm_reference
+from oracles import esm_reference, esm_worst_pairs_reference
 
 
 def _loss(values, classes, cfg):
@@ -81,6 +81,22 @@ def test_align_classes_follow_the_label_setting():
         assert np.array_equal(classes, want), setting
     with pytest.raises(ValidationError, match="boundary1"):
         esm.align_labels_to_embedding(_labels([0, 1, 0], setting=BOUNDARY1), 6)
+
+
+def test_block_alignment_equals_each_utterance_aligned_alone():
+    rng = np.random.default_rng(11)
+    for setting in (REAL1_FAKE0, REAL0_FAKE1):
+        labels = []
+        for true in rng.integers(1, 17, size=5):
+            bits = rng.integers(0, 2, 16)
+            bits[true:] = 0
+            labels.append(_labels(bits, true_labels=int(true), setting=setting))
+        for t_e in (1, 7, 16, 64, 100):
+            want = np.stack([esm.align_labels_to_embedding(lab, t_e) for lab in labels])
+            got = esm.align_block_to_embedding(labels, t_e)
+            assert got.dtype == np.int8 and np.array_equal(got, want)
+    with pytest.raises(ValidationError, match="boundary1"):
+        esm.align_block_to_embedding([_labels([0, 1]), _labels([1, 0], setting=BOUNDARY1)], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +241,85 @@ def test_config_rejects_unusable_margins():
         esm.EsmConfig(tau_same=0.0, tau_diff=0.5)
     with pytest.raises(ConfigError):
         esm.EsmConfig(tau_same=1.5)
+
+
+# ---------------------------------------------------------------------------
+# worst pairs
+# ---------------------------------------------------------------------------
+
+
+def _worst_pairs(values, classes):
+    """Each utterance's three (similarity, x, y) worst pairs from the block
+    scan, None for a term without pairs."""
+    sims, xs, ys = esm._components(values, classes, esm.EsmConfig())[1]
+    return [tuple(None if np.isinf(sims[term, b])
+                  else (float(sims[term, b]), int(xs[term, b]), int(ys[term, b]))
+                  for term in range(3))
+            for b in range(len(classes))]
+
+
+def _assert_reference_pairs(values, classes):
+    for b, got in enumerate(_worst_pairs(values, classes)):
+        assert got == esm_worst_pairs_reference(values[b], classes[b]), b
+
+
+def _classes(rng, num, t_len):
+    classes = rng.integers(-1, 2, size=(num, t_len)).astype(np.int8)
+    classes[rng.random((num, t_len)) < 0.5] = esm.REAL
+    return classes
+
+
+def test_worst_pairs_equal_the_lexicographic_oracle_on_random_blocks():
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        num, dim, t_len = (int(rng.integers(1, 6)), int(rng.integers(1, 17)),
+                           int(rng.integers(2, 41)))
+        _assert_reference_pairs(rng.standard_normal((num, dim, t_len)),
+                                _classes(rng, num, t_len))
+
+
+def test_worst_pairs_take_the_first_of_exact_ties():
+    # every column appears three times, so each term's extremum is tied
+    rng = np.random.default_rng(32)
+    base = rng.standard_normal((3, 6, 10))
+    values = np.concatenate([base, base, base], axis=-1)[..., rng.permutation(30)]
+    _assert_reference_pairs(values, _classes(rng, 3, 30))
+
+
+def test_worst_pairs_resolve_columns_a_few_ulps_apart():
+    rng = np.random.default_rng(33)
+    column = rng.standard_normal((2, 12, 1))
+    steps = rng.integers(-3, 4, size=(2, 12, 24))
+    values = column + steps * np.spacing(column)
+    _assert_reference_pairs(values, _classes(rng, 2, 24))
+
+
+def test_worst_pairs_of_columns_that_clip_at_plus_and_minus_one():
+    rng = np.random.default_rng(34)
+    column = rng.standard_normal((2, 9, 1))
+    scale = rng.uniform(0.5, 2.0, size=(2, 1, 20)) * rng.choice([-1.0, 1.0], size=(2, 1, 20))
+    _assert_reference_pairs(column * scale, _classes(rng, 2, 20))
+
+
+def test_worst_pairs_of_a_collapsed_utterance_scan_every_cell():
+    # one utterance whose columns are all one column: every cell of it is
+    # in the shortlist
+    rng = np.random.default_rng(35)
+    values = rng.standard_normal((3, 8, 32))
+    values[1] = values[1, :, :1]
+    _assert_reference_pairs(values, _classes(rng, 3, 32))
+
+
+def test_worst_pairs_of_utterances_without_candidates():
+    rng = np.random.default_rng(36)
+    values = rng.standard_normal((5, 4, 12))
+    classes = _classes(rng, 5, 12)
+    classes[1] = esm.PADDING  # all padding
+    classes[2] = esm.REAL  # one class only: no fake-fake or cross pair
+    classes[3, :] = esm.PADDING
+    classes[3, 4] = esm.FAKE  # a single frame
+    _assert_reference_pairs(values, classes)
+    assert _worst_pairs(values, classes)[1] == (None, None, None)
+    lone = rng.standard_normal((4, 3, 1))  # T = 1
+    assert _worst_pairs(lone, np.array([[1], [0], [-1], [1]], dtype=np.int8)) == \
+        [(None, None, None)] * 4

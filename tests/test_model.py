@@ -18,7 +18,8 @@ from tdl.data import (
     pad_features,
     synth_dataset,
 )
-from tdl.errors import ConfigError, FormatError, ShapeError, ValidationError
+from tdl import nn
+from tdl.errors import ConfigError, FormatError, NumericError, ShapeError, ValidationError
 from tdl.nn import bce_loss, count_params
 
 
@@ -482,9 +483,9 @@ def test_checkpoint_encode_save_and_load_hold_one_payload(tmp_path, moments):
     mdl = M.build_model(M.desk_config(feat_dim=128, conv_hidden=64))
     params = mdl.param_items()
     if moments:
-        for name, value in params.items():
-            mdl.adam.m[name] = np.full_like(value, 0.5)
-            mdl.adam.v[name] = np.full_like(value, 0.25)
+        for name in params:
+            mdl.adam.m[name][...] = 0.5
+            mdl.adam.v[name][...] = 0.25
     payload = 3 * 8 * count_params(list(params.values()))
     assert payload > 2_000_000
     path = tmp_path / "m.tdlc"
@@ -495,6 +496,73 @@ def test_checkpoint_encode_save_and_load_hold_one_payload(tmp_path, moments):
     assert _traced_peak(lambda: M.decode_checkpoint(blob)) <= 1.1 * payload
     assert M.encode_checkpoint(M.load_checkpoint(path)) == blob
     assert M.encode_checkpoint(mdl) == blob
+
+
+# ---------------------------------------------------------------------------
+# flat parameter and Adam buffers
+# ---------------------------------------------------------------------------
+
+
+def _assert_flat_views(mdl):
+    """Every layer array and Adam moment is a view of its row of mdl.flat,
+    the rows laid out in TDLC payload order."""
+    params = mdl.param_items()
+    assert list(mdl.adam.m) == list(mdl.adam.v) == list(params)
+    for row, arrays in zip(mdl.flat, (params, mdl.adam.m, mdl.adam.v)):
+        assert all(np.shares_memory(value, row) for value in arrays.values())
+        assert np.array_equal(np.concatenate([v.ravel() for v in arrays.values()]), row)
+
+
+def test_built_and_decoded_models_are_views_of_their_flat_buffers():
+    cfg = tiny_config(epochs=1)
+    mdl = M.build_model(cfg)
+    _assert_flat_views(mdl)
+    assert not mdl.flat[1:].any()
+    trained = M.train(cfg, *_tiny_sets(cfg)).last_model
+    _assert_flat_views(trained)
+    assert trained.flat[2].any()
+    _assert_flat_views(M.decode_checkpoint(M.encode_checkpoint(trained)))
+
+
+def test_divergence_restores_into_the_flat_buffers(monkeypatch):
+    cfg = tiny_config(epochs=3)
+    train_set, dev_set = _tiny_sets(cfg)
+    want = M.train(tiny_config(epochs=1), train_set, dev_set).last_model
+    step, steps = M._minibatch_step, []
+
+    def diverging(model, batch, epoch):
+        if 1 in steps:  # after one step of epoch 1 has moved every row
+            raise NumericError("diverged")
+        steps.append(epoch)
+        return step(model, batch, epoch)
+
+    monkeypatch.setattr(M, "_minibatch_step", diverging)
+    result = M.train(cfg, train_set, dev_set)
+    assert result.diverged and steps[-1] == 1
+    got = result.last_model
+    _assert_flat_views(got)
+    assert (got.epoch, got.adam.step) == (want.epoch, want.adam.step) == (1, 2)
+    assert got.flat.tobytes() == want.flat.tobytes()
+
+
+def test_flat_adam_steps_equal_per_array_updates(monkeypatch):
+    cfg = tiny_config()
+    train_set, _ = _tiny_sets(cfg)
+    mdl = M.build_model(cfg)
+    params = {name: value.copy() for name, value in mdl.param_items().items()}
+    state = nn.AdamState()
+    for epoch in range(3):
+        batch = train_set[:cfg.batch_size]
+        _, grads = M._loss_block(mdl, *M._stack_block(cfg, batch))
+        monkeypatch.setattr(nn, "ADAM_SLICE", 1 << 30)  # each array in one piece
+        nn.adam_step(cfg.optimizer, state, params,
+                     {k: g / len(batch) for k, g in grads.items()}, epoch)
+        monkeypatch.setattr(nn, "ADAM_SLICE", 100)  # slices cut through arrays
+        assert mdl.flat.shape[1] > 4 * nn.ADAM_SLICE
+        M._minibatch_step(mdl, batch, epoch)
+        for mine, theirs in ((mdl.param_items(), params), (mdl.adam.m, state.m),
+                             (mdl.adam.v, state.v)):
+            assert all(mine[k].tobytes() == theirs[k].tobytes() for k in theirs)
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,45 @@ def test_adam_checks_every_gradient_before_it_writes(bad):
         assert all(np.array_equal(saved[k], now[k]) for k in saved)
 
 
+def test_adam_allocates_its_moments_on_the_first_step_only(monkeypatch):
+    config, state = nn.OptimizerConfig(), nn.AdamState()
+    params = {"a": np.ones(3), "b": np.ones((2, 2))}
+    grads = {name: np.full(p.shape, 0.5) for name, p in params.items()}
+    calls, zeros_like = [], np.zeros_like
+    monkeypatch.setattr(np, "zeros_like",
+                        lambda a, *args, **kw: calls.append(a.shape) or zeros_like(a, *args, **kw))
+    nn.adam_step(config, state, params, grads, epoch=0)
+    assert len(calls) == 4
+    nn.adam_step(config, state, params, grads, epoch=0)
+    assert len(calls) == 4
+
+
+def _adam_reference(config, step, epoch, theta, grad, m, v):
+    """Adam's update of whole arrays, one expression per line."""
+    g = grad + config.weight_decay * theta
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
+    v *= config.beta2
+    v += (1.0 - config.beta2) * (g * g)
+    theta -= (config.lr_for_epoch(epoch) * (m / (1.0 - config.beta1 ** step))
+              / (np.sqrt(v / (1.0 - config.beta2 ** step)) + config.eps))
+
+
+@pytest.mark.parametrize("size", [1, nn.ADAM_SLICE - 1, nn.ADAM_SLICE,
+                                  nn.ADAM_SLICE + 1, 2 * nn.ADAM_SLICE + 7])
+def test_sliced_adam_step_equals_the_whole_array_update(size):
+    rng = np.random.default_rng(size)
+    config = nn.OptimizerConfig(base_lr=1e-3, halving_period_epochs=2)
+    theta, state = rng.standard_normal(size), nn.AdamState()
+    want = [theta.copy(), np.zeros(size), np.zeros(size)]
+    for step in range(1, 4):
+        grad = rng.standard_normal(size)
+        nn.adam_step(config, state, {"w": theta}, {"w": grad}, epoch=step)
+        _adam_reference(config, step, step, *want[:1], grad, *want[1:])
+    for got, expected in zip((theta, state.m["w"], state.v["w"]), want):
+        assert got.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # grad_check / count_params
 # ---------------------------------------------------------------------------
