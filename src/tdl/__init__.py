@@ -64,7 +64,7 @@ from .model import (
     total_loss,
     train,
 )
-from .nn import (AdamState, Conv1dLayer, FcLayer, OptimizerConfig, adam_step, bce_loss,
+from .nn import (Conv1dLayer, FcLayer, OptimizerConfig, adam_step, bce_loss,
                  count_params, grad_check)
 from .tconv import neighbor_similarity, tconv_backward, tconv_forward
 

@@ -57,7 +57,6 @@ from .errors import (
 )
 from .esm import EsmConfig, EsmLoss
 from .nn import (
-    AdamState,
     Conv1dLayer,
     FcLayer,
     GradReport,
@@ -296,12 +295,12 @@ OPS = {
 class TdlModel:
     """A network's layers and Adam state. ``flat`` (3, N) holds the
     parameters, Adam's m and Adam's v, one row each, in TDLC payload
-    order; every layer array and moment is a view of it (None in a
-    shape_model)."""
+    order; every layer array is a view of its first row (None in a
+    shape_model). ``step`` counts adam_step's updates of it."""
 
     config: TdlConfig
     layers: dict[str, Conv1dLayer | FcLayer]  # in LAYERS order
-    adam: AdamState
+    step: int = 0
     epoch: int = 0
     flat: np.ndarray | None = None
 
@@ -332,8 +331,8 @@ def _views(model: TdlModel, row: np.ndarray) -> dict:
 
 def _attach(model: TdlModel, flat: np.ndarray) -> TdlModel:
     """``model`` with ``flat`` (3, N) as its parameters and Adam moments:
-    each layer array and moment becomes a view of it."""
-    params, model.adam.m, model.adam.v = [_views(model, row) for row in flat]
+    each layer array becomes a view of its first row."""
+    params = _views(model, flat[0])
     for name, layer in model.layers.items():
         layer.weights, layer.bias = params[f"{name}.weights"], params[f"{name}.bias"]
     model.flat = flat
@@ -344,7 +343,7 @@ def _layers_only(config: TdlConfig, rng) -> TdlModel:
     """The model's layers, each drawing its arrays from ``rng``."""
     layers = {layer: OPS[op][3](*dims(config), rng)
               for _, op, _, layer, dims in NETWORK if layer is not None}
-    return TdlModel(config=config, layers=layers, adam=AdamState())
+    return TdlModel(config=config, layers=layers)
 
 
 def build_model(config: TdlConfig, rng=None) -> TdlModel:
@@ -617,7 +616,7 @@ def _checkpoint_chunks(model: TdlModel) -> list:
         "version": TDLC_VERSION,
         "config": model.config.to_dict(),
         "epoch": model.epoch,
-        "adam": {**asdict(model.config.optimizer), "step": model.adam.step},
+        "adam": {**asdict(model.config.optimizer), "step": model.step},
         "params": list(params.keys()),
         "param_shapes": {k: list(v.shape) for k, v in params.items()},
     }
@@ -693,7 +692,7 @@ def _read_checkpoint(fh, size: int) -> TdlModel:
             raise FormatError(f"checkpoint adam {key} {brief(header['adam'][key])} "
                               f"!= config.optimizer {key} {brief(value)}")
     model.epoch = header["epoch"]
-    model.adam = AdamState(step=header["adam"]["step"])
+    model.step = header["adam"]["step"]
 
     shapes = {name: value.shape for name, value in model.param_items().items()}
     if header["params"] != list(shapes) or header["param_shapes"] != {
@@ -910,14 +909,12 @@ def _minibatch_step(model: TdlModel, batch, epoch: int) -> np.ndarray:
                 views[key][...] = value
         del value
     grad /= len(batch)
-    # one Adam update over the flat buffers, as a single parameter
-    flat = AdamState(model.adam.step, {"": model.flat[1]}, {"": model.flat[2]})
     try:
-        adam_step(model.config.optimizer, flat, {"": model.flat[0]}, {"": grad}, epoch)
+        adam_step(model.config.optimizer, model.flat, grad, model.step + 1, epoch)
     except NumericError:
         bad = next(k for k, value in views.items() if not np.isfinite(value).all())
         raise NumericError(f"non-finite gradient for parameter {bad}") from None
-    model.adam.step = flat.step
+    model.step += 1
     return sums
 
 
@@ -929,16 +926,16 @@ class _Snapshot:
     buffer = None
 
     def take(self, model: TdlModel) -> None:
-        self.counters = model.epoch, model.adam.step
+        self.counters = model.epoch, model.step
         if self.buffer is None:
             self.buffer = np.empty_like(model.flat)
-        rows = 3 if model.adam.step else 1
+        rows = 3 if model.step else 1
         np.copyto(self.buffer[:rows], model.flat[:rows])
 
     def restore(self, model: TdlModel) -> None:
         """Copy the snapshot back into ``model``'s own buffers."""
-        model.epoch, model.adam.step = self.counters
-        rows = 3 if model.adam.step else 1
+        model.epoch, model.step = self.counters
+        rows = 3 if model.step else 1
         np.copyto(model.flat[:rows], self.buffer[:rows])
         model.flat[rows:] = 0.0
 
@@ -952,7 +949,7 @@ def train(config: TdlConfig, train_set, dev_set,
     one block (several when it exceeds BLOCK_FRAMES columns), its
     gradients are averaged over its utterances in one flat buffer that
     lives only as long as the step, and one adam_step updates the
-    model's flat parameter and moment buffers (TdlModel.flat) from it.
+    model's (3, N) buffer of parameters, m and v (TdlModel.flat) from it.
     Per-epoch dev EER is recorded, and the model is encoded as the best
     checkpoint whenever it improves. If the loss goes non-finite the run
     stops and the last completed epoch's state is restored

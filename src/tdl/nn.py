@@ -16,7 +16,7 @@ block in utterance order; the caller decides where the latter runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,24 +252,23 @@ def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 NORM_EPS = 1e-12
 
 
-def l2_normalize_forward(x: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
+def l2_normalize_forward(x: np.ndarray) -> np.ndarray:
     """Normalize each column (time step) over the channel axis, x (..., C, T).
 
-    Columns with norm below eps are divided by eps instead, so the map
-    stays differentiable everywhere it is evaluated.
+    Columns with norm below NORM_EPS are divided by NORM_EPS instead, so
+    the map stays differentiable everywhere it is evaluated.
     """
     norms = np.sqrt((x * x).sum(axis=-2, keepdims=True))
-    return x / np.maximum(norms, eps)
+    return x / np.maximum(norms, NORM_EPS)
 
 
-def l2_normalize_backward(x: np.ndarray, grad_out: np.ndarray,
-                          eps: float = NORM_EPS) -> np.ndarray:
+def l2_normalize_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     norms = np.sqrt((x * x).sum(axis=-2, keepdims=True))
-    denom = np.maximum(norms, eps)
+    denom = np.maximum(norms, NORM_EPS)
     dots = (x * grad_out).sum(axis=-2, keepdims=True)
     grad = grad_out / denom - x * (dots / denom ** 3)
-    # below the floor the denominator is the constant eps
-    return np.where(norms < eps, grad_out / eps, grad)
+    # below the floor the denominator is the constant NORM_EPS
+    return np.where(norms < NORM_EPS, grad_out / NORM_EPS, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -338,49 +337,28 @@ class OptimizerConfig:
         return self.base_lr * 0.5 ** (epoch // self.halving_period_epochs)
 
 
-@dataclass
-class AdamState:
-    """Adam's step count and per-parameter first and second moments."""
-
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def adam_step(config: OptimizerConfig, state: AdamState, params: dict,
-              grads: dict, epoch: int) -> None:
-    """One in-place Adam update over a name->array parameter dict.
-
-    Weight decay enters as an additive wd*theta gradient term before the
-    moment updates (coupled L2 form). Every gradient is checked before
-    the state or any parameter changes; a name's moments are allocated on
-    its first step. Each array is updated ADAM_SLICE rows at a time with
-    two scratch arrays of that size, so a flat buffer that holds many
-    parameters (TdlModel's) needs only cache-sized temporaries; every
-    operation is elementwise, so the slices change no bit.
-    """
-    for name, theta in params.items():
-        if grads[name].shape != theta.shape:
-            raise ShapeError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(grads[name])):
-            raise NumericError(f"non-finite gradient for parameter {name}")
-    state.step += 1
-    for name, theta in params.items():
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(theta), np.zeros_like(theta)
-        _adam_update(config, state.step, epoch, theta, grads[name], state.m[name],
-                     state.v[name])
-
-
-# rows of an array that _adam_update updates at a time
+# elements of each row that adam_step updates at a time
 ADAM_SLICE = 1 << 16
 
 
-def _adam_update(config: OptimizerConfig, step: int, epoch: int, theta: np.ndarray,
-                 grad: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
-    """Adam's update number ``step`` of theta and its moments m and v, in
-    place and in slices, from grad; the four arrays share one shape."""
-    theta, grad, m, v = np.atleast_1d(theta, grad, m, v)
+def adam_step(config: OptimizerConfig, flat: np.ndarray, grad: np.ndarray,
+              step: int, epoch: int) -> None:
+    """Adam's update number ``step`` of ``flat`` (3, N), whose rows are the
+    parameters, m and v, in place from the gradient ``grad`` (N,).
+
+    Weight decay enters as an additive wd*theta gradient term before the
+    moment updates (coupled L2 form). The gradient is checked before any
+    row changes. The rows are updated ADAM_SLICE elements at a time with
+    two scratch arrays of that size, so a buffer that holds many
+    parameters (TdlModel's) needs only cache-sized temporaries; every
+    operation is elementwise, so the slices change no bit.
+    """
+    if grad.ndim != 1 or flat.shape != (3, len(grad)):
+        raise ShapeError(f"gradient shape {grad.shape} does not fit Adam buffer "
+                         f"{flat.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite gradient")
+    theta, m, v = flat
     lr = config.lr_for_epoch(epoch)
     bc1 = 1.0 - config.beta1 ** step
     bc2 = 1.0 - config.beta2 ** step

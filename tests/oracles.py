@@ -228,3 +228,15 @@ def esm_worst_pairs_reference(values, classes):
     return (first([(x, y) for x in real for y in real if x < y], 1.0),
             first([(x, y) for x in fake for y in fake if x < y], 1.0),
             first([(x, y) for x in real for y in fake], -1.0))
+
+
+def adam_reference(config, step, epoch, theta, grad, m, v):
+    """Adam's update number ``step`` of whole arrays theta, m and v, in
+    place from grad, one expression per line."""
+    g = grad + config.weight_decay * theta
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
+    v *= config.beta2
+    v += (1.0 - config.beta2) * (g * g)
+    theta -= (config.lr_for_epoch(epoch) * (m / (1.0 - config.beta1 ** step))
+              / (np.sqrt(v / (1.0 - config.beta2 ** step)) + config.eps))

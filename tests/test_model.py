@@ -22,6 +22,8 @@ from tdl import nn
 from tdl.errors import ConfigError, FormatError, NumericError, ShapeError, ValidationError
 from tdl.nn import bce_loss, count_params
 
+from oracles import adam_reference
+
 
 def tiny_config(**overrides):
     base = dict(feat_dim=8, t_max=12, embed_dim=4, conv_hidden=8,
@@ -461,9 +463,8 @@ def test_checkpoint_carries_adam_state():
     result = M.train(cfg, train_set, dev_set)
     blob = M.encode_checkpoint(result.last_model)
     restored = M.decode_checkpoint(blob)
-    assert restored.adam.step == result.last_model.adam.step
-    for key, value in result.last_model.adam.m.items():
-        assert np.array_equal(restored.adam.m[key], value)
+    assert restored.step == result.last_model.step > 0
+    assert restored.flat.tobytes() == result.last_model.flat.tobytes()
 
 
 def _traced_peak(fn) -> int:
@@ -483,9 +484,8 @@ def test_checkpoint_encode_save_and_load_hold_one_payload(tmp_path, moments):
     mdl = M.build_model(M.desk_config(feat_dim=128, conv_hidden=64))
     params = mdl.param_items()
     if moments:
-        for name in params:
-            mdl.adam.m[name][...] = 0.5
-            mdl.adam.v[name][...] = 0.25
+        mdl.flat[1] = 0.5
+        mdl.flat[2] = 0.25
     payload = 3 * 8 * count_params(list(params.values()))
     assert payload > 2_000_000
     path = tmp_path / "m.tdlc"
@@ -504,13 +504,13 @@ def test_checkpoint_encode_save_and_load_hold_one_payload(tmp_path, moments):
 
 
 def _assert_flat_views(mdl):
-    """Every layer array and Adam moment is a view of its row of mdl.flat,
-    the rows laid out in TDLC payload order."""
+    """mdl.flat is one (3, N) buffer of parameters, m and v, and every
+    layer array is a view of its parameter row, in TDLC payload order."""
     params = mdl.param_items()
-    assert list(mdl.adam.m) == list(mdl.adam.v) == list(params)
-    for row, arrays in zip(mdl.flat, (params, mdl.adam.m, mdl.adam.v)):
-        assert all(np.shares_memory(value, row) for value in arrays.values())
-        assert np.array_equal(np.concatenate([v.ravel() for v in arrays.values()]), row)
+    assert mdl.flat.shape == (3, count_params(params))
+    assert all(np.shares_memory(value, mdl.flat[0]) for value in params.values())
+    assert np.array_equal(np.concatenate([v.ravel() for v in params.values()]),
+                          mdl.flat[0])
 
 
 def test_built_and_decoded_models_are_views_of_their_flat_buffers():
@@ -541,7 +541,7 @@ def test_divergence_restores_into_the_flat_buffers(monkeypatch):
     assert result.diverged and steps[-1] == 1
     got = result.last_model
     _assert_flat_views(got)
-    assert (got.epoch, got.adam.step) == (want.epoch, want.adam.step) == (1, 2)
+    assert (got.epoch, got.step) == (want.epoch, want.step) == (1, 2)
     assert got.flat.tobytes() == want.flat.tobytes()
 
 
@@ -549,20 +549,43 @@ def test_flat_adam_steps_equal_per_array_updates(monkeypatch):
     cfg = tiny_config()
     train_set, _ = _tiny_sets(cfg)
     mdl = M.build_model(cfg)
-    params = {name: value.copy() for name, value in mdl.param_items().items()}
-    state = nn.AdamState()
+    # each array's parameters, m and v, updated whole by the reference
+    want = {name: [value.copy(), np.zeros_like(value), np.zeros_like(value)]
+            for name, value in mdl.param_items().items()}
+    monkeypatch.setattr(nn, "ADAM_SLICE", 100)  # slices cut through arrays
+    assert mdl.flat.shape[1] > 4 * nn.ADAM_SLICE
     for epoch in range(3):
         batch = train_set[:cfg.batch_size]
         _, grads = M._loss_block(mdl, *M._stack_block(cfg, batch))
-        monkeypatch.setattr(nn, "ADAM_SLICE", 1 << 30)  # each array in one piece
-        nn.adam_step(cfg.optimizer, state, params,
-                     {k: g / len(batch) for k, g in grads.items()}, epoch)
-        monkeypatch.setattr(nn, "ADAM_SLICE", 100)  # slices cut through arrays
-        assert mdl.flat.shape[1] > 4 * nn.ADAM_SLICE
+        for name, (theta, m, v) in want.items():
+            adam_reference(cfg.optimizer, epoch + 1, epoch, theta,
+                           grads[name] / len(batch), m, v)
         M._minibatch_step(mdl, batch, epoch)
-        for mine, theirs in ((mdl.param_items(), params), (mdl.adam.m, state.m),
-                             (mdl.adam.v, state.v)):
-            assert all(mine[k].tobytes() == theirs[k].tobytes() for k in theirs)
+        assert mdl.step == epoch + 1
+        for row, got in enumerate(mdl.flat):
+            assert got.tobytes() == b"".join(arrays[row].tobytes()
+                                             for arrays in want.values())
+
+
+def test_non_finite_gradient_names_its_parameter_and_writes_nothing(monkeypatch):
+    cfg = tiny_config()
+    train_set, _ = _tiny_sets(cfg)
+    mdl = M.build_model(cfg)
+    batch = train_set[:cfg.batch_size]
+    M._minibatch_step(mdl, batch, 0)  # every row nonzero
+    before = mdl.flat.tobytes()
+    block_losses = M._block_losses
+
+    def poisoned(model, batch):
+        for losses, grads in block_losses(model, batch):
+            grads["conv_b.bias"][1] = np.nan
+            yield losses, grads
+
+    monkeypatch.setattr(M, "_block_losses", poisoned)
+    with pytest.raises(NumericError, match=r"parameter conv_b\.bias$"):
+        M._minibatch_step(mdl, batch, 0)
+    assert mdl.flat.tobytes() == before
+    assert mdl.step == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from tdl import nn
 from tdl.errors import ConfigError, NumericError, ShapeError
 
-from oracles import conv1d_reference
+from oracles import adam_reference, conv1d_reference
 
 
 def _rand_conv(rng, cin, cout, k):
@@ -253,30 +253,43 @@ def test_bce_length_mismatch():
 # ---------------------------------------------------------------------------
 
 
+def _flat(theta):
+    """A (3, N) Adam buffer: parameters theta, m and v at 0."""
+    flat = np.zeros((3, len(theta)))
+    flat[0] = theta
+    return flat
+
+
 def test_adam_zero_grad_no_decay_is_noop():
-    config, state = nn.OptimizerConfig(weight_decay=0.0), nn.AdamState()
-    params = {"w": np.array([1.0, -2.0])}
-    nn.adam_step(config, state, params, {"w": np.zeros(2)}, epoch=0)
-    assert np.array_equal(params["w"], [1.0, -2.0])
+    config = nn.OptimizerConfig(weight_decay=0.0)
+    flat = _flat([1.0, -2.0])
+    nn.adam_step(config, flat, np.zeros(2), step=1, epoch=0)
+    assert np.array_equal(flat, [[1.0, -2.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_adam_first_step_moves_by_lr():
-    config, state = nn.OptimizerConfig(weight_decay=0.0, base_lr=1e-5), nn.AdamState()
-    params = {"w": np.zeros(1)}
-    nn.adam_step(config, state, params, {"w": np.ones(1)}, epoch=0)
-    assert np.isclose(params["w"][0], -1e-5, rtol=1e-6)
+    config = nn.OptimizerConfig(weight_decay=0.0, base_lr=1e-5)
+    flat, grad = _flat([0.0]), np.ones(1)
+    nn.adam_step(config, flat, grad, step=1, epoch=0)
+    assert np.isclose(flat[0, 0], -1e-5, rtol=1e-6)
+    want = [np.zeros(1), np.zeros(1), np.zeros(1)]
+    adam_reference(config, 1, 0, want[0], grad, *want[1:])
+    assert flat.tobytes() == np.stack(want).tobytes()
 
 
 def test_adam_descends_convex_quadratic():
-    config, state = nn.OptimizerConfig(weight_decay=0.0, base_lr=1e-2), nn.AdamState()
-    params = {"w": np.full(5, 3.0)}
+    config = nn.OptimizerConfig(weight_decay=0.0, base_lr=1e-2)
+    flat = _flat(np.full(5, 3.0))
+    want = [np.full(5, 3.0), np.zeros(5), np.zeros(5)]
     losses = []
-    for step in range(100):
-        losses.append(0.5 * float(np.sum(params["w"] ** 2)))
-        nn.adam_step(config, state, params, {"w": params["w"].copy()}, epoch=0)
+    for step in range(1, 101):
+        losses.append(0.5 * float(np.sum(flat[0] ** 2)))
+        nn.adam_step(config, flat, flat[0].copy(), step, epoch=0)
+        adam_reference(config, step, 0, want[0], want[0].copy(), *want[1:])
     tail = losses[10:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     assert losses[-1] < losses[0]
+    assert flat.tobytes() == np.stack(want).tobytes()
 
 
 def test_lr_schedule_halves_every_period():
@@ -299,55 +312,24 @@ def test_optimizer_config_rejects_out_of_range_values(key, value):
 
 
 def test_adam_rejects_non_finite_gradient():
-    config, state = nn.OptimizerConfig(), nn.AdamState()
-    with pytest.raises(NumericError, match="w"):
-        nn.adam_step(config, state, {"w": np.zeros(2)},
-                     {"w": np.array([np.nan, 0.0])}, epoch=0)
+    with pytest.raises(NumericError, match="non-finite gradient"):
+        nn.adam_step(nn.OptimizerConfig(), _flat(np.zeros(2)),
+                     np.array([np.nan, 0.0]), step=1, epoch=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, "shape"])
 def test_adam_checks_every_gradient_before_it_writes(bad):
-    config, state = nn.OptimizerConfig(), nn.AdamState()
-    params = {"a": np.ones(3), "b": np.ones(2), "c": np.ones(4)}
-    grads = {name: np.full(p.shape, 0.5) for name, p in params.items()}
-    nn.adam_step(config, state, params, grads, epoch=0)
-    before = ({k: v.copy() for k, v in params.items()},
-              {k: v.copy() for k, v in state.m.items()},
-              {k: v.copy() for k, v in state.v.items()})
+    config, flat = nn.OptimizerConfig(), _flat(np.ones(9))
+    nn.adam_step(config, flat, np.full(9, 0.5), step=1, epoch=0)
+    before = flat.tobytes()
     if bad == "shape":
-        grads["c"] = np.zeros(5)
+        grad = np.zeros(10)
     else:
-        grads["c"] = np.array([0.0, 0.0, 0.0, bad])
-    with pytest.raises(ShapeError if bad == "shape" else NumericError, match="c"):
-        nn.adam_step(config, state, params, grads, epoch=0)
-    assert state.step == 1
-    for saved, now in zip(before, (params, state.m, state.v)):
-        assert saved.keys() == now.keys()
-        assert all(np.array_equal(saved[k], now[k]) for k in saved)
-
-
-def test_adam_allocates_its_moments_on_the_first_step_only(monkeypatch):
-    config, state = nn.OptimizerConfig(), nn.AdamState()
-    params = {"a": np.ones(3), "b": np.ones((2, 2))}
-    grads = {name: np.full(p.shape, 0.5) for name, p in params.items()}
-    calls, zeros_like = [], np.zeros_like
-    monkeypatch.setattr(np, "zeros_like",
-                        lambda a, *args, **kw: calls.append(a.shape) or zeros_like(a, *args, **kw))
-    nn.adam_step(config, state, params, grads, epoch=0)
-    assert len(calls) == 4
-    nn.adam_step(config, state, params, grads, epoch=0)
-    assert len(calls) == 4
-
-
-def _adam_reference(config, step, epoch, theta, grad, m, v):
-    """Adam's update of whole arrays, one expression per line."""
-    g = grad + config.weight_decay * theta
-    m *= config.beta1
-    m += (1.0 - config.beta1) * g
-    v *= config.beta2
-    v += (1.0 - config.beta2) * (g * g)
-    theta -= (config.lr_for_epoch(epoch) * (m / (1.0 - config.beta1 ** step))
-              / (np.sqrt(v / (1.0 - config.beta2 ** step)) + config.eps))
+        grad = np.full(9, 0.5)
+        grad[-1] = bad
+    with pytest.raises(ShapeError if bad == "shape" else NumericError):
+        nn.adam_step(config, flat, grad, step=2, epoch=0)
+    assert flat.tobytes() == before
 
 
 @pytest.mark.parametrize("size", [1, nn.ADAM_SLICE - 1, nn.ADAM_SLICE,
@@ -355,14 +337,13 @@ def _adam_reference(config, step, epoch, theta, grad, m, v):
 def test_sliced_adam_step_equals_the_whole_array_update(size):
     rng = np.random.default_rng(size)
     config = nn.OptimizerConfig(base_lr=1e-3, halving_period_epochs=2)
-    theta, state = rng.standard_normal(size), nn.AdamState()
-    want = [theta.copy(), np.zeros(size), np.zeros(size)]
+    flat = _flat(rng.standard_normal(size))
+    want = [flat[0].copy(), np.zeros(size), np.zeros(size)]
     for step in range(1, 4):
         grad = rng.standard_normal(size)
-        nn.adam_step(config, state, {"w": theta}, {"w": grad}, epoch=step)
-        _adam_reference(config, step, step, *want[:1], grad, *want[1:])
-    for got, expected in zip((theta, state.m["w"], state.v["w"]), want):
-        assert got.tobytes() == expected.tobytes()
+        nn.adam_step(config, flat, grad, step, epoch=step)
+        adam_reference(config, step, step, want[0], grad, *want[1:])
+    assert flat.tobytes() == np.stack(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
