@@ -10,6 +10,7 @@ thread are bit-reproducible at any core count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .errors import ConfigError, NumericError, TdlError
+from .errors import ConfigError, NumericError, TdlError, ValidationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -84,6 +85,16 @@ def _prepared(data_dir, config: model_mod.TdlConfig):
             config.label_len, config.label_setting)
         for (seq, _), lab in zip(block, labels):
             yield data_mod.pad_features(seq, config.t_max), lab
+
+
+def _nonempty(items, data_dir):
+    """``items``, streamed from the dataset in ``data_dir``, which must
+    hold at least one utterance."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        raise ValidationError(f"{data_dir} holds no utterances")
+    return itertools.chain((first,), items)
 
 
 def _seed(text: str) -> int:
@@ -174,7 +185,8 @@ def run_eval(args) -> int:
     model = model_mod.load_checkpoint(args.checkpoint)
     config = model.config
     _print_resolved(config.to_dict(), config.seed)
-    pool = model_mod.score_pool(model, _prepared(args.test, config))
+    pool = model_mod.score_pool(
+        model, _nonempty(_prepared(args.test, config), args.test))
     report = metrics_mod.compute_report(pool, threshold=args.threshold)
     text, json_str = metrics_mod.render_report(
         report, metadata={"checkpoint": str(args.checkpoint),
@@ -189,8 +201,9 @@ def run_eval(args) -> int:
 def run_stats(args) -> int:
     _print_resolved({"data": str(args.data), "resolution_s": args.resolution},
                     "none")
-    stats = data_mod.dataset_stats(
-        (ann for _, ann in data_mod.stream_dataset(args.data)), args.resolution)
+    stats = data_mod.dataset_stats(_nonempty(
+        (ann for _, ann in data_mod.stream_dataset(args.data)), args.data),
+        args.resolution)
     print(f"{'subset':>12} {'frame-level':>12} {'utterance-level':>16}")
     print(f"{Path(str(args.data)).name:>12} {stats.frame_fake_pct:>12.2f} "
           f"{stats.utterance_fake_pct:>16.2f}")

@@ -957,11 +957,11 @@ def train(config: TdlConfig, train_set, dev_set,
 
     A minibatch of several blocks runs them on a thread pool when the
     usable cores exceed the BLAS threads per call (see _block_workers).
-    The weight-gradient GEMM and bias sum of each of their conv and tconv
-    rows is a pool task too, queued behind the blocks, so a worker left
-    without a block computes them while the last block runs; no task
-    waits on another, and gradients are added in block order, so the
-    result does not depend on the worker count.
+    The weight-gradient GEMMs (one per tap) and bias sum of each of
+    their conv and tconv rows are a pool task too, queued behind the
+    blocks, so a worker left without a block computes them while the
+    last block runs; no task waits on another, and gradients are added
+    in block order, so the result does not depend on the worker count.
     The first such minibatch changes malloc settings for the whole
     process under glibc: the dynamic mmap threshold is switched off and
     left at _AFTER_POOL_MMAP_THRESHOLD, and the trim threshold with it,

@@ -4,7 +4,9 @@ A local similarity array a[i, t] (cosine between frame t and its i-th
 neighbor, rectified at zero) scales each input column before the kernel
 is applied, so the convolution attends only to neighbors that look like
 the current frame. Out-of-range or padding neighbors get similarity 0,
-which masks them out entirely.
+which masks them out entirely. Each neighbor is read as a window of the
+embeddings and live mask zero-padded by ``nn._padded``, as the tconv's
+taps and weight gradient read its input.
 
 Like the ``nn`` primitives, everything here works on plain arrays of
 one utterance or a block with a leading batch axis: embeddings e
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .esm import _channel_dot
-from .nn import Conv1dLayer, _apply_taps, _grad_taps, _scatter_taps, _taps
+from .nn import Conv1dLayer, _apply_taps, _grad_taps, _padded, _scatter_taps, _taps
 
 
 def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int) -> np.ndarray:
@@ -37,17 +39,15 @@ def neighbor_similarity(e: np.ndarray, live: np.ndarray, k: int) -> np.ndarray:
     if k % 2 != 1:
         raise ConfigError(f"neighbor kernel must be odd, got {k}")
     half, t_len = k // 2, e.shape[-1]
-    a = np.zeros(live.shape[:-1] + (k, t_len))
+    ep, livep = _padded(e, half), _padded(live, half) > 0.0
+    a = np.empty(live.shape[:-1] + (k, t_len))
     a[..., half, :] = live
     for i in range(k):
-        off = i - half
-        if off == 0 or abs(off) >= t_len:
+        if i == half:
             continue
-        t0, t1 = max(0, -off), min(t_len, t_len - off)
-        n0, n1 = t0 + off, t1 + off
-        sims = np.clip(_channel_dot(e[..., t0:t1], e[..., n0:n1]), -1.0, 1.0)
+        sims = np.clip(_channel_dot(e, ep[..., i:i + t_len]), -1.0, 1.0)
         sims = np.maximum(sims, 0.0)  # np.clip(..., 0, 1) would leave -0.0 cells
-        a[..., i, t0:t1] = np.where(live[..., t0:t1] & live[..., n0:n1], sims, 0.0)
+        a[..., i, :] = np.where(live & livep[..., i:i + t_len], sims, 0.0)
     return a
 
 
@@ -61,17 +61,17 @@ def neighbor_similarity_backward(e: np.ndarray, a: np.ndarray,
     and no mask is needed; the constant center row passes none either.
     """
     half, t_len = a.shape[-2] // 2, e.shape[-1]
+    ep, gp = _padded(e, half), _padded(np.where(a > 0.0, grad_a, 0.0), half)
     grad = np.zeros_like(e)
     for i in range(a.shape[-2]):
-        off = i - half
-        if off == 0 or abs(off) >= t_len:
+        if i == half:
             continue
-        t0, t1 = max(0, -off), min(t_len, t_len - off)
-        n0, n1 = t0 + off, t1 + off
-        ga = np.where(a[..., i, t0:t1] > 0.0, grad_a[..., i, t0:t1], 0.0)[..., None, :]
-        # each t (and each n = t + off) appears once per offset
-        grad[..., t0:t1] += ga * e[..., n0:n1]
-        grad[..., n0:n1] += ga * e[..., t0:t1]
+        # cell (i, t) pairs frame t with frame n = t + i - half: t gets the
+        # cell's gradient times e_n (window i), and n gets it times e_t,
+        # reading cell (i, n - i + half) through window j
+        j = 2 * half - i
+        grad += gp[..., i, None, half:half + t_len] * ep[..., i:i + t_len]
+        grad += gp[..., i, None, j:j + t_len] * ep[..., j:j + t_len]
     return grad
 
 
@@ -97,14 +97,13 @@ def tconv_backward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray,
     weight and bias adjoints."""
     if grad_out.shape != x.shape[:-2] + (layer.out_channels, x.shape[-1]):
         raise ShapeError(f"grad_out shape {grad_out.shape}")
-    half, t_len = layer.kernel // 2, x.shape[-1]
+    t_len = x.shape[-1]
     grad_mod = _grad_taps(layer, grad_out)
     # grad_a[i, t] = grad_mod[i, :, t] . x[:, t - k//2 + i], one tap at a
-    # time from x zero-padded by k//2 at each end: no tap array is built.
-    # Each product keeps all T columns, so numpy sums its channels in the
-    # order it sums the tap array's (a 1-column product sums pairwise).
-    xp = np.zeros(x.shape[:-1] + (t_len + 2 * half,))
-    xp[..., half:half + t_len] = x
+    # time from the padded x: no tap array is built. Each product keeps
+    # all T columns, so numpy sums its channels in the order it sums the
+    # tap array's (a 1-column product sums pairwise).
+    xp = _padded(x, layer.kernel // 2)
     grad_a = np.empty(a.shape)
     for i in range(layer.kernel):
         grad_a[..., i, :] = (grad_mod[..., i, :, :] * xp[..., i:i + t_len]).sum(axis=-2)

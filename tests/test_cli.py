@@ -131,6 +131,26 @@ def test_stats_and_eval_malformed_manifest_exit_one(tmp_path, synth_spec_file,
         assert "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_empty_dataset_exits_one_naming_its_directory(tmp_path, command, capsys):
+    from tdl.model import build_model, save_checkpoint
+
+    empty = tmp_path / "empty-set"
+    empty.mkdir()
+    (empty / "manifest.json").write_text(json.dumps({"samples": []}))
+    checkpoint = tmp_path / "m.tdlc"
+    save_checkpoint(build_model(desk_config()), checkpoint)
+    argv = (["stats", "--data", str(empty)] if command == "stats" else
+            ["eval", "--checkpoint", str(checkpoint), "--test", str(empty),
+             "--report", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {empty} holds no utterances" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck / params
 # ---------------------------------------------------------------------------

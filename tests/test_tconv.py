@@ -148,25 +148,36 @@ def test_tconv_matches_reference():
 
 @pytest.mark.parametrize("k", [15, 21])
 def test_kernel_wider_than_input_matches_references(k):
-    # taps reaching past both ends of a 6-frame input see only zeros
+    # taps and neighbors reaching past both ends of a 6-frame or a 1-frame
+    # input see only zeros
     rng = np.random.default_rng(k)
     layer = _layer(rng, 3, k)
-    x = rng.standard_normal((3, 6))
-    a = _similarity(_embedding(rng, 4, 6), k)
-    ref = conv1d_reference(layer.weights, layer.bias, x)
-    assert np.max(np.abs(conv1d_forward(layer, x) - ref)) < 1e-12
-    ref = tconv_reference(layer.weights, layer.bias, x, a)
-    assert np.max(np.abs(tconv.tconv_forward(layer, x, a) - ref)) < 1e-12
-    proj = rng.standard_normal((3, 6))
-    gx, ga = tconv.tconv_backward(layer, x, a, proj)
-    gw, gb = conv_param_grads(layer, x, proj, a)
-    report = grad_check(
-        lambda: float(np.sum(tconv.tconv_forward(layer, x, a) * proj)),
-        {"x": x, "a": a, "w": layer.weights, "b": layer.bias},
-        {"x": gx, "a": ga, "w": gw, "b": gb},
-        tolerance=1e-6,
-    )
-    assert report.passed, report.worst()
+    for t_len in (6, 1):
+        x = rng.standard_normal((3, t_len))
+        raw = rng.standard_normal((4, t_len))
+        e = (l2_normalize_forward(raw), np.full(t_len, REAL, dtype=np.int8))
+        a = _similarity(e, k)
+        assert np.max(np.abs(a - neighbor_similarity_reference(*e, k))) < 1e-12
+        grad_a = rng.standard_normal(a.shape)
+        # the cosine adjoint's radial term is projected out by l2_normalize
+        grad_e = l2_normalize_backward(raw, _similarity_backward(e, k, grad_a))
+        ref = l2_normalize_backward(
+            raw, neighbor_similarity_backward_reference(*e, k, grad_a))
+        assert np.max(np.abs(grad_e - ref)) < 1e-12
+        ref = conv1d_reference(layer.weights, layer.bias, x)
+        assert np.max(np.abs(conv1d_forward(layer, x) - ref)) < 1e-12
+        ref = tconv_reference(layer.weights, layer.bias, x, a)
+        assert np.max(np.abs(tconv.tconv_forward(layer, x, a) - ref)) < 1e-12
+        proj = rng.standard_normal((3, t_len))
+        gx, ga = tconv.tconv_backward(layer, x, a, proj)
+        gw, gb = conv_param_grads(layer, x, proj, a)
+        report = grad_check(
+            lambda: float(np.sum(tconv.tconv_forward(layer, x, a) * proj)),
+            {"x": x, "a": a, "w": layer.weights, "b": layer.bias},
+            {"x": gx, "a": ga, "w": gw, "b": gb},
+            tolerance=1e-6,
+        )
+        assert report.passed, (t_len, report.worst())
 
 
 def test_zero_similarity_cell_masks_input_column():
@@ -259,6 +270,46 @@ def test_grad_a_is_bit_equal_to_the_tap_array_formula(shape, k):
     _, ga = tconv.tconv_backward(layer, x, a, grad_out)
     want = (_grad_taps(layer, grad_out) * _taps(x, k)).sum(axis=-2)
     assert ga.tobytes() == want.tobytes()
+
+
+def _tap_array_param_grads(layer, x, grad_out, a):
+    """conv_param_grads as the whole tap array computes it: the taps
+    scaled by a, one (k*C_in, T) GEMM per utterance, summed over the block."""
+    taps = _taps(x, layer.kernel)
+    if a is not None:
+        taps *= a[..., None, :]
+    t_len = x.shape[-1]
+    flat = taps.reshape(-1, layer.kernel * layer.in_channels, t_len)
+    grad = grad_out.reshape(-1, layer.out_channels, t_len)
+    prods = np.matmul(flat, grad.transpose(0, 2, 1))
+    grad_weights = prods[0] if len(prods) == 1 else prods.sum(axis=0)
+    return grad_weights.reshape(layer.weights.shape), grad.sum(axis=2).sum(axis=0)
+
+
+@pytest.mark.parametrize("shape, c_out, k, scaled", [
+    ((1, 1024, 1037), 1024, 3, True),  # a full-scale tconv row, live columns
+    ((1, 1024, 1037), 512, 3, False),  # conv_a at full scale
+    ((1, 1024, 1037), 2, 1, False),    # conv_head
+    ((8, 16, 64), 16, 3, True),        # desk blocks
+    ((8, 16, 64), 16, 3, False),
+    ((2, 4, 7), 4, 5, True),           # a 5-tap kernel on a short input
+    ((2, 4, 3), 4, 15, True),          # a kernel wider than the input
+])
+def test_weight_gradients_are_bit_equal_to_the_tap_array_formula(shape, c_out, k,
+                                                                 scaled):
+    rng = np.random.default_rng(k)
+    layer = conv1d_init(shape[1], c_out, k, rng)
+    x = rng.standard_normal(shape)
+    a = rng.uniform(0.0, 1.0, (shape[0], k, shape[2])) if scaled else None
+    grad_out = rng.standard_normal((shape[0], c_out, shape[2]))
+    # the block, then its first utterance alone as a 2-D input
+    one = None if a is None else a[0]
+    for xs, gs, scale in ((x, grad_out, a), (x[0], grad_out[0], one)):
+        got = conv_param_grads(layer, xs, gs, scale)
+        want = _tap_array_param_grads(layer, xs, gs, scale)
+        assert got[0].shape == layer.weights.shape
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_full_chain_finite_difference():
