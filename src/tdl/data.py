@@ -33,7 +33,6 @@ import sys
 import typing
 import uuid
 from dataclasses import asdict, dataclass, is_dataclass
-from io import FileIO
 from pathlib import Path
 from typing import NamedTuple
 
@@ -211,11 +210,32 @@ class DatasetStats:
 # ---------------------------------------------------------------------------
 
 
+# bytes of the first read of a file; a file this size or larger is sized
+# with one fstat and the rest read in one call
+_FIRST_READ = 1 << 16
+
+
 def _read_bytes(path) -> bytes:
-    """The bytes of the file at ``path``, from one open and one read with
-    no buffered or text layer."""
-    with FileIO(os.fspath(path)) as fh:
-        return fh.readall()
+    """The bytes of the file at ``path``: os.read calls on one descriptor
+    until EOF, with no file object. A file shorter than _FIRST_READ takes
+    two reads, the second at EOF, and no fstat or lseek. Errors carry the
+    messages io.FileIO(path).readall() gives, a directory's included."""
+    path = os.fspath(path)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks, size = [], _FIRST_READ
+        while True:
+            try:
+                chunk = os.read(fd, size)
+            except IsADirectoryError as exc:  # os.open takes a directory
+                raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+            if not chunk:
+                return b"".join(chunks)  # one chunk is returned as is
+            chunks.append(chunk)
+            if len(chunks) == 1 and len(chunk) == _FIRST_READ:
+                size = max(os.fstat(fd).st_size - _FIRST_READ, 0) + 1
+    finally:
+        os.close(fd)
 
 
 def read_utf8(path, error=FormatError) -> str:
@@ -673,7 +693,7 @@ def dataset_stats(anns, resolution_s: float = DEFAULT_RESOLUTION_S) -> DatasetSt
     """
     anns = list(anns)
     if not anns:
-        raise ValidationError("dataset_stats: empty annotation list")
+        raise ValidationError("no annotations")
     total_frames = 0
     fake_frames = 0
     fake_utts = 0

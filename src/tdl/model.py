@@ -803,7 +803,7 @@ def score_pool(model: TdlModel, pairs) -> metrics_mod.EvalPool:
         count += pool.num_utterances
         del block, pool  # freed before the next is prepared: fewer page faults
     if not count:
-        raise ValidationError("pool_predictions: empty input")
+        raise ValidationError("no utterances to score")
     return metrics_mod.EvalPool(np.concatenate(scores), np.concatenate(labels),
                                 count)
 

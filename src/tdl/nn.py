@@ -13,10 +13,12 @@ layer has two adjoints: its ``*_backward`` gives the input gradient, and
 its ``*_param_grads`` the weight and bias gradients, summed over the
 block in utterance order; the caller decides where the latter runs.
 
-Every shifted read of a time axis takes a window of one zero-padded
-copy, ``_padded``, so it alone decides what lies past either end. Only
-a convolution's forward builds the (kernel, C, T) tap array; its weight
-gradient is one GEMM per tap.
+Only a convolution's forward builds the (kernel, C, T) tap array,
+``_taps``: it writes each tap straight from x and zeroes that tap's
+columns past either end, so the forward makes no padded copy. Every
+other shifted read of a time axis takes a window of one zero-padded
+copy, ``_padded``: the weight gradient, one GEMM per tap, the tconv
+similarity gradient and both neighbor similarity functions.
 """
 
 from __future__ import annotations
@@ -98,7 +100,10 @@ def fc_init(in_features: int, out_features: int,
 
 def _padded(x: np.ndarray, half: int) -> np.ndarray:
     """x (..., T) as float64 with ``half`` zero columns at each end, so
-    its window [i, i + T) holds each frame's neighbor at offset i - half."""
+    its window [i, i + T) holds each frame's neighbor at offset i - half.
+    With ``half`` 0 that is x itself, a view when x already is float64."""
+    if not half:
+        return np.asarray(x, dtype=np.float64)
     t_len = x.shape[-1]
     xp = np.zeros(x.shape[:-1] + (t_len + 2 * half,))
     xp[..., half:half + t_len] = x
@@ -110,16 +115,27 @@ def _taps(x: np.ndarray, kernel: int) -> np.ndarray:
 
     taps[..., i, c, t] = x[..., c, t - kernel//2 + i], zero outside the
     time axis. Each utterance's taps form one contiguous (kernel*C, T)
-    block, the operand of its forward GEMM.
+    block, the operand of its forward GEMM. Each tap is written once,
+    from x, and only its columns past either end are zeroed. A kernel-1
+    tap array is x itself as float64, a view when x already is float64,
+    so a caller must not write into it.
     """
-    t_len = x.shape[-1]
-    # taps first, so that the padded copy, freed on return, goes back to
-    # the heap top instead of leaving a hole below the taps: the other
-    # order took 71k page faults per 2,000-utterance desk eval, not 45k
+    if kernel == 1:
+        return _padded(x, 0)[..., None, :, :]
+    half, t_len = kernel // 2, x.shape[-1]
     taps = np.empty(x.shape[:-2] + (kernel,) + x.shape[-2:])
-    xp = _padded(x, kernel // 2)
     for i in range(kernel):
-        taps[..., i, :, :] = xp[..., i:i + t_len]
+        # tap i reads frame t + i - half: columns [lo, hi) reach a frame,
+        # none of them when the tap is wider than the input
+        lo = min(t_len, max(0, half - i))
+        hi = max(lo, min(t_len, t_len + half - i))
+        tap = taps[..., i, :, :]
+        if lo:
+            tap[..., :lo] = 0.0
+        if lo < hi:
+            tap[..., lo:hi] = x[..., lo + i - half:hi + i - half]
+        if hi < t_len:
+            tap[..., hi:] = 0.0
     return taps
 
 

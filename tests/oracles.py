@@ -29,6 +29,15 @@ def conv1d_reference(weights, bias, x):
     return out
 
 
+def padded_taps_reference(x, k):
+    """(..., k, C, T) tap array as the k windows of one fresh zero-padded
+    float64 copy of x (..., C, T): tap i holds frame t - k//2 + i."""
+    half, t_len = k // 2, x.shape[-1]
+    xp = np.zeros(x.shape[:-1] + (t_len + 2 * half,))
+    xp[..., half:half + t_len] = x
+    return np.stack([xp[..., i:i + t_len] for i in range(k)], axis=-3)
+
+
 def tconv_reference(weights, bias, x, a):
     """Direct evaluation of the modulated convolution: each input column
     is scaled by a[i, t] before the kernel tap is applied."""

@@ -32,6 +32,7 @@ from tdl.data import (
     synth_dataset,
 )
 from tdl.esm import EsmConfig
+from tdl.errors import ValidationError
 from tdl.nn import l2_normalize_forward
 
 from oracles import esm_reference
@@ -117,6 +118,13 @@ def test_score_pool_pools_each_block_and_keeps_no_labels():
     assert pool.scores.tobytes() == per_utterance.scores.tobytes()
     assert pool.labels.tobytes() == per_utterance.labels.tobytes()
     assert pool.num_utterances == per_utterance.num_utterances == 37
+
+
+def test_score_pool_of_no_utterances_says_so():
+    mdl = M.build_model(M.desk_config())
+    with pytest.raises(ValidationError) as info:
+        M.score_pool(mdl, iter([]))
+    assert str(info.value) == "no utterances to score"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -563,14 +565,14 @@ def test_eval_opens_each_file_once(tmp_path, monkeypatch, capsys):
     from tdl import data as data_mod
 
     test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 20)
-    opened = []
+    opened, os_open = [], os.open
 
-    class CountingFileIO(data_mod.FileIO):
-        def __init__(self, name, *args, **kwargs):
-            opened.append(Path(name))
-            super().__init__(name, *args, **kwargs)
+    def counting_open(path, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == data_mod.__name__:
+            opened.append(Path(path))
+        return os_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(data_mod, "FileIO", CountingFileIO)
+    monkeypatch.setattr(os, "open", counting_open)
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
                      str(test_dir), "--report", str(tmp_path / "r.json")]) == 0
     samples = json.loads((test_dir / "manifest.json").read_text())["samples"]

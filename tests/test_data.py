@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import time
 
@@ -399,6 +400,12 @@ def test_stats_empty_rejected():
         data.dataset_stats([])
 
 
+def test_stats_of_no_annotations_says_so():
+    with pytest.raises(ValidationError) as info:
+        data.dataset_stats(iter([]))
+    assert str(info.value) == "no annotations"
+
+
 def test_stats_matches_label_recount():
     rng = np.random.default_rng(11)
     anns = [random_ms_annotation(rng, f"s{i}") for i in range(30)]
@@ -477,3 +484,31 @@ def test_load_dataset_samples_not_a_list(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"samples": {"id": "u0"}}))
     with pytest.raises(FormatError):
         data.load_dataset(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the file reader
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 300_000])
+def test_read_bytes_returns_what_fileio_reads(tmp_path, size):
+    path = tmp_path / "f.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    with io.FileIO(path) as fh:
+        want = fh.readall()
+    assert data._read_bytes(path) == want
+    assert data._read_bytes(str(path)) == want
+
+
+@pytest.mark.parametrize("name", ["missing", "directory", "nul"])
+def test_read_bytes_raises_what_fileio_raises(tmp_path, name):
+    path = {"missing": str(tmp_path / "missing.tdlf"), "directory": str(tmp_path),
+            "nul": str(tmp_path / "a\0b")}[name]
+    with pytest.raises(Exception) as want:
+        with io.FileIO(path) as fh:
+            fh.readall()
+    with pytest.raises(Exception) as got:
+        data._read_bytes(path)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)

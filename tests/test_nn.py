@@ -4,7 +4,7 @@ import pytest
 from tdl import nn
 from tdl.errors import ConfigError, NumericError, ShapeError
 
-from oracles import adam_reference, conv1d_reference
+from oracles import adam_reference, conv1d_reference, padded_taps_reference
 
 
 def _rand_conv(rng, cin, cout, k):
@@ -62,6 +62,28 @@ def test_conv_channel_mismatch():
     layer = _rand_conv(rng, 2, 3, 3)
     with pytest.raises(ShapeError):
         nn.conv1d_forward(layer, np.zeros((4, 5)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("t_len", [1, 3, 7, 64])
+@pytest.mark.parametrize("k", [1, 3, 5, 15, 21])
+def test_taps_are_bit_equal_to_windows_of_the_padded_copy(k, t_len, dtype):
+    rng = np.random.default_rng(k * 100 + t_len)
+    # a block as the live columns of a wider one, as _forward_block reads
+    # it, then one utterance as a 2-D input
+    block = rng.standard_normal((3, 4, t_len + 5)).astype(dtype)[..., :t_len]
+    for x in (block, block[1].copy()):
+        taps = nn._taps(x, k)
+        assert taps.dtype == np.float64
+        assert taps.shape == x.shape[:-2] + (k,) + x.shape[-2:]
+        assert taps.tobytes() == padded_taps_reference(x, k).tobytes()
+        # a kernel-1 tap array is x itself when x is float64
+        assert np.shares_memory(taps, x) == (k == 1 and dtype == np.float64)
+
+
+def test_taps_are_bit_equal_to_windows_of_the_padded_copy_at_full_scale():
+    x = np.random.default_rng(0).standard_normal((1, 1024, 1037))
+    assert nn._taps(x, 3).tobytes() == padded_taps_reference(x, 3).tobytes()
 
 
 def test_conv_backward_zero_grad():

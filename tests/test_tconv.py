@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from tdl import model as M
 from tdl import tconv
 from tdl.errors import ConfigError, ShapeError
 from tdl.esm import FAKE, PADDING, REAL
 from tdl.nn import (
     Conv1dLayer,
+    _apply_taps,
     _grad_taps,
     _taps,
     conv1d_backward,
@@ -21,6 +23,7 @@ from oracles import (
     conv1d_reference,
     neighbor_similarity_backward_reference,
     neighbor_similarity_reference,
+    padded_taps_reference,
     tconv_reference,
 )
 
@@ -144,6 +147,53 @@ def test_tconv_matches_reference():
     a = _similarity(e, 3)
     ref = tconv_reference(layer.weights, layer.bias, x, a)
     assert np.max(np.abs(tconv.tconv_forward(layer, x, a) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("shape, k", [
+    ((8, 16, 64), 3),      # a desk block
+    ((8, 16, 64), 1),      # a kernel-1 desk block
+    ((1, 1024, 1037), 3),  # a full-scale utterance on its live columns
+    ((2, 4, 7), 5),        # a 5-tap kernel on a short input
+    ((2, 3, 6), 15),       # a kernel wider than the input
+])
+def test_forward_is_bit_equal_to_scaled_padded_taps(shape, k):
+    rng = np.random.default_rng(k)
+    layer = _layer(rng, shape[1], k)
+    # the live columns of a wider block, as _forward_block passes x
+    x = rng.standard_normal(shape[:-1] + (shape[-1] + 3,))[..., :shape[-1]]
+    a = rng.uniform(0.0, 1.0, (shape[0], k, shape[2]))
+    x_before, a_before = x.tobytes(), a.tobytes()
+    for xs, scale in ((x, a), (x[0], a[0])):
+        got = tconv.tconv_forward(layer, xs, scale)
+        want = _apply_taps(layer, padded_taps_reference(xs, k) * scale[..., None, :])
+        assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == x_before and a.tobytes() == a_before
+
+
+def test_kernel_1_forward_writes_no_input_and_keeps_every_activation(monkeypatch):
+    # a kernel-1 tap array is a view of the row's input, so a tconv that
+    # scaled it in place would rewrite x and h2
+    cfg = M.desk_config(kernel=1)
+    mdl = M.build_model(cfg)
+    rng = np.random.default_rng(1)
+    true_frames = [64, 40, 17, 1]
+    xv = rng.standard_normal((len(true_frames), cfg.feat_dim, cfg.t_max))
+    for row, n in zip(xv, true_frames):
+        row[:, n:] = 0.0
+    inputs = (xv, np.array(true_frames), mdl.flat)
+    before = [arr.copy() for arr in inputs]
+    acts = M._forward_block(mdl, xv, true_frames)
+    for arr, copy in zip(inputs, before):
+        assert arr.tobytes() == copy.tobytes()
+    # every tap array built as a fresh padded copy, scaled out of place
+    monkeypatch.setattr(M, "conv1d_forward", lambda layer, x: _apply_taps(
+        layer, padded_taps_reference(x, layer.kernel)))
+    monkeypatch.setattr(M, "tconv_forward", lambda layer, x, a: _apply_taps(
+        layer, padded_taps_reference(x, layer.kernel) * a[..., None, :]))
+    want = M._forward_block(mdl, before[0], true_frames)
+    assert acts.keys() == want.keys()
+    for name, arr in want.items():
+        assert acts[name].tobytes() == arr.tobytes(), name
 
 
 @pytest.mark.parametrize("k", [15, 21])
@@ -276,8 +326,8 @@ def _tap_array_param_grads(layer, x, grad_out, a):
     """conv_param_grads as the whole tap array computes it: the taps
     scaled by a, one (k*C_in, T) GEMM per utterance, summed over the block."""
     taps = _taps(x, layer.kernel)
-    if a is not None:
-        taps *= a[..., None, :]
+    if a is not None:  # not in place: a kernel-1 tap array is x itself
+        taps = taps * a[..., None, :]
     t_len = x.shape[-1]
     flat = taps.reshape(-1, layer.kernel * layer.in_channels, t_len)
     grad = grad_out.reshape(-1, layer.out_channels, t_len)
