@@ -211,29 +211,32 @@ class DatasetStats:
 
 
 # bytes of the first read of a file; a file this size or larger is sized
-# with one fstat and the rest read in one call
+# with one fstat and read again, whole, in one call
 _FIRST_READ = 1 << 16
 
 
 def _read_bytes(path) -> bytes:
     """The bytes of the file at ``path``: os.read calls on one descriptor
     until EOF, with no file object. A file shorter than _FIRST_READ takes
-    two reads, the second at EOF, and no fstat or lseek. Errors carry the
-    messages io.FileIO(path).readall() gives, a directory's included."""
+    two reads, the second at EOF, and no fstat or lseek. A longer one is
+    sized with one fstat and read again from its start into one buffer of
+    its size plus one, as io.FileIO.readall does, so no pieces are joined.
+    Errors carry the messages io.FileIO(path).readall() gives, a
+    directory's included."""
     path = os.fspath(path)
     fd = os.open(path, os.O_RDONLY)
     try:
-        chunks, size = [], _FIRST_READ
-        while True:
-            try:
-                chunk = os.read(fd, size)
-            except IsADirectoryError as exc:  # os.open takes a directory
-                raise IsADirectoryError(exc.errno, exc.strerror, path) from None
-            if not chunk:
-                return b"".join(chunks)  # one chunk is returned as is
+        try:
+            raw = os.read(fd, _FIRST_READ)
+        except IsADirectoryError as exc:  # os.open takes a directory
+            raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+        if len(raw) == _FIRST_READ:
+            os.lseek(fd, 0, os.SEEK_SET)
+            raw = os.read(fd, os.fstat(fd).st_size + 1)
+        chunks = [raw]
+        while chunk := os.read(fd, _FIRST_READ):  # only a file that grew
             chunks.append(chunk)
-            if len(chunks) == 1 and len(chunk) == _FIRST_READ:
-                size = max(os.fstat(fd).st_size - _FIRST_READ, 0) + 1
+        return b"".join(chunks)  # one chunk is returned as is
     finally:
         os.close(fd)
 

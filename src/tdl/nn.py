@@ -111,14 +111,15 @@ def _padded(x: np.ndarray, half: int) -> np.ndarray:
 
 
 def _taps(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Kernel taps of x (..., C, T) as one contiguous (..., kernel, C, T) array.
+    """Kernel taps of x (..., C, T) as one (..., kernel, C, T) float64 array.
 
     taps[..., i, c, t] = x[..., c, t - kernel//2 + i], zero outside the
-    time axis. Each utterance's taps form one contiguous (kernel*C, T)
-    block, the operand of its forward GEMM. Each tap is written once,
-    from x, and only its columns past either end are zeroed. A kernel-1
-    tap array is x itself as float64, a view when x already is float64,
-    so a caller must not write into it.
+    time axis. For kernel > 1 it is a fresh contiguous array, so each
+    utterance's taps form one contiguous (kernel*C, T) block, the operand
+    of its forward GEMM; each tap is written once, from x, and only its
+    columns past either end are zeroed. A kernel-1 tap array is x itself
+    as float64: a view when x already is float64, strided when x is, so
+    a caller must not write into it.
     """
     if kernel == 1:
         return _padded(x, 0)[..., None, :, :]

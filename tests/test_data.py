@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import os
 import time
 
 import numpy as np
@@ -396,14 +397,9 @@ def test_stats_permutation_invariant():
 
 
 def test_stats_empty_rejected():
-    with pytest.raises(ValidationError):
-        data.dataset_stats([])
-
-
-def test_stats_of_no_annotations_says_so():
-    with pytest.raises(ValidationError) as info:
-        data.dataset_stats(iter([]))
-    assert str(info.value) == "no annotations"
+    for anns in ([], iter([])):
+        with pytest.raises(ValidationError, match=r"^no annotations$"):
+            data.dataset_stats(anns)
 
 
 def test_stats_matches_label_recount():
@@ -499,6 +495,16 @@ def test_read_bytes_returns_what_fileio_reads(tmp_path, size):
         want = fh.readall()
     assert data._read_bytes(path) == want
     assert data._read_bytes(str(path)) == want
+
+
+def test_read_bytes_reads_on_past_a_stale_size(tmp_path, monkeypatch):
+    # a file that grows after its fstat is still read to EOF
+    path = tmp_path / "f.bin"
+    want = np.random.default_rng(7).bytes(300_000)
+    path.write_bytes(want)
+    stale = os.stat_result((0,) * 6 + (70_000,) + (0,) * 3)
+    monkeypatch.setattr(os, "fstat", lambda fd: stale)
+    assert data._read_bytes(path) == want
 
 
 @pytest.mark.parametrize("name", ["missing", "directory", "nul"])
