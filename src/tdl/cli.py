@@ -73,18 +73,17 @@ def _load_train_config(path) -> model_mod.TdlConfig:
 
 def _prepared(data_dir, config: model_mod.TdlConfig):
     """Yield each utterance of the dataset in ``data_dir`` as a (features,
-    labels) pair prepared for ``config``. Its manifest is checked whole
-    first; then each block of the size ``model.score_pool`` scores is read
-    from disk when it is reached, its labels compiled to label_len in one
-    pass and its features padded to t_max one at a time. The model checks
-    each pair's shapes, the feature dim included, before it runs it."""
+    labels) pair for ``config``. Its manifest is checked whole first; then
+    each block of the size ``model.score_pool`` scores is read from disk
+    when it is reached and its labels compiled to label_len in one pass.
+    Features stay as read: the model pads each block itself, and checks
+    each pair's shapes, feature dim and true frames included, first."""
     for block in model_mod._blocks(data_mod.stream_dataset(data_dir),
                                    config.t_max):
         labels = data_mod.compile_labels(
             [ann for _, ann in block], config.label_resolution_s,
             config.label_len, config.label_setting)
-        for (seq, _), lab in zip(block, labels):
-            yield data_mod.pad_features(seq, config.t_max), lab
+        yield from zip((seq for seq, _ in block), labels)
 
 
 def _nonempty(items, data_dir):

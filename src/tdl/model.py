@@ -13,10 +13,10 @@ Total loss is BCE(scores, labels) plus ``esm_weight`` times the
 embedding-separation loss; gradients flow through both the hinge terms
 and the similarity-modulation path.
 
-One core runs the stack on a block of B padded utterances stacked as a
-(B, C, T) array. Training runs each minibatch through it, ``score_pool``
-scores a whole set in blocks for dev EER and ``tdl eval``, and
-``forward``/``predict``/``total_loss`` call it with B = 1. Every
+One core runs the stack on a block of B utterances, padded or not,
+zero-filled to one (B, C, T) array. Training runs each minibatch through
+it, ``score_pool`` scores and pools a set in blocks for dev EER and ``tdl
+eval``, and ``forward``/``predict``/``total_loss`` call it with B = 1. Every
 primitive computes a block one GEMM per utterance, so an utterance's
 scores do not depend on which other utterances share its block. At full
 scale a block is one utterance, run on its live frame columns only and
@@ -391,18 +391,17 @@ def param_count_table(model: TdlModel):
 
 def _check_pair(config: TdlConfig, seq: FeatureSequence,
                 labels: FrameLabels | None = None) -> None:
-    """ShapeError unless ``seq`` has feat_dim channels padded to t_max and
-    ``labels``, when given, are padded to label_len; ValidationError
-    unless they were compiled under the config's label_setting."""
+    """ShapeError unless ``seq`` has feat_dim channels and at most t_max
+    true frames, padded or not, and ``labels``, when given, are padded to
+    label_len; ValidationError unless they were compiled at the config's
+    label resolution and under its label_setting."""
     if seq.dim != config.feat_dim:
         raise ShapeError(
             f"{seq.sample_id}: feature dim {seq.dim} != feat_dim {config.feat_dim}"
         )
-    if seq.num_frames != config.t_max:
-        raise ShapeError(
-            f"{seq.sample_id}: {seq.num_frames} frames, expected padded t_max "
-            f"{config.t_max}"
-        )
+    if seq.true_frames > config.t_max:
+        raise ShapeError(f"{seq.sample_id}: {seq.true_frames} true frames exceed "
+                         f"t_max {config.t_max}")
     if labels is None:
         return
     if labels.labels.size != config.label_len:
@@ -410,6 +409,9 @@ def _check_pair(config: TdlConfig, seq: FeatureSequence,
             f"{labels.sample_id}: {labels.labels.size} labels != label_len "
             f"{config.label_len}"
         )
+    if labels.resolution_s != config.label_resolution_s:
+        raise ValidationError(f"{labels.sample_id}: labels at {labels.resolution_s} s "
+                              f"!= label_resolution_s {config.label_resolution_s}")
     if labels.setting != config.label_setting:
         raise ValidationError(f"{labels.sample_id}: {labels.setting} labels != "
                               f"label_setting {config.label_setting}")
@@ -450,10 +452,12 @@ def _zero_extended(array: np.ndarray, t_len: int) -> np.ndarray:
 
 def _stack_block(config: TdlConfig, pairs):
     """(features (B, C, W) float64, true frame counts, labels) of
-    (FeatureSequence, FrameLabels) pairs, cut to their _live_width W."""
+    (FeatureSequence, FrameLabels) pairs: each utterance's true frames,
+    then zeros out to the block's _live_width W."""
     true_frames = [seq.true_frames for seq, _ in pairs]
-    width = _live_width(config, true_frames)
-    xv = np.stack([seq.values[:, :width] for seq, _ in pairs], dtype=np.float64)
+    xv = np.zeros((len(pairs), config.feat_dim, _live_width(config, true_frames)))
+    for row, (seq, _) in zip(xv, pairs):
+        row[:, :seq.true_frames] = seq.values[:, :seq.true_frames]
     return xv, true_frames, [lab for _, lab in pairs]
 
 
@@ -495,20 +499,19 @@ def _backprop_rows(model: TdlModel, rows, acts: dict, grads: dict,
 
 
 def _forward_block(model: TdlModel, xv: np.ndarray, true_frames) -> dict:
-    """The stack on a block xv (B, C, T); frames past true_frames are padding.
+    """The stack on a block xv (B, C, W), as _stack_block builds it; frames
+    past true_frames are padding.
 
-    Every row up to head runs on the block's first W = _live_width
-    columns of xv, and head_t on t_max. Returns every activation by its
-    NETWORK name, plus the row inputs "x" and "live", the block's (B, C,
-    W) features and (B, W) mask of non-padding frames.
+    Every row up to head runs on the W columns, and head_t on t_max.
+    Returns every activation by its NETWORK name, plus the row inputs "x",
+    which is xv, and "live", the (B, W) mask of non-padding frames.
     """
-    width = _live_width(model.config, true_frames)
-    live = np.arange(width) < np.asarray(true_frames)[:, None]
-    return _run_rows(model, NETWORK, {"x": xv[..., :width], "live": live})
+    live = np.arange(xv.shape[-1]) < np.asarray(true_frames)[:, None]
+    return _run_rows(model, NETWORK, {"x": xv, "live": live})
 
 
 def forward(model: TdlModel, x: FeatureSequence):
-    """Run the network on one padded utterance.
+    """Run the network on one utterance, padded or not.
 
     Returns the arrays (scores in (0,1)^L, embedding (embed_dim, t_max),
     similarity (kernel, t_max)). Where the utterance runs on its live
@@ -524,7 +527,8 @@ def forward(model: TdlModel, x: FeatureSequence):
 
 
 def total_loss(model: TdlModel, x: FeatureSequence, labels: FrameLabels):
-    """BCE + lambda * ESM with gradients for every parameter and the input.
+    """BCE + lambda * ESM with gradients for every parameter and the input,
+    the latter (feat_dim, t_max) whether ``x`` is padded or not.
 
     Under the boundary1 setting the BCE is weighted (100 on boundary
     frames) and the ESM term is skipped, since boundary labels do not
@@ -778,30 +782,22 @@ def _validate_set(config: TdlConfig, dataset, name: str,
             )
 
 
-def block_scores(model: TdlModel, block) -> list:
-    """Per-frame scores of one block of prepared (features, labels) pairs,
-    each trimmed to its true label count; bit-identical to ``predict`` on
-    the blocks that _blocks forms."""
-    for seq, labels in block:
-        _check_pair(model.config, seq, labels)
-    xv, true_frames, labels = _stack_block(model.config, block)
-    scores = _forward_block(model, xv, true_frames)["scores"]
-    return [row[:lab.true_labels].copy() for row, lab in zip(scores, labels)]
-
-
 def score_pool(model: TdlModel, pairs) -> metrics_mod.EvalPool:
-    """The pooled per-frame scores and labels of prepared (features,
-    labels) ``pairs``, an iterable consumed and scored one block at a time.
-    Each block's frames are pooled into two arrays before the next block
-    is taken, so no per-utterance object outlives its block."""
-    scores, labels, count = [], [], 0
-    for block in _blocks(pairs, model.config.t_max):
-        pool = metrics_mod.pool_predictions(block_scores(model, block),
-                                            [lab for _, lab in block])
-        scores.append(pool.scores)
-        labels.append(pool.labels)
-        count += pool.num_utterances
-        del block, pool  # freed before the next is prepared: fewer page faults
+    """The pooled per-frame scores and labels of (features, labels)
+    ``pairs``, an iterable consumed one block at a time as _blocks forms
+    them. A block's live label frames, the first true_labels of each row,
+    are pooled in row-major order before the next block is taken, so no
+    per-utterance object outlives its block; scores equal ``predict``'s."""
+    cfg, scores, labels, count = model.config, [], [], 0
+    for block in _blocks(pairs, cfg.t_max):
+        for pair in block:
+            _check_pair(cfg, *pair)
+        xv, true_frames, labs = _stack_block(cfg, block)
+        live = np.arange(cfg.label_len) < [[lab.true_labels] for lab in labs]
+        scores.append(_forward_block(model, xv, true_frames)["scores"][live])
+        labels.append(np.stack([lab.labels for lab in labs])[live])
+        count += len(block)
+        del block, pair, labs, xv  # freed before the next is read: fewer page faults
     if not count:
         raise ValidationError("no utterances to score")
     return metrics_mod.EvalPool(np.concatenate(scores), np.concatenate(labels),
@@ -944,12 +940,13 @@ def train(config: TdlConfig, train_set, dev_set,
           init_model: TdlModel | None = None) -> TrainResult:
     """Seeded full-batch-shuffled minibatch training.
 
-    Datasets are lists of (FeatureSequence, FrameLabels), features
-    pre-padded to t_max and labels to label_len. Each minibatch runs as
-    one block (several when it exceeds BLOCK_FRAMES columns), its
-    gradients are averaged over its utterances in one flat buffer that
-    lives only as long as the step, and one adam_step updates the
-    model's (3, N) buffer of parameters, m and v (TdlModel.flat) from it.
+    Datasets are lists of (FeatureSequence, FrameLabels), features of at
+    most t_max true frames, padded or not, and labels padded to
+    label_len. Each minibatch runs as one block (several when it exceeds
+    BLOCK_FRAMES columns), its gradients are averaged over its utterances
+    in one flat buffer that lives only as long as the step, and one
+    adam_step updates the model's (3, N) buffer of parameters, m and v
+    (TdlModel.flat) from it.
     Per-epoch dev EER is recorded, and the model is encoded as the best
     checkpoint whenever it improves. If the loss goes non-finite the run
     stops and the last completed epoch's state is restored
@@ -1133,13 +1130,14 @@ def gradcheck_battery(size: str = "tiny", seed: int = 0,
     lab[: config.label_len // 2] = 1
     labels = FrameLabels("gradcheck", config.label_resolution_s, lab,
                          config.label_len, REAL1_FAKE0)
-    entries = _op_reports(model, _forward_block(model, x64[None], [t]), labels,
-                          rng, tolerance)
+    xv = x64[None, :, :_live_width(config, [t])]  # a view: it sees x64 perturbed
+    entries = _op_reports(model, _forward_block(model, xv, [t]), labels, rng,
+                          tolerance)
 
     def model_loss():
-        return _loss_block(model, x64[None], [t], [labels])[0].total
+        return _loss_block(model, xv, [t], [labels])[0].total
 
-    _, grads = _loss_block(model, x64[None], [t], [labels], input_grad=True)
+    _, grads = _loss_block(model, xv, [t], [labels], input_grad=True)
     grads["input"] = grads["input"][0]
     params = dict(model.param_items())
     params["input"] = x64

@@ -207,7 +207,7 @@ def test_live_columns_match_the_full_width_path(true_frames, monkeypatch):
 
     def run():
         return (M.total_loss(mdl, seq, labels),
-                M.block_scores(mdl, [(seq, labels)])[0], M.forward(mdl, seq))
+                M.score_pool(mdl, [(seq, labels)]).scores, M.forward(mdl, seq))
 
     (loss, grads), scores, (_, e, a) = run()
     monkeypatch.setattr(M, "BLOCK_FRAMES", 2 * cfg.t_max)  # full width
@@ -225,6 +225,45 @@ def test_live_columns_match_the_full_width_path(true_frames, monkeypatch):
     assert not e[:, width:].any() and not a[:, width:].any()
     assert _rel(e[:, :true_frames], want_e[:, :true_frames]) <= 1e-12
     assert _rel(a, want_a) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# padded and unpadded features are one input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block_frames", [M.BLOCK_FRAMES, 1])
+def test_padded_and_unpadded_features_give_the_same_bytes(block_frames, monkeypatch):
+    cfg = M.desk_config()
+    mdl = M.build_model(cfg)
+    padded = _desk_pairs(cfg, 20, 5)
+    unpadded = [(FeatureSequence(seq.sample_id, seq.dim, seq.true_frames,
+                                 seq.values[:, :seq.true_frames], seq.true_frames),
+                 lab) for seq, lab in padded]
+    assert len({seq.true_frames for seq, _ in unpadded}) > 1
+    # the default scores mixed blocks at full width, and 1 one-utterance
+    # blocks on their live columns
+    monkeypatch.setattr(M, "BLOCK_FRAMES", block_frames)
+    assert M._live_width(cfg, [1]) == (cfg.t_max if block_frames > 1 else 3)
+    for block in M._blocks(unpadded, cfg.t_max):  # true frames, then zeros
+        xv, true_frames, _ = M._stack_block(cfg, block)
+        for row, (seq, _) in zip(xv, block):
+            assert row[:, :seq.true_frames].tobytes() == seq.values.astype(float).tobytes()
+            assert not row[:, seq.true_frames:].any()
+
+    want, got = M.score_pool(mdl, padded), M.score_pool(mdl, unpadded)
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    for (seq, lab), (short, _) in zip(padded, unpadded):
+        assert (M.predict(mdl, short, lab.true_labels).tobytes()
+                == M.predict(mdl, seq, lab.true_labels).tobytes())
+        (loss, grads), (want_loss, want_grads) = (M.total_loss(mdl, short, lab),
+                                                  M.total_loss(mdl, seq, lab))
+        assert loss == want_loss
+        assert set(grads) == set(want_grads)
+        for key, value in want_grads.items():
+            assert grads[key].shape == value.shape, key
+            assert grads[key].tobytes() == value.tobytes(), key
 
 
 # ---------------------------------------------------------------------------

@@ -475,13 +475,13 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
     assert [len(b) for b in model_mod._blocks(features, config.t_max)] == [16, 16, 5]
 
     block_sizes = []
-    real_block_scores = model_mod.block_scores
+    real_forward_block = model_mod._forward_block
 
-    def counting_block_scores(model, block):
-        block_sizes.append(len(block))
-        return real_block_scores(model, block)
+    def counting_forward_block(model, xv, true_frames):
+        block_sizes.append(len(xv))
+        return real_forward_block(model, xv, true_frames)
 
-    monkeypatch.setattr(model_mod, "block_scores", counting_block_scores)
+    monkeypatch.setattr(model_mod, "_forward_block", counting_forward_block)
     path = tmp_path / "report.json"
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
                      str(test_dir), "--report", str(path)]) == 0
@@ -548,6 +548,29 @@ def test_eval_refuses_a_bad_report_path_before_scoring(tmp_path, monkeypatch,
                      str(test_dir), "--report", str(tmp_path / report)]) == 1
     assert "error: --report" in capsys.readouterr().err
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+def test_eval_of_an_utterance_longer_than_t_max_exits_one(tmp_path, capsys):
+    from tdl import data as data_mod
+    from tdl.model import build_model, save_checkpoint
+
+    checkpoint = tmp_path / "m.tdlc"
+    save_checkpoint(build_model(desk_config()), checkpoint)
+    # 75 frames at 30 Hz, past desk t_max 64, in 16 label frames of 0.16 s
+    f, a = data_mod.synth_dataset(desk_benchmark_spec(
+        num_utterances=1, frame_rate_hz=30.0, duration_range_s=(2.5, 2.5),
+        sample_prefix="long"), 5)
+    assert f[0].true_frames == 75
+    long_dir = tmp_path / "long"
+    data_mod.write_dataset(long_dir, f, a)
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(long_dir), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {f[0].sample_id}: 75 true frames exceed t_max 64" in err
+    assert "Traceback" not in err
+    assert not report.exists()
 
 
 def test_block_eval_dim_mismatch_in_last_block_writes_no_report(tmp_path, capsys):
@@ -775,7 +798,7 @@ def _numeric_input(case, tmp_path, data_dir):
         return ["params", "--config", str(config)]
     obj = desk_config(epochs=1, batch_size=2).to_dict()
     if case == "train-t-max-past-memory":
-        obj["t_max"] = 10 ** 15  # padded features past any address space
+        obj["t_max"] = 10 ** 15  # fc weights past any address space
         config.write_text("\n".join(_key_value_lines(obj)) + "\n")
     elif case in _OPTIMIZER_LINES:
         # a desk key=value config with one line added

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -193,11 +194,12 @@ def test_forward_shape_errors():
                               cfg.t_max)
     with pytest.raises(ShapeError):
         M.forward(mdl, bad_dim)
-    unpadded = FeatureSequence("u", cfg.feat_dim, 6,
-                               rng.standard_normal((cfg.feat_dim, 6)).astype(np.float32),
-                               6)
-    with pytest.raises(ShapeError):
-        M.forward(mdl, unpadded)
+    frames = cfg.t_max + 1
+    too_long = FeatureSequence(
+        "u", cfg.feat_dim, frames,
+        rng.standard_normal((cfg.feat_dim, frames)).astype(np.float32), frames)
+    with pytest.raises(ShapeError, match=r"^u: 13 true frames exceed t_max 12$"):
+        M.forward(mdl, too_long)
 
 
 def test_lambda_zero_reduces_to_bce():
@@ -732,15 +734,54 @@ def test_train_rejects_a_row_of_another_label_setting_before_any_epoch(
         M.train(cfg, sets["train"], sets["dev"])
 
 
-def test_train_rejects_unpadded_features():
+def test_train_rejects_features_longer_than_t_max(monkeypatch):
     cfg = tiny_config()
     train_set, dev_set = _tiny_sets(cfg)
     rng = np.random.default_rng(10)
-    short = FeatureSequence("s", cfg.feat_dim, 6,
-                            rng.standard_normal((cfg.feat_dim, 6)).astype(np.float32),
-                            6)
-    with pytest.raises(ShapeError):
-        M.train(cfg, [(short, train_set[0][1])], dev_set)
+    frames = cfg.t_max + 1
+    too_long = FeatureSequence(
+        "s", cfg.feat_dim, frames,
+        rng.standard_normal((cfg.feat_dim, frames)).astype(np.float32), frames)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("an epoch ran before the features were checked")
+
+    monkeypatch.setattr(M, "_loss_block", no_training)
+    with pytest.raises(ShapeError, match=r"^train: s: 13 true frames exceed t_max 12$"):
+        M.train(cfg, [(too_long, train_set[0][1])], dev_set)
+
+
+def test_train_takes_unpadded_features():
+    cfg = tiny_config()
+    train_set, dev_set = _tiny_sets(cfg)
+    assert any(seq.true_frames < cfg.t_max for seq, _ in train_set + dev_set)
+
+    def unpadded(pairs):
+        return [(FeatureSequence(seq.sample_id, seq.dim, seq.true_frames,
+                                 seq.values[:, :seq.true_frames], seq.true_frames),
+                 lab) for seq, lab in pairs]
+
+    want = M.train(cfg, train_set, dev_set).best_checkpoint
+    assert M.train(cfg, unpadded(train_set), unpadded(dev_set)).best_checkpoint == want
+
+
+def test_labels_at_another_resolution_are_rejected():
+    cfg = M.desk_config()
+    mdl = M.build_model(cfg)
+    feats, anns = synth_dataset(desk_benchmark_spec(num_utterances=4), 2)
+    pairs = [(pad_features(f, cfg.t_max),
+              dataclasses.replace(compile_frame_labels(
+                  a, cfg.label_resolution_s, cfg.label_len, cfg.label_setting),
+                  resolution_s=0.02))
+             for f, a in zip(feats, anns)]
+    seq, lab = pairs[0]
+    pattern = rf"^{re.escape(lab.sample_id)}: labels at 0.02 s != label_resolution_s 0.16$"
+    with pytest.raises(ValidationError, match=pattern):
+        M.total_loss(mdl, seq, lab)
+    with pytest.raises(ValidationError, match=pattern):
+        M.score_pool(mdl, pairs)
+    with pytest.raises(ValidationError, match=f"^train: {pattern[1:]}"):
+        M.train(cfg, pairs, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ def test_conv_channel_mismatch():
 @pytest.mark.parametrize("k", [1, 3, 5, 15, 21])
 def test_taps_are_bit_equal_to_windows_of_the_padded_copy(k, t_len, dtype):
     rng = np.random.default_rng(k * 100 + t_len)
-    # a block as the live columns of a wider one, as _forward_block reads
-    # it, then one utterance as a 2-D input
+    # a block as a strided view of a wider one, then one utterance as a
+    # 2-D input
     block = rng.standard_normal((3, 4, t_len + 5)).astype(dtype)[..., :t_len]
     for x in (block, block[1].copy()):
         taps = nn._taps(x, k)

@@ -159,7 +159,7 @@ def test_tconv_matches_reference():
 def test_forward_is_bit_equal_to_scaled_padded_taps(shape, k):
     rng = np.random.default_rng(k)
     layer = _layer(rng, shape[1], k)
-    # the live columns of a wider block, as _forward_block passes x
+    # a strided view of a wider block
     x = rng.standard_normal(shape[:-1] + (shape[-1] + 3,))[..., :shape[-1]]
     a = rng.uniform(0.0, 1.0, (shape[0], k, shape[2]))
     x_before, a_before = x.tobytes(), a.tobytes()
