@@ -38,7 +38,7 @@ from .errors import (
     TdlError,
     ValidationError,
 )
-from .esm import EsmConfig, EsmLoss, align_labels_to_embedding, esm_loss_from_arrays
+from .esm import EsmConfig, EsmLoss, esm_loss_from_arrays
 from .metrics import (
     EvalPool,
     compute_report,

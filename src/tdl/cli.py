@@ -144,10 +144,12 @@ def run_train(args) -> int:
             raise ConfigError(f"--out {out_dir}: {path} is not a directory")
     config = _load_train_config(args.config)
     _print_resolved(config.to_dict(), config.seed)
-    init_model = None
-    if args.resume:  # a bad checkpoint is reported before the data is read
+    # a bad checkpoint, or a model past memory, is reported before the data is read
+    if args.resume:
         init_model = model_mod.load_checkpoint(args.resume)
         print(f"resuming from {args.resume} at epoch {init_model.epoch}")
+    else:
+        init_model = model_mod.build_model(config)
     train_set = list(_prepared(args.train, config))
     dev_set = list(_prepared(args.dev, config))
 

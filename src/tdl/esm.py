@@ -5,8 +5,9 @@ frame embeddings: same-class pairs (real-real and fake-fake) are pushed
 above ``tau_same``, cross-class pairs below ``tau_diff``. Each term is
 the worst violation over its pair set, so gradients flow only through
 one pair per active term: the batch-hard mining of Hermans et al.
-(arXiv 1703.07737). The loss takes a block of B utterances: embeddings
-(B, D, T) with classes (B, T).
+(arXiv 1703.07737). The loss takes arrays only, a block of B
+utterances: embeddings (B, D, T) with classes (B, T) of FAKE, REAL or
+PADDING, which the model derives from its labels.
 
 Each worst pair is exact: the first in (similarity, x, y) order when a
 similarity is the sequential channel sum of _channel_dot, as the
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BOUNDARY1, REAL1_FAKE0, FrameLabels
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError
 
 # frame_class codes
 FAKE = 0
@@ -90,34 +90,6 @@ class EsmLoss:
     @property
     def total(self) -> float:
         return self.l_real + self.l_fake + self.l_diff
-
-
-def align_labels_to_embedding(labels: FrameLabels, t_e: int) -> np.ndarray:
-    """Map each embedding frame onto the label timeline.
-
-    Embedding frame t reads label index floor(t * L / t_e); real is label
-    1 under real1_fake0 and 0 under real0_fake1 (boundary1 labels mark
-    transitions, not classes, and raise), and indices past true_labels are
-    padding. The map is exact integer arithmetic, so it is monotone with
-    j(0) = 0 and j(t_e - 1) = L - 1 whenever t_e >= L.
-    """
-    return align_block_to_embedding([labels], t_e)[0]
-
-
-def align_block_to_embedding(labels, t_e: int) -> np.ndarray:
-    """align_labels_to_embedding of a block's FrameLabels, which share one
-    label length, as (B, t_e) int8 classes from one index map."""
-    for lab in labels:
-        if lab.setting == BOUNDARY1:
-            raise ValidationError(f"{lab.sample_id}: boundary1 labels have no classes")
-    if t_e < 1:
-        raise ShapeError("t_e must be >= 1")
-    values = np.stack([lab.labels for lab in labels])
-    j = (np.arange(t_e) * values.shape[1]) // t_e
-    real = np.array([[1 if lab.setting == REAL1_FAKE0 else 0] for lab in labels])
-    classes = np.where(values[:, j] == real, REAL, FAKE).astype(np.int8)
-    classes[j >= np.array([[lab.true_labels] for lab in labels])] = PADDING
-    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The positive class is label 1, i.e. real frames under the default
 real1_fake0 convention (a high score means "this frame is genuine").
-Padding frames must be stripped before pooling; pool_predictions does
-this from each utterance's true label count.
+A pool holds true label frames only: model.score_pool keeps each
+utterance's first true_labels frames as it scores a set, and
+pool_predictions does the same for per-utterance score arrays.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ and ``OPS`` gives each row's op its forward and input backward, and a
 layer op also its parameter gradients and init.
 
 Total loss is BCE(scores, labels) plus ``esm_weight`` times the
-embedding-separation loss; gradients flow through both the hinge terms
+embedding-separation loss, whose frame classes _esm_classes maps from
+the same stacked labels; gradients flow through both the hinge terms
 and the similarity-modulation path.
 
 One core runs the stack on a block of B utterances, padded or not,
@@ -346,12 +347,10 @@ def _layers_only(config: TdlConfig, rng) -> TdlModel:
     return TdlModel(config=config, layers=layers)
 
 
-def build_model(config: TdlConfig, rng=None) -> TdlModel:
+def build_model(config: TdlConfig) -> TdlModel:
     """Seeded construction; parameters are uniform in +-sqrt(1/fan_in).
-    ``rng`` replaces the seeded init stream. Adam's moments start at 0."""
-    if rng is None:
-        rng = np.random.default_rng([config.seed, _STREAM_INIT])
-    model = _layers_only(config, rng)
+    Adam's moments start at 0."""
+    model = _layers_only(config, np.random.default_rng([config.seed, _STREAM_INIT]))
     params = model.param_items()
     # zeroed pages are mapped on first write: moments cost no memory until
     # the first Adam step
@@ -561,9 +560,8 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
     grads = {"scores": grad_scores}
 
     if cfg.esm_weight > 0 and not boundary:
-        esm_losses, grad_e_esm = esm_mod.esm_loss_from_arrays(
-            acts["e"], _esm_classes(cfg, labels, acts["live"]), cfg.esm
-        )
+        classes = _esm_classes(cfg, y, [lab.true_labels for lab in labels], acts["live"])
+        esm_losses, grad_e_esm = esm_mod.esm_loss_from_arrays(acts["e"], classes, cfg.esm)
         grads["e"] = cfg.esm_weight * grad_e_esm
     else:
         esm_losses = EsmLoss(0.0, 0.0, 0.0)
@@ -582,13 +580,18 @@ def _loss_block(model: TdlModel, xv: np.ndarray, true_frames, labels,
     return TdlLoss(total, bce_total, esm_losses), param_grads
 
 
-def _esm_classes(config: TdlConfig, labels, live: np.ndarray) -> np.ndarray:
-    """(B, W) ESM classes of a block's labels: aligned on the t_max frames
-    the labels span, cut to the W columns of the (B, W) mask ``live``,
-    and PADDING wherever ``live`` is False."""
-    classes = esm_mod.align_block_to_embedding(labels, config.t_max)[:, :live.shape[-1]]
-    # feature padding trumps label alignment at the tail
-    classes[~live] = esm_mod.PADDING
+def _esm_classes(config: TdlConfig, labels: np.ndarray, true_labels,
+                 live: np.ndarray) -> np.ndarray:
+    """(B, W) int8 ESM classes of a block's (B, label_len) ``labels``:
+    column t reads label floor(t * label_len / t_max), monotone in t, 0 at
+    t = 0 and label_len - 1 at t = t_max - 1. Real is label 1 under
+    real1_fake0, else 0 (_check_pair holds each label to the config's
+    setting). Columns past an utterance's ``true_labels``, or where the
+    (B, W) mask ``live`` is False, are PADDING."""
+    j = (np.arange(live.shape[-1]) * labels.shape[1]) // config.t_max
+    real = 1 if config.label_setting == REAL1_FAKE0 else 0
+    classes = np.where(labels[:, j] == real, esm_mod.REAL, esm_mod.FAKE).astype(np.int8)
+    classes[(j >= np.asarray(true_labels)[:, None]) | ~live] = esm_mod.PADDING
     return classes
 
 
@@ -1097,7 +1100,7 @@ def _op_reports(model: TdlModel, acts: dict, labels: FrameLabels, rng,
     entries += _checked("bce", rng, tolerance,
                         lambda: float(bce_loss(scores, y)[0].sum()),
                         {"scores": scores}, {"scores": bce_loss(scores, y)[1]})
-    classes = _esm_classes(model.config, [labels], acts["live"])
+    classes = _esm_classes(model.config, y, [labels.true_labels], acts["live"])
     esm_cfg = model.config.esm
     entries += _checked(
         "esm", rng, tolerance,

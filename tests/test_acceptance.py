@@ -13,7 +13,6 @@ import pytest
 from tdl import esm, metrics, tconv
 from tdl.data import (
     REAL1_FAKE0,
-    FrameLabels,
     Segment,
     SegmentAnnotation,
     compile_frame_labels,
@@ -26,6 +25,8 @@ from tdl.esm import EsmConfig
 from tdl.metrics import compute_report, eer, pool_predictions
 from tdl.model import (
     GRADCHECK_CONFIGS,
+    TdlConfig,
+    _esm_classes,
     build_model,
     decode_checkpoint,
     desk_config,
@@ -237,9 +238,8 @@ def test_criterion_7_label_pipeline():
 
     j = (np.arange(1050) * 132) // 1050
     align_ok = j[0] == 0 and j[1049] == 131 and np.all(np.diff(j) >= 0)
-    bits = np.ones(132, dtype=np.int8)
-    frame_labels = FrameLabels("a", 0.16, bits, 132, REAL1_FAKE0)
-    classes = esm.align_labels_to_embedding(frame_labels, 1050)
+    config = TdlConfig(feat_dim=2, embed_dim=2, conv_hidden=2)  # t_max 1050, label_len 132
+    classes = _esm_classes(config, np.ones((1, 132)), [132], np.ones((1, 1050), bool))
     align_ok = align_ok and classes.size == 1050 and np.all(classes == esm.REAL)
     check(7, mismatches == 0 and align_ok,
           f"500 annotations, {mismatches} mismatches vs 1 ms oracle; "

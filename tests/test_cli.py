@@ -797,9 +797,11 @@ def _numeric_input(case, tmp_path, data_dir):
                            }[case])
         return ["params", "--config", str(config)]
     obj = desk_config(epochs=1, batch_size=2).to_dict()
-    if case == "train-t-max-past-memory":
+    if case.startswith("train-t-max-past-memory"):
         obj["t_max"] = 10 ** 15  # fc weights past any address space
         config.write_text("\n".join(_key_value_lines(obj)) + "\n")
+        if case.endswith("missing-data"):  # the model is built before any set is read
+            data_dir = tmp_path / "missing"
     elif case in _OPTIMIZER_LINES:
         # a desk key=value config with one line added
         lines = [*_key_value_lines(obj), _OPTIMIZER_LINES[case]]
@@ -824,7 +826,8 @@ def _numeric_input(case, tmp_path, data_dir):
     "stats-duration-nan", "params-base-lr-nan", "params-dim-past-numpy",
     "params-kernel-negative", "train-kernel-negative",
     "synth-segment-count-past-int64", "synth-dim-past-memory",
-    "train-t-max-past-memory", *_OPTIMIZER_LINES])
+    "train-t-max-past-memory", "train-t-max-past-memory-missing-data",
+    *_OPTIMIZER_LINES])
 def test_bad_numeric_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
     argv = _numeric_input(case, tmp_path, data_dir)

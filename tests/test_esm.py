@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tdl import esm
-from tdl.data import BOUNDARY1, REAL0_FAKE1, REAL1_FAKE0, FrameLabels
-from tdl.errors import ConfigError, ValidationError
+from tdl import model as M
+from tdl.data import REAL0_FAKE1, REAL1_FAKE0
+from tdl.errors import ConfigError
 from tdl.nn import grad_check, l2_normalize_forward
 
 from oracles import esm_reference, esm_worst_pairs_reference
@@ -26,31 +27,36 @@ def _random_embedding(rng, dim, t_len, pad=0):
 
 
 # ---------------------------------------------------------------------------
-# alignment
+# label classes (model._esm_classes)
 # ---------------------------------------------------------------------------
 
 
-def _labels(bits, true_labels=None, resolution=0.16, setting=REAL1_FAKE0):
-    bits = np.asarray(bits, dtype=np.int8)
-    return FrameLabels("t", resolution, bits,
-                       bits.size if true_labels is None else true_labels,
-                       setting)
+def _esm_classes(bits, t_max, true_labels=None, setting=REAL1_FAKE0, live=None):
+    """model._esm_classes of the (B, L) label rows ``bits`` on t_max frames;
+    every frame is live unless the (B, W) mask ``live`` says otherwise."""
+    labels = np.atleast_2d(np.asarray(bits, dtype=np.int8)).astype(np.float64)
+    num, length = labels.shape
+    cfg = M.TdlConfig(feat_dim=2, t_max=t_max, embed_dim=2, conv_hidden=2,
+                      label_len=length, label_setting=setting)
+    true = [length] * num if true_labels is None else true_labels
+    live = np.ones((num, t_max), dtype=bool) if live is None else live
+    return M._esm_classes(cfg, labels, true, live)
 
 
 def test_align_identity_when_lengths_match():
-    labels = _labels([1, 0, 1, 1])
-    classes = esm.align_labels_to_embedding(labels, 4)
-    assert np.array_equal(classes, [esm.REAL, esm.FAKE, esm.REAL, esm.REAL])
+    classes = _esm_classes([1, 0, 1, 1], 4)
+    assert np.array_equal(classes, [[esm.REAL, esm.FAKE, esm.REAL, esm.REAL]])
 
 
 def test_align_full_scale_endpoints():
-    bits = np.ones(132, dtype=np.int8)
-    labels = _labels(bits)
     t_e = 1050
     j = (np.arange(t_e) * 132) // t_e
     assert j[0] == 0 and j[1049] == 131
-    classes = esm.align_labels_to_embedding(labels, t_e)
+    classes = _esm_classes(np.ones(132), t_e)
     assert classes.size == t_e and np.all(classes == esm.REAL)
+    # every frame reads label j: real on even label frames only
+    classes = _esm_classes(np.arange(132) % 2 == 0, t_e)
+    assert np.array_equal(classes[0], np.where(j % 2 == 0, esm.REAL, esm.FAKE))
 
 
 def test_align_monotone_nondecreasing_random():
@@ -58,45 +64,50 @@ def test_align_monotone_nondecreasing_random():
     for _ in range(50):
         length = int(rng.integers(1, 40))
         t_e = int(rng.integers(length, 200))
-        labels = _labels((rng.random(length) < 0.5).astype(np.int8))
+        bits = (rng.random(length) < 0.5).astype(np.int8)
         j = (np.arange(t_e) * length) // t_e
         assert np.all(np.diff(j) >= 0)
-        classes = esm.align_labels_to_embedding(labels, t_e)
+        classes = _esm_classes(bits, t_e)
         assert classes.size == t_e
+        assert np.array_equal(classes[0], np.where(bits[j] == 1, esm.REAL, esm.FAKE))
 
 
 def test_align_marks_padding():
-    labels = _labels([1, 0, 0, 0], true_labels=2)
-    classes = esm.align_labels_to_embedding(labels, 8)
-    assert np.array_equal(classes[:4], [esm.REAL, esm.REAL, esm.FAKE, esm.FAKE])
-    assert np.all(classes[4:] == esm.PADDING)
+    classes = _esm_classes([1, 0, 0, 0], 8, true_labels=[2])
+    assert np.array_equal(classes[0, :4], [esm.REAL, esm.REAL, esm.FAKE, esm.FAKE])
+    assert np.all(classes[0, 4:] == esm.PADDING)
+    # feature padding: columns the live mask leaves out, here past frame 3
+    live = np.arange(6)[None] < 3
+    classes = _esm_classes([1, 0, 0, 0], 8, true_labels=[4], live=live)
+    assert np.array_equal(classes, [[esm.REAL, esm.REAL, esm.FAKE] + [esm.PADDING] * 3])
 
 
 def test_align_classes_follow_the_label_setting():
     # the same annotation, real frames first, in both encodings
     want = [esm.REAL, esm.REAL, esm.FAKE, esm.FAKE, esm.PADDING, esm.PADDING]
     for setting, bits in ((REAL1_FAKE0, [1, 0, 0]), (REAL0_FAKE1, [0, 1, 0])):
-        classes = esm.align_labels_to_embedding(
-            _labels(bits, true_labels=2, setting=setting), 6)
-        assert np.array_equal(classes, want), setting
-    with pytest.raises(ValidationError, match="boundary1"):
-        esm.align_labels_to_embedding(_labels([0, 1, 0], setting=BOUNDARY1), 6)
+        classes = _esm_classes(bits, 6, true_labels=[2], setting=setting)
+        assert np.array_equal(classes, [want]), setting
 
 
 def test_block_alignment_equals_each_utterance_aligned_alone():
     rng = np.random.default_rng(11)
     for setting in (REAL1_FAKE0, REAL0_FAKE1):
-        labels = []
-        for true in rng.integers(1, 17, size=5):
-            bits = rng.integers(0, 2, 16)
-            bits[true:] = 0
-            labels.append(_labels(bits, true_labels=int(true), setting=setting))
-        for t_e in (1, 7, 16, 64, 100):
-            want = np.stack([esm.align_labels_to_embedding(lab, t_e) for lab in labels])
-            got = esm.align_block_to_embedding(labels, t_e)
-            assert got.dtype == np.int8 and np.array_equal(got, want)
-    with pytest.raises(ValidationError, match="boundary1"):
-        esm.align_block_to_embedding([_labels([0, 1]), _labels([1, 0], setting=BOUNDARY1)], 4)
+        bits = rng.integers(0, 2, (5, 16))
+        true = rng.integers(1, 17, size=5)
+        bits[np.arange(16) >= true[:, None]] = 0
+        for t_e in (16, 17, 64, 100):
+            width = int(rng.integers(1, t_e + 1))
+            live = np.arange(width) < rng.integers(1, t_e + 1, size=(5, 1))
+            want = np.concatenate([
+                _esm_classes(bits[b], t_e, [true[b]], setting, live[b:b + 1])
+                for b in range(5)])
+            got = _esm_classes(bits, t_e, true, setting, live)
+            assert got.dtype == np.int8 and got.shape == (5, width)
+            assert np.array_equal(got, want)
+            # W live columns read the t_max timeline: the full width cut to W
+            full = _esm_classes(bits, t_e, true, setting)
+            assert np.array_equal(got, np.where(live, full[:, :width], esm.PADDING))
 
 
 # ---------------------------------------------------------------------------

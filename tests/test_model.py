@@ -225,7 +225,11 @@ def test_total_loss_adds_weighted_esm():
     assert np.isclose(losses.total, losses.bce + 0.5 * losses.esm.total)
 
 
-def test_boundary1_uses_weighted_bce_and_skips_esm():
+def test_boundary1_uses_weighted_bce_and_skips_esm(monkeypatch):
+    def no_classes(*args):
+        raise AssertionError("boundary1 labels reached the ESM class map")
+
+    monkeypatch.setattr(M, "_esm_classes", no_classes)
     cfg = tiny_config(esm_weight=0.1, label_setting=BOUNDARY1)
     mdl = M.build_model(cfg)
     x = _input(cfg, np.random.default_rng(5))
