@@ -10,7 +10,6 @@ thread are bit-reproducible at any core count.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .errors import ConfigError, NumericError, TdlError, ValidationError
+from .errors import ConfigError, NumericError, TdlError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -86,16 +85,6 @@ def _prepared(data_dir, config: model_mod.TdlConfig):
         yield from zip((seq for seq, _ in block), labels)
 
 
-def _nonempty(items, data_dir):
-    """``items``, streamed from the dataset in ``data_dir``, which must
-    hold at least one utterance."""
-    items = iter(items)
-    first = next(items, None)
-    if first is None:
-        raise ValidationError(f"{data_dir} holds no utterances")
-    return itertools.chain((first,), items)
-
-
 def _seed(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"seed {text} is negative")
@@ -144,16 +133,15 @@ def run_train(args) -> int:
             raise ConfigError(f"--out {out_dir}: {path} is not a directory")
     config = _load_train_config(args.config)
     _print_resolved(config.to_dict(), config.seed)
-    # a bad checkpoint, or a model past memory, is reported before the data is read
+    # a bad checkpoint, or a model past memory, is reported before the data
+    # is read, and so is a checkpoint train() cannot resume
     if args.resume:
         init_model = model_mod.load_checkpoint(args.resume)
         print(f"resuming from {args.resume} at epoch {init_model.epoch}")
     else:
         init_model = model_mod.build_model(config)
-    train_set = list(_prepared(args.train, config))
-    dev_set = list(_prepared(args.dev, config))
-
-    result = model_mod.train(config, train_set, dev_set, init_model=init_model)
+    result = model_mod.train(config, _prepared(args.train, config),
+                             _prepared(args.dev, config), init_model=init_model)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_atomic(out_dir / "best.tdlc", result.best_checkpoint)
@@ -186,8 +174,7 @@ def run_eval(args) -> int:
     model = model_mod.load_checkpoint(args.checkpoint)
     config = model.config
     _print_resolved(config.to_dict(), config.seed)
-    pool = model_mod.score_pool(
-        model, _nonempty(_prepared(args.test, config), args.test))
+    pool = model_mod.score_pool(model, _prepared(args.test, config))
     report = metrics_mod.compute_report(pool, threshold=args.threshold)
     text, json_str = metrics_mod.render_report(
         report, metadata={"checkpoint": str(args.checkpoint),
@@ -202,9 +189,8 @@ def run_eval(args) -> int:
 def run_stats(args) -> int:
     _print_resolved({"data": str(args.data), "resolution_s": args.resolution},
                     "none")
-    stats = data_mod.dataset_stats(_nonempty(
-        (ann for _, ann in data_mod.stream_dataset(args.data)), args.data),
-        args.resolution)
+    stats = data_mod.dataset_stats(
+        (ann for _, ann in data_mod.stream_dataset(args.data)), args.resolution)
     print(f"{'subset':>12} {'frame-level':>12} {'utterance-level':>16}")
     print(f"{Path(str(args.data)).name:>12} {stats.frame_fake_pct:>12.2f} "
           f"{stats.utterance_fake_pct:>16.2f}")

@@ -755,9 +755,10 @@ def stream_dataset(data_dir):
     """The (features, annotation) pairs of a manifest directory, in
     manifest order, as an iterator.
 
-    The manifest and every entry in it are checked before this returns;
-    each sample's feature and annotation files are read, once each, when
-    the iterator reaches that sample.
+    The manifest and every entry in it are checked before this returns,
+    and it must list at least one sample; each sample's feature and
+    annotation files are read, once each, when the iterator reaches that
+    sample.
     """
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.json"
@@ -770,6 +771,8 @@ def stream_dataset(data_dir):
         raise FormatError(f"{manifest}: {exc}") from exc
     if not isinstance(samples, list):
         raise FormatError(f"{manifest}: samples is not a list")
+    if not samples:
+        raise ValidationError(f"{data_dir} holds no utterances")
     for entry in samples:
         if not (isinstance(entry, dict) and all(
                 isinstance(entry.get(key), str) for key in _MANIFEST_KEYS)):

@@ -441,9 +441,8 @@ def _live_width(config: TdlConfig, true_frames) -> int:
 
 
 def _zero_extended(array: np.ndarray, t_len: int) -> np.ndarray:
-    """``array`` (..., W) with zero columns appended up to t_len."""
-    if array.shape[-1] == t_len:
-        return array
+    """A fresh copy of ``array`` (..., W) with zero columns appended up
+    to t_len."""
     out = np.zeros(array.shape[:-1] + (t_len,))
     out[..., :array.shape[-1]] = array
     return out
@@ -452,7 +451,10 @@ def _zero_extended(array: np.ndarray, t_len: int) -> np.ndarray:
 def _stack_block(config: TdlConfig, pairs):
     """(features (B, C, W) float64, true frame counts, labels) of
     (FeatureSequence, FrameLabels) pairs: each utterance's true frames,
-    then zeros out to the block's _live_width W."""
+    then zeros out to the block's _live_width W. Every pair passes
+    _check_pair before the block is allocated; labels may be None."""
+    for seq, labels in pairs:
+        _check_pair(config, seq, labels)
     true_frames = [seq.true_frames for seq, _ in pairs]
     xv = np.zeros((len(pairs), config.feat_dim, _live_width(config, true_frames)))
     for row, (seq, _) in zip(xv, pairs):
@@ -517,7 +519,6 @@ def forward(model: TdlModel, x: FeatureSequence):
     columns only (_live_width), the embedding and similarity read 0 past
     them; the similarity is 0 on every padding frame anyway.
     """
-    _check_pair(model.config, x)
     xv, true_frames, _ = _stack_block(model.config, [(x, None)])
     acts = _forward_block(model, xv, true_frames)
     t_max = model.config.t_max
@@ -533,7 +534,6 @@ def total_loss(model: TdlModel, x: FeatureSequence, labels: FrameLabels):
     frames) and the ESM term is skipped, since boundary labels do not
     carry per-frame authenticity classes.
     """
-    _check_pair(model.config, x, labels)
     losses, grads = _loss_block(model, *_stack_block(model.config, [(x, labels)]),
                                 input_grad=True)
     grads["input"] = grads["input"][0]
@@ -793,14 +793,12 @@ def score_pool(model: TdlModel, pairs) -> metrics_mod.EvalPool:
     per-utterance object outlives its block; scores equal ``predict``'s."""
     cfg, scores, labels, count = model.config, [], [], 0
     for block in _blocks(pairs, cfg.t_max):
-        for pair in block:
-            _check_pair(cfg, *pair)
         xv, true_frames, labs = _stack_block(cfg, block)
         live = np.arange(cfg.label_len) < [[lab.true_labels] for lab in labs]
         scores.append(_forward_block(model, xv, true_frames)["scores"][live])
         labels.append(np.stack([lab.labels for lab in labs])[live])
         count += len(block)
-        del block, pair, labs, xv  # freed before the next is read: fewer page faults
+        del block, labs, xv  # freed before the next is read: fewer page faults
     if not count:
         raise ValidationError("no utterances to score")
     return metrics_mod.EvalPool(np.concatenate(scores), np.concatenate(labels),
@@ -943,17 +941,18 @@ def train(config: TdlConfig, train_set, dev_set,
           init_model: TdlModel | None = None) -> TrainResult:
     """Seeded full-batch-shuffled minibatch training.
 
-    Datasets are lists of (FeatureSequence, FrameLabels), features of at
-    most t_max true frames, padded or not, and labels padded to
-    label_len. Each minibatch runs as one block (several when it exceeds
-    BLOCK_FRAMES columns), its gradients are averaged over its utterances
-    in one flat buffer that lives only as long as the step, and one
-    adam_step updates the model's (3, N) buffer of parameters, m and v
-    (TdlModel.flat) from it.
+    Datasets are iterables of (FeatureSequence, FrameLabels), features
+    of at most t_max true frames, padded or not, and labels padded to
+    label_len; each is taken whole into a list. Each minibatch runs as
+    one block (several when it exceeds BLOCK_FRAMES columns), its
+    gradients are averaged over its utterances in one flat buffer that
+    lives only as long as the step, and one adam_step updates the
+    model's (3, N) buffer of parameters, m and v (TdlModel.flat) from it.
     Per-epoch dev EER is recorded, and the model is encoded as the best
     checkpoint whenever it improves. If the loss goes non-finite the run
     stops and the last completed epoch's state is restored
-    (diverged=True). A resumed model must have epochs left to train.
+    (diverged=True). A resumed model must have epochs left to train;
+    that is checked before either set is read.
 
     A minibatch of several blocks runs them on a thread pool when the
     usable cores exceed the BLAS threads per call (see _block_workers).
@@ -967,9 +966,6 @@ def train(config: TdlConfig, train_set, dev_set,
     left at _AFTER_POOL_MMAP_THRESHOLD, and the trim threshold with it,
     as glibc cannot report the previous settings to restore.
     """
-    _validate_set(config, train_set, "train")
-    _validate_set(config, dev_set, "dev", both_classes=True)
-    model = init_model if init_model is not None else build_model(config)
     if init_model is not None:
         # resuming may extend the epoch budget but nothing else
         a, b = init_model.config.to_dict(), config.to_dict()
@@ -980,7 +976,11 @@ def train(config: TdlConfig, train_set, dev_set,
             raise ConfigError(
                 f"resume checkpoint is at epoch {init_model.epoch}, which leaves "
                 f"nothing to train in epochs {config.epochs}")
-        model.config = config
+    train_set, dev_set = list(train_set), list(dev_set)
+    _validate_set(config, train_set, "train")
+    _validate_set(config, dev_set, "dev", both_classes=True)
+    model = init_model if init_model is not None else build_model(config)
+    model.config = config
     n = len(train_set)
 
     records = []

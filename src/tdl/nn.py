@@ -18,7 +18,9 @@ Only a convolution's forward builds the (kernel, C, T) tap array,
 columns past either end, so the forward makes no padded copy. Every
 other shifted read of a time axis takes a window of one zero-padded
 copy, ``_padded``: the weight gradient, one GEMM per tap, the tconv
-similarity gradient and both neighbor similarity functions.
+similarity gradient and both neighbor similarity functions. No forward,
+adjoint or tap helper returns its input or a view of it, so a caller
+may write into any result.
 """
 
 from __future__ import annotations
@@ -99,11 +101,9 @@ def fc_init(in_features: int, out_features: int,
 
 
 def _padded(x: np.ndarray, half: int) -> np.ndarray:
-    """x (..., T) as float64 with ``half`` zero columns at each end, so
-    its window [i, i + T) holds each frame's neighbor at offset i - half.
-    With ``half`` 0 that is x itself, a view when x already is float64."""
-    if not half:
-        return np.asarray(x, dtype=np.float64)
+    """A fresh float64 copy of x (..., T) with ``half`` zero columns at
+    each end, so its window [i, i + T) holds each frame's neighbor at
+    offset i - half."""
     t_len = x.shape[-1]
     xp = np.zeros(x.shape[:-1] + (t_len + 2 * half,))
     xp[..., half:half + t_len] = x
@@ -114,15 +114,11 @@ def _taps(x: np.ndarray, kernel: int) -> np.ndarray:
     """Kernel taps of x (..., C, T) as one (..., kernel, C, T) float64 array.
 
     taps[..., i, c, t] = x[..., c, t - kernel//2 + i], zero outside the
-    time axis. For kernel > 1 it is a fresh contiguous array, so each
-    utterance's taps form one contiguous (kernel*C, T) block, the operand
-    of its forward GEMM; each tap is written once, from x, and only its
-    columns past either end are zeroed. A kernel-1 tap array is x itself
-    as float64: a view when x already is float64, strided when x is, so
-    a caller must not write into it.
+    time axis. It is a fresh contiguous array, so each utterance's taps
+    form one contiguous (kernel*C, T) block, the operand of its forward
+    GEMM; each tap is written once, from x, and only its columns past
+    either end are zeroed.
     """
-    if kernel == 1:
-        return _padded(x, 0)[..., None, :, :]
     half, t_len = kernel // 2, x.shape[-1]
     taps = np.empty(x.shape[:-2] + (kernel,) + x.shape[-2:])
     for i in range(kernel):
@@ -259,19 +255,15 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def extend_columns_forward(x: np.ndarray, t_len: int) -> np.ndarray:
-    """x (..., W) widened to t_len columns by repeating its last column;
-    x itself when W is t_len."""
+    """A fresh copy of x (..., W) widened to t_len columns by repeating
+    its last column."""
     width = x.shape[-1]
-    if width == t_len:
-        return x
     return x[..., np.minimum(np.arange(t_len), width - 1)]
 
 
 def extend_columns_backward(grad_out: np.ndarray, width: int) -> np.ndarray:
     """Adjoint of extend_columns_forward from ``width`` columns: the
     gradients of the last column and its repeats are summed into it."""
-    if grad_out.shape[-1] == width:
-        return grad_out
     grad = grad_out[..., :width].copy()
     grad[..., -1] = grad_out[..., width - 1:].sum(axis=-1)
     return grad

@@ -7,7 +7,7 @@ the current frame. Out-of-range or padding neighbors get similarity 0,
 which masks them out entirely. Each neighbor is read as a window of the
 embeddings and live mask zero-padded by ``nn._padded``, as the tconv's
 similarity and weight gradients read its input; its forward scales the
-tap array ``nn._taps`` builds in place.
+fresh tap array ``nn._taps`` builds in place.
 
 Like the ``nn`` primitives, everything here works on plain arrays of
 one utterance or a block with a leading batch axis: embeddings e
@@ -82,8 +82,7 @@ def tconv_forward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray) -> np.ndarra
     out[m, t] = bias[m] + sum_i w_m[i, :] . (x[:, t - k//2 + i] * a[i, t])
     with out-of-range columns contributing zero. With a identically 1
     this reduces exactly to conv1d_forward. The taps are scaled in
-    place, so the forward holds one tap array, except where they are a
-    view of x (kernel 1), which the scale must not write into.
+    place, so the forward holds one tap array.
     """
     if x.ndim not in (2, 3) or x.shape[-2] != layer.in_channels:
         raise ShapeError(f"tconv input shape {x.shape}")
@@ -91,10 +90,7 @@ def tconv_forward(layer: Conv1dLayer, x: np.ndarray, a: np.ndarray) -> np.ndarra
         raise ShapeError(f"similarity shape {a.shape} does not fit kernel "
                          f"{layer.kernel} and input {x.shape}")
     taps = _taps(x, layer.kernel)
-    if np.may_share_memory(taps, x):
-        taps = taps * a[..., None, :]
-    else:
-        taps *= a[..., None, :]
+    taps *= a[..., None, :]
     return _apply_taps(layer, taps)
 
 

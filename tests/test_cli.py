@@ -133,8 +133,9 @@ def test_stats_and_eval_malformed_manifest_exit_one(tmp_path, synth_spec_file,
         assert "Traceback" not in err, argv
 
 
-@pytest.mark.parametrize("command", ["stats", "eval"])
-def test_empty_dataset_exits_one_naming_its_directory(tmp_path, command, capsys):
+@pytest.mark.parametrize("command", ["stats", "eval", "train"])
+def test_empty_dataset_exits_one_naming_its_directory(tmp_path, command, capsys,
+                                                      smoke_config_file):
     from tdl.model import build_model, save_checkpoint
 
     empty = tmp_path / "empty-set"
@@ -142,15 +143,18 @@ def test_empty_dataset_exits_one_naming_its_directory(tmp_path, command, capsys)
     (empty / "manifest.json").write_text(json.dumps({"samples": []}))
     checkpoint = tmp_path / "m.tdlc"
     save_checkpoint(build_model(desk_config()), checkpoint)
-    argv = (["stats", "--data", str(empty)] if command == "stats" else
-            ["eval", "--checkpoint", str(checkpoint), "--test", str(empty),
-             "--report", str(tmp_path / "r.json")])
+    argv = {"stats": ["stats", "--data", str(empty)],
+            "eval": ["eval", "--checkpoint", str(checkpoint), "--test", str(empty),
+                     "--report", str(tmp_path / "r.json")],
+            "train": ["train", "--config", str(smoke_config_file), "--train",
+                      str(empty), "--dev", str(empty), "--out", str(tmp_path / "run")],
+            }[command]
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert f"error: {empty} holds no utterances" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +373,32 @@ def test_resume_past_the_epoch_budget_exits_one_and_writes_nothing(
                            "--resume", str(tmp_path / "run" / "last.tdlc")]) == 1
     assert "nothing to train" in capsys.readouterr().err
     assert not again.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(epochs=2, seed=2), "resume checkpoint config differs from run config"),
+    (dict(epochs=1), "resume checkpoint is at epoch 1, which leaves nothing to "
+                     "train in epochs 1"),
+], ids=["seed-differs", "no-epochs-left"])
+def test_a_resume_that_cannot_train_exits_one_before_reading_the_data(
+        tmp_path, capsys, overrides, message):
+    from tdl.model import build_model, save_checkpoint
+
+    model = build_model(desk_config(epochs=1, batch_size=2, seed=1))
+    model.epoch = 1  # as a 1-epoch run's last.tdlc
+    save_checkpoint(model, tmp_path / "last.tdlc")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        desk_config(**{"batch_size": 2, "seed": 1, **overrides}).to_dict()))
+    missing = str(tmp_path / "missing")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), "--train", missing,
+                     "--dev", missing, "--out", str(tmp_path / "run"),
+                     "--resume", str(tmp_path / "last.tdlc")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "manifest" not in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_converged_run_scores_own_training_data(tmp_path, capsys):

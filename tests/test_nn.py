@@ -3,6 +3,7 @@ import pytest
 
 from tdl import nn
 from tdl.errors import ConfigError, NumericError, ShapeError
+from tdl.model import _zero_extended
 
 from oracles import adam_reference, conv1d_reference, padded_taps_reference
 
@@ -77,8 +78,8 @@ def test_taps_are_bit_equal_to_windows_of_the_padded_copy(k, t_len, dtype):
         assert taps.dtype == np.float64
         assert taps.shape == x.shape[:-2] + (k,) + x.shape[-2:]
         assert taps.tobytes() == padded_taps_reference(x, k).tobytes()
-        # a kernel-1 tap array is x itself when x is float64
-        assert np.shares_memory(taps, x) == (k == 1 and dtype == np.float64)
+        # a kernel-1 tap array too is a fresh copy of x
+        assert not np.shares_memory(taps, x)
 
 
 def test_taps_are_bit_equal_to_windows_of_the_padded_copy_at_full_scale():
@@ -194,9 +195,33 @@ def test_extend_columns_repeats_the_last_column_and_folds_its_gradient():
     grad_out = np.arange(10.0).reshape(1, 2, 5)
     grad = nn.extend_columns_backward(grad_out, 3)
     assert np.array_equal(grad, [[[0, 1, 2 + 3 + 4], [5, 6, 7 + 8 + 9]]])
-    # at full width the row passes its array and its gradient through
-    assert nn.extend_columns_forward(x, 3) is x
-    assert nn.extend_columns_backward(grad_out, 5) is grad_out
+    # at full width the row copies its array and its gradient, bit for bit
+    for got, arr in ((nn.extend_columns_forward(x, 3), x),
+                     (nn.extend_columns_backward(grad_out, 5), grad_out)):
+        assert got.tobytes() == arr.tobytes()
+        assert not np.shares_memory(got, arr)
+
+
+@pytest.mark.parametrize("helper", [
+    pytest.param(lambda x: nn._padded(x, 0), id="padded-half-0"),
+    pytest.param(lambda x: nn._padded(x, 2), id="padded-half-2"),
+    pytest.param(lambda x: nn._taps(x, 1), id="taps-kernel-1"),
+    pytest.param(lambda x: nn._taps(x, 3), id="taps-kernel-3"),
+    pytest.param(lambda x: nn.extend_columns_forward(x, 5), id="extend-full-width"),
+    pytest.param(lambda x: nn.extend_columns_forward(x, 8), id="extend-wider"),
+    pytest.param(lambda x: nn.extend_columns_backward(x, 5), id="fold-full-width"),
+    pytest.param(lambda x: nn.extend_columns_backward(x, 2), id="fold-narrower"),
+    pytest.param(lambda x: _zero_extended(x, 5), id="zero-extended-full-width"),
+    pytest.param(lambda x: _zero_extended(x, 8), id="zero-extended-wider"),
+])
+def test_helpers_never_share_memory_with_their_input(helper):
+    # a caller may write into any result without touching the input
+    x = np.random.default_rng(0).standard_normal((2, 3, 5))
+    before = x.tobytes()
+    out = helper(x)
+    assert not np.shares_memory(out, x)
+    out[...] = 0.0
+    assert x.tobytes() == before
 
 
 def test_l2_normalize_unit_column_unchanged():

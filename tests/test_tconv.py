@@ -171,8 +171,8 @@ def test_forward_is_bit_equal_to_scaled_padded_taps(shape, k):
 
 
 def test_kernel_1_forward_writes_no_input_and_keeps_every_activation(monkeypatch):
-    # a kernel-1 tap array is a view of the row's input, so a tconv that
-    # scaled it in place would rewrite x and h2
+    # a tconv scales its tap array in place, which must be a fresh copy
+    # of the row's input even at kernel 1, or it would rewrite x and h2
     cfg = M.desk_config(kernel=1)
     mdl = M.build_model(cfg)
     rng = np.random.default_rng(1)
@@ -326,8 +326,8 @@ def _tap_array_param_grads(layer, x, grad_out, a):
     """conv_param_grads as the whole tap array computes it: the taps
     scaled by a, one (k*C_in, T) GEMM per utterance, summed over the block."""
     taps = _taps(x, layer.kernel)
-    if a is not None:  # not in place: a kernel-1 tap array is x itself
-        taps = taps * a[..., None, :]
+    if a is not None:
+        taps *= a[..., None, :]
     t_len = x.shape[-1]
     flat = taps.reshape(-1, layer.kernel * layer.in_channels, t_len)
     grad = grad_out.reshape(-1, layer.out_channels, t_len)
