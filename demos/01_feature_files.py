@@ -18,7 +18,7 @@ workdir = Path(tempfile.mkdtemp(prefix="tdl-demo-"))
 
 rng = np.random.default_rng(0)
 values = rng.standard_normal((4, 6)).astype(np.float32)
-seq = FeatureSequence("demo", dim=4, num_frames=6, values=values, true_frames=6)
+seq = FeatureSequence("demo", values=values, true_frames=6)
 
 path = workdir / "demo.tdlf"
 write_feature_file(seq, path)

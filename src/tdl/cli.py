@@ -39,8 +39,8 @@ def _print_resolved(config: dict, seed) -> None:
 
 
 def _load_train_config(path) -> model_mod.TdlConfig:
-    """Read a TdlConfig from JSON or from key=value lines (dotted keys
-    nest, values parse as JSON literals when possible)."""
+    """Read a TdlConfig from JSON or from key=value lines (each key set
+    once; dotted keys nest; values parse as JSON literals when possible)."""
     text = data_mod.read_utf8(path, ConfigError)
     if text.lstrip().startswith("{"):
         obj = data_mod.parse_json(text, path, ConfigError)
@@ -66,6 +66,8 @@ def _load_train_config(path) -> model_mod.TdlConfig:
                         f"{path}:{ln}: {key.strip()} nests under {part}, "
                         "which is already set to a value"
                     )
+            if parts[-1] in node:  # a second value, or a section over its keys
+                raise ConfigError(f"{path}:{ln}: {key.strip()} is already set")
             node[parts[-1]] = parsed
     return model_mod.TdlConfig.from_dict(obj)
 

@@ -10,9 +10,9 @@ On-disk formats:
   where label is ``"real"`` or ``"fake"`` and the segments tile
   ``[0, duration_s]`` exactly.
 * Dataset manifest: ``{"samples": [{"id", "features", "annotations"}]}``
-  with paths relative to the manifest's directory. Sample ids are at
-  most MAX_ID_BYTES UTF-8 bytes, since ``write_dataset`` puts them in
-  file names.
+  with paths relative to the manifest's directory. Sample ids are
+  unique and at most MAX_ID_BYTES UTF-8 bytes, since ``write_dataset``
+  puts them in file names.
 
 A dataset is read as a stream by ``stream_dataset``: the manifest is
 checked whole, then each sample's two files are read when the stream
@@ -77,34 +77,29 @@ MAX_ID_BYTES = 255
 
 @dataclass
 class FeatureSequence:
-    """Front-end feature matrix (dim x num_frames) plus true length.
+    """Feature matrix plus true length; its shape gives dim x num_frames.
 
     Values are float32 (the on-disk precision); columns at index >=
     true_frames are zero padding.
     """
 
     sample_id: str
-    dim: int
-    num_frames: int
     values: np.ndarray
     true_frames: int
+    dim = property(lambda self: self.values.shape[0])
+    num_frames = property(lambda self: self.values.shape[1])
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         self.validate()
 
     def validate(self):
-        if self.dim <= 0 or self.num_frames <= 0:
+        if self.values.ndim != 2 or not self.values.size:
             raise ValidationError(f"{self.sample_id}: non-positive dimensions")
         if not (0 < self.true_frames <= self.num_frames):
             raise ValidationError(
                 f"{self.sample_id}: true_frames {self.true_frames} not in "
                 f"[1, {self.num_frames}]"
-            )
-        if self.values.shape != (self.dim, self.num_frames):
-            raise ValidationError(
-                f"{self.sample_id}: values shape {self.values.shape} != "
-                f"({self.dim}, {self.num_frames})"
             )
         # array methods, not np.all/np.any: a few microseconds less per file
         if not np.isfinite(self.values).all():
@@ -323,7 +318,7 @@ def load_feature_file(path) -> FeatureSequence:
     values = np.frombuffer(raw, dtype="<f4", offset=_TDLF_HEADER.size)
     values = values.reshape(dim, frames).copy()
     try:
-        return FeatureSequence(_stem(path), dim, frames, values, true_frames)
+        return FeatureSequence(_stem(path), values, true_frames)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -476,7 +471,7 @@ def pad_features(seq: FeatureSequence, target_frames: int) -> FeatureSequence:
     # seq was checked when it was built and out holds only its live columns
     # and zeros, so the result skips __post_init__ and a second check
     padded = object.__new__(FeatureSequence)
-    padded.__dict__.update(seq.__dict__, num_frames=target_frames, values=out)
+    padded.__dict__.update(seq.__dict__, values=out)
     return padded
 
 
@@ -657,8 +652,7 @@ def _synth_features(spec: SynthSpec, rng: np.random.Generator,
     direction = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
     values = spec.noise_scale * rng.standard_normal((spec.dim, frames))
     values += spec.separation * direction[:, None] * fake[None, :]
-    return FeatureSequence(ann.sample_id, spec.dim, frames,
-                           values.astype(np.float32), frames)
+    return FeatureSequence(ann.sample_id, values.astype(np.float32), frames)
 
 
 def synth_dataset(spec: SynthSpec, rng_seed: int):
@@ -726,15 +720,20 @@ def dataset_stats(anns, resolution_s: float = DEFAULT_RESOLUTION_S) -> DatasetSt
 def write_dataset(out_dir, features, annotations) -> Path:
     """Write TDLF files, annotation sidecars, and a manifest; returns
     the manifest path."""
-    out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    (out_dir / "annotations").mkdir(exist_ok=True)
-    samples = []
-    for seq, ann in zip(features, annotations, strict=True):
+    pairs, seen = list(zip(features, annotations, strict=True)), set()
+    for seq, ann in pairs:
         if seq.sample_id != ann.sample_id:
             raise ValidationError(
                 f"feature/annotation id mismatch: {seq.sample_id} vs {ann.sample_id}"
             )
+        if seq.sample_id in seen:  # its files would overwrite the first's
+            raise ValidationError(f"sample id {brief(seq.sample_id)} is repeated")
+        seen.add(seq.sample_id)
+    out_dir = Path(out_dir)
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
+    (out_dir / "annotations").mkdir(exist_ok=True)
+    samples = []
+    for seq, ann in pairs:
         entry = {"id": seq.sample_id, "features": f"features/{seq.sample_id}.tdlf",
                  "annotations": f"annotations/{seq.sample_id}.json"}
         write_feature_file(seq, out_dir / entry["features"])
@@ -773,6 +772,7 @@ def stream_dataset(data_dir):
         raise FormatError(f"{manifest}: samples is not a list")
     if not samples:
         raise ValidationError(f"{data_dir} holds no utterances")
+    seen = set()
     for entry in samples:
         if not (isinstance(entry, dict) and all(
                 isinstance(entry.get(key), str) for key in _MANIFEST_KEYS)):
@@ -784,19 +784,11 @@ def stream_dataset(data_dir):
             raise FormatError(
                 f"{manifest}: sample id {brief(entry['id'])} is longer than "
                 f"{MAX_ID_BYTES} UTF-8 bytes")
+        if entry["id"] in seen:
+            raise FormatError(
+                f"{manifest}: sample id {brief(entry['id'])} is listed twice")
+        seen.add(entry["id"])
     return _read_samples(str(data_dir), manifest, samples)
-
-
-def _under(root: str, rel: str) -> str:
-    """``str(Path(root) / rel)`` for a ``root`` that pathlib has already
-    normalized; a ``rel`` that pathlib would rewrite (absolute, or with an
-    empty or "." part) is the only one that costs a Path."""
-    probe = f"/{rel}/"
-    if "//" in probe or "/./" in probe:
-        return str(Path(root, rel))
-    if root == ".":
-        return rel
-    return f"{root}{rel}" if root.endswith("/") else f"{root}/{rel}"
 
 
 def _read_samples(root: str, manifest: Path, samples: list):
@@ -806,8 +798,8 @@ def _read_samples(root: str, manifest: Path, samples: list):
         # OSError: a missing or unreadable file; ValueError: a NUL or a
         # lone surrogate in its path
         try:
-            seq = load_feature_file(_under(root, entry["features"]))
-            ann = load_annotation_file(_under(root, entry["annotations"]))
+            seq = load_feature_file(os.path.join(root, entry["features"]))
+            ann = load_annotation_file(os.path.join(root, entry["annotations"]))
         except (OSError, ValueError) as exc:
             raise FormatError(
                 f"{manifest}: sample entry {brief(entry['id'])}: {exc}") from exc

@@ -41,38 +41,33 @@ class Conv1dLayer:
     """Same-padding 1D convolution, stride 1, odd kernel.
 
     weights[i, c, m] multiplies input channel c at tap i for output
-    channel m; shape (kernel, in_channels, out_channels).
+    channel m; its shape (kernel, in_channels, out_channels) gives the dims.
     """
 
-    in_channels: int
-    out_channels: int
-    kernel: int
     weights: np.ndarray
     bias: np.ndarray
+    kernel = property(lambda self: self.weights.shape[0])
+    in_channels = property(lambda self: self.weights.shape[1])
+    out_channels = property(lambda self: self.weights.shape[2])
 
     def __post_init__(self):
-        if self.kernel % 2 != 1:
-            raise ConfigError(f"conv kernel must be odd, got {self.kernel}")
-        if self.weights.shape != (self.kernel, self.in_channels, self.out_channels):
-            raise ShapeError(
-                f"conv weights shape {self.weights.shape} != "
-                f"{(self.kernel, self.in_channels, self.out_channels)}"
-            )
+        if self.weights.ndim != 3 or self.kernel % 2 != 1:
+            raise ConfigError(f"conv weights {self.weights.shape}: want 3-D, odd kernel")
         if self.bias.shape != (self.out_channels,):
             raise ShapeError(f"conv bias shape {self.bias.shape}")
 
 
 @dataclass
 class FcLayer:
-    """Dense layer; weights shape (out_features, in_features)."""
+    """Dense layer; its weights' shape (out_features, in_features) gives the dims."""
 
-    in_features: int
-    out_features: int
     weights: np.ndarray
     bias: np.ndarray
+    out_features = property(lambda self: self.weights.shape[0])
+    in_features = property(lambda self: self.weights.shape[1])
 
     def __post_init__(self):
-        if self.weights.shape != (self.out_features, self.in_features):
+        if self.weights.ndim != 2:
             raise ShapeError(f"fc weights shape {self.weights.shape}")
         if self.bias.shape != (self.out_features,):
             raise ShapeError(f"fc bias shape {self.bias.shape}")
@@ -84,7 +79,7 @@ def conv1d_init(in_channels: int, out_channels: int, kernel: int,
     bound = np.sqrt(1.0 / (kernel * in_channels))
     w = rng.uniform(-bound, bound, size=(kernel, in_channels, out_channels))
     b = rng.uniform(-bound, bound, size=out_channels)
-    return Conv1dLayer(in_channels, out_channels, kernel, w, b)
+    return Conv1dLayer(w, b)
 
 
 def fc_init(in_features: int, out_features: int,
@@ -92,7 +87,7 @@ def fc_init(in_features: int, out_features: int,
     bound = np.sqrt(1.0 / in_features)
     w = rng.uniform(-bound, bound, size=(out_features, in_features))
     b = rng.uniform(-bound, bound, size=out_features)
-    return FcLayer(in_features, out_features, w, b)
+    return FcLayer(w, b)
 
 
 # ---------------------------------------------------------------------------

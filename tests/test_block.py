@@ -43,7 +43,7 @@ MIXED_TRUE_FRAMES = (64, 40, 17, 64, 33, 1, 58, 25)
 def _padded(cfg, rng, true_frames, sample_id="x"):
     values = rng.standard_normal((cfg.feat_dim, cfg.t_max)).astype(np.float32)
     values[:, true_frames:] = 0.0
-    return FeatureSequence(sample_id, cfg.feat_dim, cfg.t_max, values, true_frames)
+    return FeatureSequence(sample_id, values, true_frames)
 
 
 def _desk_pairs(cfg, num, seed):
@@ -237,8 +237,8 @@ def test_padded_and_unpadded_features_give_the_same_bytes(block_frames, monkeypa
     cfg = M.desk_config()
     mdl = M.build_model(cfg)
     padded = _desk_pairs(cfg, 20, 5)
-    unpadded = [(FeatureSequence(seq.sample_id, seq.dim, seq.true_frames,
-                                 seq.values[:, :seq.true_frames], seq.true_frames),
+    unpadded = [(FeatureSequence(seq.sample_id, seq.values[:, :seq.true_frames],
+                                 seq.true_frames),
                  lab) for seq, lab in padded]
     assert len({seq.true_frames for seq, _ in unpadded}) > 1
     # the default scores mixed blocks at full width, and 1 one-utterance
@@ -446,8 +446,7 @@ def test_non_finite_utterance_in_a_block_restores_last_good_epoch(
     seq, labels = train_set[poisoned]
     values = seq.values.copy()
     values[0, 0] = np.nan  # bypasses the file-level finiteness check
-    bad = FeatureSequence(seq.sample_id, seq.dim, seq.num_frames, seq.values,
-                          seq.true_frames)
+    bad = FeatureSequence(seq.sample_id, seq.values, seq.true_frames)
     bad.values = values
     poisoned_set = list(train_set)
     poisoned_set[poisoned] = (bad, labels)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tdl import cli
+from tdl.errors import NumericError
 from tdl.data import desk_benchmark_spec
 from tdl.model import desk_config
 
@@ -700,6 +701,79 @@ def test_bad_file_late_in_the_stream_exits_one_and_writes_no_report(
     assert sorted(p.name for p in out.iterdir()) == ["previous.json"]
 
 
+@pytest.mark.parametrize("segments, problem", [
+    ([], "no segments"),
+    ([{"start_s": 0.0, "end_s": 1.0, "label": "spoof"}], "bad label 'spoof'"),
+    ([{"start_s": 0.0, "end_s": 0.5, "label": "real"}],
+     "segments end at 0.5, duration is 1.0"),
+], ids=["no-segments", "bad-label", "ends-early"])
+def test_eval_of_an_annotation_that_does_not_tile_exits_one(tmp_path, capsys,
+                                                            segments, problem):
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16, 16])
+    entry = json.loads((test_dir / "manifest.json").read_text())["samples"][1]
+    (test_dir / entry["annotations"]).write_text(json.dumps(
+        {"sample_id": entry["id"], "duration_s": 1.0, "segments": segments}))
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {entry['id']}: {problem}\n"
+    assert not report.exists()
+
+
+def _diverge_in_epoch_one(monkeypatch):
+    """Patch model._minibatch_step to raise NumericError at the second step
+    of epoch 1; returns a list that gets the encoded model epoch 0 left,
+    which train() must restore."""
+    from tdl import model as model_mod
+
+    step, epoch_ends = model_mod._minibatch_step, []
+
+    def diverging(model, batch, epoch):
+        if epoch == 1:
+            if epoch_ends:  # the first step of epoch 1 has moved the model
+                raise NumericError("diverged")
+            epoch_ends.append(model_mod.encode_checkpoint(model))
+        return step(model, batch, epoch)
+
+    monkeypatch.setattr(model_mod, "_minibatch_step", diverging)
+    return epoch_ends
+
+
+def test_train_that_diverges_exits_two_and_keeps_the_last_good_model(
+        tmp_path, synth_spec_file, smoke_config_file, monkeypatch, capsys):
+    train_dir = _make_dataset(tmp_path, synth_spec_file, "train", 1)
+    dev_dir = _make_dataset(tmp_path, synth_spec_file, "dev", 2)
+    epoch_ends = _diverge_in_epoch_one(monkeypatch)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(smoke_config_file), "--train",
+                     str(train_dir), "--dev", str(dev_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("training diverged: loss went non-finite; "
+                                       "last good checkpoint written\n")
+    assert (out / "last.tdlc").read_bytes() == epoch_ends[0]
+    assert len((out / "train_log.jsonl").read_text().splitlines()) == 1
+
+
+def test_numeric_error_out_of_a_command_exits_two(tmp_path, synth_spec_file,
+                                                  smoke_config_file, monkeypatch,
+                                                  capsys):
+    from tdl import model as model_mod
+
+    data_dir = _make_dataset(tmp_path, synth_spec_file, "ds", 1)
+
+    def non_finite_dev_eer(model, dev_set):
+        raise NumericError("non-finite dev scores")
+
+    monkeypatch.setattr(model_mod, "dev_eer", non_finite_dev_eer)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(smoke_config_file), "--train",
+                     str(data_dir), "--dev", str(data_dir), "--out",
+                     str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "numeric error: non-finite dev scores\n"
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # unreadable inputs
 # ---------------------------------------------------------------------------
@@ -711,6 +785,18 @@ def test_dotted_config_key_under_a_scalar_exits_one(tmp_path, capsys):
     assert cli.main(["params", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and f"{path}:2" in err
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("lambda = 0.1\nlambda = 0.3\n", "lambda"),
+    ("esm.tau_same = 0.8\nesm = {}\n", "esm"),
+    ('esm = {"tau_same": 0.8}\nesm.tau_same = 0.9\n', "esm.tau_same"),
+], ids=["key-twice", "section-after-its-key", "key-in-a-set-section"])
+def test_key_value_config_sets_each_key_once(tmp_path, capsys, lines, key):
+    path = tmp_path / "c.cfg"
+    path.write_text(lines)
+    assert cli.main(["params", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {key} is already set\n"
 
 
 _NOT_UTF8 = b"\xff\xfe"

@@ -15,9 +15,8 @@ from oracles import majority_labels_ms, random_ms_annotation
 
 def _seq(values, true_frames=None, sample_id="s"):
     values = np.asarray(values, dtype=np.float32)
-    d, t = values.shape
-    return data.FeatureSequence(sample_id, d, t, values,
-                                t if true_frames is None else true_frames)
+    true_frames = values.shape[1] if true_frames is None else true_frames
+    return data.FeatureSequence(sample_id, values, true_frames)
 
 
 def _ann(segments, sample_id="a"):
@@ -75,7 +74,7 @@ def test_feature_file_random_round_trips(tmp_path):
         true = int(rng.integers(1, t + 1))
         vals = rng.standard_normal((d, t)).astype(np.float32)
         vals[:, true:] = 0.0
-        seq = data.FeatureSequence(f"r{i}", d, t, vals, true)
+        seq = data.FeatureSequence(f"r{i}", vals, true)
         data.write_feature_file(seq, path)
         loaded = data.load_feature_file(path)
         assert loaded.values.tobytes() == seq.values.tobytes()
@@ -102,7 +101,7 @@ def test_write_validates_mutated_sequence(tmp_path):
 def test_random_feature_file_d16_t64(tmp_path):
     rng = np.random.default_rng(42)
     vals = rng.standard_normal((16, 64)).astype(np.float32)
-    seq = data.FeatureSequence("big", 16, 64, vals, 64)
+    seq = data.FeatureSequence("big", vals, 64)
     data.write_feature_file(seq, tmp_path / "big.tdlf")
     loaded = data.load_feature_file(tmp_path / "big.tdlf")
     assert loaded.values.tobytes() == vals.tobytes()
@@ -148,6 +147,18 @@ def test_annotation_empty_segment_rejected():
         data.SegmentAnnotation("e", 1.0, [
             data.Segment(0.0, 0.0, "real"), data.Segment(0.0, 1.0, "fake"),
         ])
+
+
+@pytest.mark.parametrize("segments, message", [
+    ([], "n: no segments"),
+    ([(0.0, 1.0, "spoof")], "n: bad label 'spoof'"),
+    ([(0.0, 0.5, "real"), (0.5, 0.75, "fake")],
+     "n: segments end at 0.75, duration is 1.0"),
+], ids=["no-segments", "bad-label", "ends-early"])
+def test_annotation_that_does_not_tile_its_duration_rejected(segments, message):
+    with pytest.raises(AnnotationError) as exc:
+        data.SegmentAnnotation("n", 1.0, [data.Segment(*s) for s in segments])
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +264,7 @@ def test_pad_features_to_own_length_is_identity():
 def test_pad_then_slice_recovers_original():
     rng = np.random.default_rng(9)
     vals = rng.standard_normal((4, 6)).astype(np.float32)
-    seq = data.FeatureSequence("p", 4, 6, vals, 6)
+    seq = data.FeatureSequence("p", vals, 6)
     padded = data.pad_features(seq, 11)
     assert np.array_equal(padded.values[:, :6], vals)
 
@@ -450,6 +461,38 @@ def test_write_dataset_rejects_mismatched_ids(tmp_path):
     feats, anns = data.synth_dataset(data.desk_benchmark_spec(num_utterances=2), 4)
     with pytest.raises(ValidationError, match="id mismatch"):
         data.write_dataset(tmp_path / "ds", feats, anns[::-1])
+
+
+def test_write_dataset_refuses_a_repeated_id_before_writing(tmp_path):
+    spec = data.desk_benchmark_spec(2)
+    (f1, a1), (f2, a2) = data.synth_dataset(spec, 1), data.synth_dataset(spec, 2)
+    assert [f.sample_id for f in f1] == [f.sample_id for f in f2]
+    with pytest.raises(ValidationError, match="^sample id 'utt00000' is repeated$"):
+        data.write_dataset(tmp_path / "ds", f1 + f2, a1 + a2)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_stream_dataset_refuses_an_id_listed_twice(tmp_path):
+    feats, anns = data.synth_dataset(data.desk_benchmark_spec(2), 1)
+    manifest = data.write_dataset(tmp_path, feats, anns)
+    samples = json.loads(manifest.read_text())["samples"]
+    manifest.write_text(json.dumps({"samples": samples + samples[:1]}))
+    with pytest.raises(FormatError) as exc:
+        data.stream_dataset(tmp_path)  # before any sample is read
+    assert str(exc.value) == f"{manifest}: sample id 'utt00000' is listed twice"
+
+
+def test_manifest_entry_whose_annotation_names_another_id(tmp_path):
+    feats, anns = data.synth_dataset(data.desk_benchmark_spec(2), 1)
+    manifest = data.write_dataset(tmp_path, feats, anns)
+    samples = json.loads(manifest.read_text())["samples"]
+    samples[1]["annotations"] = samples[0]["annotations"]
+    manifest.write_text(json.dumps({"samples": samples}))
+    stream = data.stream_dataset(tmp_path)
+    assert next(stream)[1].sample_id == "utt00000"
+    with pytest.raises(FormatError) as exc:
+        next(stream)
+    assert str(exc.value) == f"{manifest}: annotation id 'utt00000' != 'utt00001'"
 
 
 def test_load_dataset_without_manifest(tmp_path):

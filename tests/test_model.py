@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import re
 import tracemalloc
@@ -38,7 +39,7 @@ def _input(config, rng, true_frames=None):
     true = t if true_frames is None else true_frames
     vals = rng.standard_normal((config.feat_dim, t)).astype(np.float32)
     vals[:, true:] = 0.0
-    return FeatureSequence("x", config.feat_dim, t, vals, true)
+    return FeatureSequence("x", vals, true)
 
 
 def _labels(config, bits, true_labels=None, setting=REAL1_FAKE0):
@@ -137,6 +138,17 @@ def test_config_rejects_out_of_range_values(key, value):
         tiny_config(**{key: value})
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(kernel=4), "kernel must be odd"),
+    (dict(label_setting="fake1"), "unknown label_setting 'fake1'"),
+], ids=["even-kernel", "unknown-label-setting"])
+def test_config_rejects_an_even_kernel_and_an_unknown_label_setting(overrides,
+                                                                     message):
+    with pytest.raises(ConfigError) as exc:
+        tiny_config(**overrides)
+    assert str(exc.value) == message
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         M.TdlConfig.from_dict({"feat_dim": 8, "bogus": 1})
@@ -189,15 +201,13 @@ def test_forward_shape_errors():
     cfg = tiny_config()
     mdl = M.build_model(cfg)
     rng = np.random.default_rng(2)
-    bad_dim = FeatureSequence("b", 4, cfg.t_max,
-                              rng.standard_normal((4, cfg.t_max)).astype(np.float32),
-                              cfg.t_max)
+    bad_dim = FeatureSequence(
+        "b", rng.standard_normal((4, cfg.t_max)).astype(np.float32), cfg.t_max)
     with pytest.raises(ShapeError):
         M.forward(mdl, bad_dim)
     frames = cfg.t_max + 1
     too_long = FeatureSequence(
-        "u", cfg.feat_dim, frames,
-        rng.standard_normal((cfg.feat_dim, frames)).astype(np.float32), frames)
+        "u", rng.standard_normal((cfg.feat_dim, frames)).astype(np.float32), frames)
     with pytest.raises(ShapeError, match=r"^u: 13 true frames exceed t_max 12$"):
         M.forward(mdl, too_long)
 
@@ -365,6 +375,57 @@ def test_checkpoint_truncated_rejected(tmp_path):
         M.decode_checkpoint(blob[:-9])
     with pytest.raises(FormatError):
         M.decode_checkpoint(b"NOPE" + blob[4:])
+
+
+def _reframed(blob, version=M.TDLC_VERSION, header_len=None, header=None):
+    """The checkpoint with its fixed header's version or header length, or
+    its JSON header bytes, replaced."""
+    _, _, old_len = M._TDLC_HEAD.unpack_from(blob)
+    start = M._TDLC_HEAD.size
+    header = blob[start:start + old_len] if header is None else header
+    length = len(header) if header_len is None else header_len
+    return (M._TDLC_HEAD.pack(M.TDLC_MAGIC, version, length) + header
+            + blob[start + old_len:])
+
+
+_DAMAGED_FRAMING = {
+    "under-12-bytes": (lambda blob: blob[:11], "checkpoint truncated in fixed header"),
+    "version-2": (lambda blob: _reframed(blob, version=2),
+                  "unsupported checkpoint version 2"),
+    "header-past-the-end": (lambda blob: _reframed(blob, header_len=len(blob)),
+                            "checkpoint truncated in JSON header"),
+    "header-not-utf8": (lambda blob: _reframed(blob, header=b"\xff{}"),
+                        "checkpoint header: not UTF-8 text: 'utf-8' codec can't "
+                        "decode byte 0xff in position 0: invalid start byte"),
+    "header-not-an-object": (lambda blob: _reframed(blob, header=b"[1, 2]"),
+                             "checkpoint header is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_FRAMING))
+def test_checkpoint_with_damaged_framing_is_format_error(tmp_path, capsys, damage):
+    from tdl import cli
+
+    edit, message = _DAMAGED_FRAMING[damage]
+    blob = edit(M.encode_checkpoint(M.build_model(tiny_config())))
+    with pytest.raises(FormatError) as exc:
+        M.decode_checkpoint(blob)
+    assert str(exc.value) == message
+    # tdl eval names it and exits 1, with no traceback, before any data is read
+    path = tmp_path / "bad.tdlc"
+    path.write_bytes(blob)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(path), "--test",
+                     str(tmp_path / "missing"), "--report",
+                     str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_checkpoint_cut_short_after_its_size_check_is_format_error():
+    # a file that shrinks between its size check and its read
+    blob = M.encode_checkpoint(M.build_model(tiny_config()))
+    with pytest.raises(FormatError, match="^checkpoint truncated while reading$"):
+        M._read_checkpoint(io.BytesIO(blob[:-8]), len(blob))
 
 
 def _rewrite_header(blob, edit):
@@ -738,14 +799,30 @@ def test_train_rejects_a_row_of_another_label_setting_before_any_epoch(
         M.train(cfg, sets["train"], sets["dev"])
 
 
+@pytest.mark.parametrize("empty", ["train", "dev"])
+def test_train_rejects_an_empty_set(empty):
+    cfg = tiny_config()
+    sets = dict(zip(("train", "dev"), _tiny_sets(cfg)), **{empty: []})
+    with pytest.raises(ValidationError, match=f"^{empty} set is empty$"):
+        M.train(cfg, sets["train"], sets["dev"])
+
+
+def test_check_pair_rejects_labels_of_another_length():
+    cfg = tiny_config()
+    seq = _input(cfg, np.random.default_rng(0))
+    M._check_pair(cfg, seq, _labels(cfg, [1, 0, 1]))
+    longer = _labels(tiny_config(label_len=5), [1, 0, 1])
+    with pytest.raises(ShapeError, match="^x: 5 labels != label_len 4$"):
+        M._check_pair(cfg, seq, longer)
+
+
 def test_train_rejects_features_longer_than_t_max(monkeypatch):
     cfg = tiny_config()
     train_set, dev_set = _tiny_sets(cfg)
     rng = np.random.default_rng(10)
     frames = cfg.t_max + 1
     too_long = FeatureSequence(
-        "s", cfg.feat_dim, frames,
-        rng.standard_normal((cfg.feat_dim, frames)).astype(np.float32), frames)
+        "s", rng.standard_normal((cfg.feat_dim, frames)).astype(np.float32), frames)
 
     def no_training(*args, **kwargs):
         raise AssertionError("an epoch ran before the features were checked")
@@ -761,8 +838,8 @@ def test_train_takes_unpadded_features():
     assert any(seq.true_frames < cfg.t_max for seq, _ in train_set + dev_set)
 
     def unpadded(pairs):
-        return [(FeatureSequence(seq.sample_id, seq.dim, seq.true_frames,
-                                 seq.values[:, :seq.true_frames], seq.true_frames),
+        return [(FeatureSequence(seq.sample_id, seq.values[:, :seq.true_frames],
+                                 seq.true_frames),
                  lab) for seq, lab in pairs]
 
     want = M.train(cfg, train_set, dev_set).best_checkpoint

@@ -12,7 +12,7 @@ def _rand_conv(rng, cin, cout, k):
     bound = 0.5
     w = rng.uniform(-bound, bound, size=(k, cin, cout))
     b = rng.uniform(-bound, bound, size=cout)
-    return nn.Conv1dLayer(cin, cout, k, w, b)
+    return nn.Conv1dLayer(w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +24,7 @@ def test_conv_identity_1x1_kernel():
     d = 3
     w = np.zeros((1, d, d))
     w[0] = np.eye(d)
-    layer = nn.Conv1dLayer(d, d, 1, w, np.zeros(d))
+    layer = nn.Conv1dLayer(w, np.zeros(d))
     x = np.random.default_rng(0).standard_normal((d, 9))
     assert np.array_equal(nn.conv1d_forward(layer, x), x)
 
@@ -55,7 +55,7 @@ def test_conv_matches_naive_loop_shapes(k, cin, cout, t):
 
 def test_conv_even_kernel_rejected():
     with pytest.raises(ConfigError):
-        nn.Conv1dLayer(2, 2, 2, np.zeros((2, 2, 2)), np.zeros(2))
+        nn.Conv1dLayer(np.zeros((2, 2, 2)), np.zeros(2))
 
 
 def test_conv_channel_mismatch():

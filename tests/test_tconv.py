@@ -135,7 +135,7 @@ def test_center_only_similarity_is_pointwise_conv():
     a = np.zeros((3, 8))
     a[1] = 1.0
     out = tconv.tconv_forward(layer, x, a)
-    center = Conv1dLayer(3, 3, 1, layer.weights[1:2], layer.bias)
+    center = Conv1dLayer(layer.weights[1:2], layer.bias)
     assert np.allclose(out, conv1d_forward(center, x), atol=1e-12)
 
 
