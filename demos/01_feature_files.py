@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tdl import FeatureSequence, load_feature_file, pad_features, write_feature_file
+from tdl import FeatureSequence, load_feature_file, write_feature_file
 from tdl.errors import FormatError
 
 workdir = Path(tempfile.mkdtemp(prefix="tdl-demo-"))
@@ -27,9 +27,11 @@ print(f"wrote {path} ({path.stat().st_size} bytes: 20 header + 4*6 f32 payload)"
 loaded = load_feature_file(path)
 print("round trip bit-exact:", loaded.values.tobytes() == values.tobytes())
 
-padded = pad_features(loaded, 10)
-print(f"padded {loaded.num_frames} -> {padded.num_frames} frames; "
-      f"true_frames stays {padded.true_frames}")
+# a padded file: trailing zero columns, with true_frames counting the rest
+padded = FeatureSequence("demo", np.pad(values, ((0, 0), (0, 4))), true_frames=6)
+write_feature_file(padded, workdir / "padded.tdlf")
+padded = load_feature_file(workdir / "padded.tdlf")
+print(f"padded file: {padded.num_frames} frames, true_frames {padded.true_frames}")
 print("padding columns are all zero:", not padded.values[:, 6:].any())
 
 # corrupt files are rejected, never silently mis-read

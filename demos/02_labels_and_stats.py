@@ -5,7 +5,7 @@ compiled at 160 ms resolution by majority occupancy (exact ties go to
 fake). Three label settings are supported; padding frames are always 0.
 """
 
-from tdl import Segment, SegmentAnnotation, compile_frame_labels, dataset_stats
+from tdl import Segment, SegmentAnnotation, compile_labels, dataset_stats
 
 ann = SegmentAnnotation("utt0", 3.2, [
     Segment(0.00, 1.20, "real"),
@@ -14,7 +14,7 @@ ann = SegmentAnnotation("utt0", 3.2, [
 ])
 
 for setting in ("real1_fake0", "real0_fake1", "boundary1"):
-    labels = compile_frame_labels(ann, 0.16, padded_len=22, setting=setting)
+    labels = compile_labels([ann], 0.16, padded_len=22, setting=setting)[0]
     print(f"{setting:>12}: {labels.labels.tolist()}  (true={labels.true_labels})")
 
 # majority rule at work: frame 7 spans 1.12-1.28 s, 80 ms real vs 80 ms

@@ -16,13 +16,10 @@ from .data import (
     Segment,
     SegmentAnnotation,
     SynthSpec,
-    compile_frame_labels,
     compile_labels,
     dataset_stats,
     desk_benchmark_spec,
-    load_dataset,
     load_feature_file,
-    pad_features,
     stream_dataset,
     synth_dataset,
     write_dataset,
@@ -43,7 +40,6 @@ from .metrics import (
     EvalPool,
     compute_report,
     eer,
-    pool_predictions,
     precision_recall_f1,
     render_report,
 )
@@ -61,6 +57,7 @@ from .model import (
     param_count_table,
     predict,
     save_checkpoint,
+    score_pool,
     total_loss,
     train,
 )

@@ -16,11 +16,10 @@ On-disk formats:
 
 A dataset is read as a stream by ``stream_dataset``: the manifest is
 checked whole, then each sample's two files are read when the stream
-reaches it. ``load_dataset`` is that stream taken into lists.
+reaches it.
 
 Frame labels are compiled a block of annotations at a time by
-``compile_labels``, one vectorized pass over all their segments;
-``compile_frame_labels`` is that pass for a single annotation.
+``compile_labels``, one vectorized pass over all their segments.
 """
 
 from __future__ import annotations
@@ -359,7 +358,11 @@ def save_annotation_file(ann: SegmentAnnotation, path) -> None:
 
 
 def load_annotation_file(path) -> SegmentAnnotation:
-    return annotation_from_dict(parse_json(read_utf8(path), path))
+    obj = parse_json(read_utf8(path), path)  # its errors name the path already
+    try:
+        return annotation_from_dict(obj)
+    except (AnnotationError, FormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +456,14 @@ def compile_labels(anns, resolution_s: float, padded_len: int,
 
 def compile_frame_labels(ann: SegmentAnnotation, resolution_s: float,
                          padded_len: int, setting: str) -> FrameLabels:
-    """``compile_labels`` of the single annotation ``ann``."""
+    """``compile_labels`` of the single annotation ``ann``. ``bench/`` is its
+    last caller, and ROADMAP item 2 deletes it."""
     return compile_labels([ann], resolution_s, padded_len, setting)[0]
 
 
 def pad_features(seq: FeatureSequence, target_frames: int) -> FeatureSequence:
-    """Zero-pad (or no-op) the time axis out to target_frames."""
+    """Zero-pad (or no-op) the time axis out to target_frames. ``bench/`` is
+    its last caller, and ROADMAP item 2 deletes it."""
     if target_frames < seq.true_frames:
         raise ShapeError(
             f"{seq.sample_id}: cannot pad to {target_frames} < "
@@ -814,8 +819,8 @@ def _read_samples(root: str, manifest: Path, samples: list):
 
 
 def load_dataset(data_dir):
-    """Read a manifest directory back into (features, annotations) lists:
-    ``stream_dataset`` taken whole."""
+    """``stream_dataset`` taken whole into (features, annotations) lists.
+    ``bench/`` is its last caller, and ROADMAP item 2 deletes it."""
     features, annotations = [], []
     for seq, ann in stream_dataset(data_dir):
         features.append(seq)

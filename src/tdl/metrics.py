@@ -3,8 +3,7 @@
 The positive class is label 1, i.e. real frames under the default
 real1_fake0 convention (a high score means "this frame is genuine").
 A pool holds true label frames only: model.score_pool keeps each
-utterance's first true_labels frames as it scores a set, and
-pool_predictions does the same for per-utterance score arrays.
+utterance's first true_labels frames as it scores a set.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ class EvalPool:
 
 
 def pool_predictions(scores_list, labels_list) -> EvalPool:
-    """Concatenate per-utterance scores with their frame labels,
-    dropping every padding frame."""
+    """Per-utterance scores with their frame labels, padding frames
+    dropped; ``bench/`` is its last caller, and ROADMAP item 2 deletes it."""
     scores_list = list(scores_list)
     labels_list = list(labels_list)
     if len(scores_list) != len(labels_list):

@@ -726,7 +726,10 @@ def save_checkpoint(model: TdlModel, path) -> None:
 
 def load_checkpoint(path) -> TdlModel:
     with open(path, "rb") as fh:
-        return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
+        try:
+            return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +762,6 @@ class TrainResult:
     best_dev_eer: float
     records: list
     diverged: bool = False
-
-    @property
-    def best_model(self) -> TdlModel:
-        return decode_checkpoint(self.best_checkpoint)
 
 
 def _validate_set(config: TdlConfig, dataset, name: str,

@@ -183,6 +183,17 @@ def confusion_reference(scores, labels, threshold):
     return tp, tn, fp, fn
 
 
+def pooled_reference(scores_list, labels_list):
+    """(scores, labels) as float64 and int8 arrays: the first true_labels
+    scores and labels of each utterance, utterance after utterance."""
+    scores, labels = [], []
+    for utt_scores, lab in zip(scores_list, labels_list):
+        for t in range(lab.true_labels):
+            scores.append(float(utt_scores[t]))
+            labels.append(int(lab.labels[t]))
+    return np.array(scores, dtype=np.float64), np.array(labels, dtype=np.int8)
+
+
 def majority_labels_ms(ann, resolution_s):
     """1 ms occupancy counter: frame label = class of the majority of
     its millisecond cells, ties to fake. Assumes ms-aligned segments."""

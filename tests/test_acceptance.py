@@ -15,14 +15,13 @@ from tdl.data import (
     REAL1_FAKE0,
     Segment,
     SegmentAnnotation,
-    compile_frame_labels,
+    compile_labels,
     dataset_stats,
     desk_benchmark_spec,
-    pad_features,
     synth_dataset,
 )
 from tdl.esm import EsmConfig
-from tdl.metrics import compute_report, eer, pool_predictions
+from tdl.metrics import compute_report, eer
 from tdl.model import (
     GRADCHECK_CONFIGS,
     TdlConfig,
@@ -35,6 +34,7 @@ from tdl.model import (
     full_scale_config,
     param_count_table,
     predict,
+    score_pool,
     train,
 )
 from tdl.nn import conv1d_forward, conv1d_init, l2_normalize_forward
@@ -165,19 +165,14 @@ def benchmark_runs():
         assert (config.feat_dim, config.t_max, config.label_len,
                 config.epochs, config.seed) == (16, 64, 16, 30, 7)
         assert spec.separation == 2.0
-        pairs = [
-            (pad_features(f, config.t_max),
-             compile_frame_labels(a, config.label_resolution_s,
-                                  config.label_len, config.label_setting))
-            for f, a in zip(feats, anns)
-        ]
+        pairs = list(zip(feats, compile_labels(anns, config.label_resolution_s,
+                                               config.label_len,
+                                               config.label_setting)))
         train_set, dev_set, test_set = pairs[:200], pairs[200:250], pairs[250:]
         result = train(config, train_set, dev_set)
         assert not result.diverged
-        best = result.best_model
-        scores = [predict(best, f, lab.true_labels) for f, lab in test_set]
-        pool = pool_predictions(scores, [lab for _, lab in test_set])
-        results[weight] = compute_report(pool, threshold=0.5)
+        best = decode_checkpoint(result.best_checkpoint)
+        results[weight] = compute_report(score_pool(best, test_set), threshold=0.5)
     results["elapsed"] = time.perf_counter() - start
     return results
 
@@ -231,7 +226,7 @@ def test_criterion_7_label_pipeline():
     for i in range(500):
         ann = random_ms_annotation(rng, f"acc{i}")
         ref = majority_labels_ms(ann, 0.16)
-        labels = compile_frame_labels(ann, 0.16, ref.size + 2, REAL1_FAKE0)
+        labels = compile_labels([ann], 0.16, ref.size + 2, REAL1_FAKE0)[0]
         if labels.true_labels != ref.size or \
                 not np.array_equal(labels.labels[:ref.size], ref):
             mismatches += 1
@@ -255,12 +250,8 @@ def test_criterion_8_determinism_and_persistence():
     spec = desk_benchmark_spec(num_utterances=40)
     feats, anns = synth_dataset(spec, 8)
     config = desk_config(epochs=3, seed=11)
-    pairs = [
-        (pad_features(f, config.t_max),
-         compile_frame_labels(a, config.label_resolution_s, config.label_len,
-                              config.label_setting))
-        for f, a in zip(feats, anns)
-    ]
+    pairs = list(zip(feats, compile_labels(anns, config.label_resolution_s,
+                                           config.label_len, config.label_setting)))
     train_set, dev_set = pairs[:30], pairs[30:]
     blob_a = encode_checkpoint(train(config, train_set, dev_set).last_model)
     blob_b = encode_checkpoint(train(config, train_set, dev_set).last_model)

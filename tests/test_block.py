@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from tdl import esm
-from tdl import metrics
 from tdl import model as M
 from tdl.data import (
     BOUNDARY1,
@@ -26,16 +25,15 @@ from tdl.data import (
     REAL1_FAKE0,
     FeatureSequence,
     FrameLabels,
-    compile_frame_labels,
+    compile_labels,
     desk_benchmark_spec,
-    pad_features,
     synth_dataset,
 )
 from tdl.esm import EsmConfig
 from tdl.errors import ValidationError
 from tdl.nn import l2_normalize_forward
 
-from oracles import esm_reference
+from oracles import esm_reference, pooled_reference
 
 MIXED_TRUE_FRAMES = (64, 40, 17, 64, 33, 1, 58, 25)
 
@@ -47,13 +45,10 @@ def _padded(cfg, rng, true_frames, sample_id="x"):
 
 
 def _desk_pairs(cfg, num, seed):
+    """``num`` desk utterances, unpadded as synthesized, with their labels."""
     feats, anns = synth_dataset(desk_benchmark_spec(num_utterances=num), seed)
-    return [
-        (pad_features(f, cfg.t_max),
-         compile_frame_labels(a, cfg.label_resolution_s, cfg.label_len,
-                              cfg.label_setting))
-        for f, a in zip(feats, anns)
-    ]
+    return list(zip(feats, compile_labels(anns, cfg.label_resolution_s,
+                                          cfg.label_len, cfg.label_setting)))
 
 
 def _rel(got, want):
@@ -99,7 +94,7 @@ def test_score_pool_pools_each_block_and_keeps_no_labels():
     cfg = M.desk_config()
     mdl = M.build_model(cfg)
     pairs = _desk_pairs(cfg, 37, 21)
-    per_utterance = metrics.pool_predictions(
+    want_scores, want_labels = pooled_reference(
         [M.predict(mdl, seq, lab.true_labels) for seq, lab in pairs],
         [lab for _, lab in pairs])
     refs, alive = [], []
@@ -115,9 +110,9 @@ def test_score_pool_pools_each_block_and_keeps_no_labels():
     assert [len(b) for b in M._blocks(pairs, cfg.t_max)] == [16, 16, 5]
     # the labels of a scored block are gone before the next block is read
     assert max(alive) == 15
-    assert pool.scores.tobytes() == per_utterance.scores.tobytes()
-    assert pool.labels.tobytes() == per_utterance.labels.tobytes()
-    assert pool.num_utterances == per_utterance.num_utterances == 37
+    assert pool.scores.tobytes() == want_scores.tobytes()
+    assert pool.labels.tobytes() == want_labels.tobytes()
+    assert pool.num_utterances == 37
 
 
 def test_score_pool_of_no_utterances_says_so():
@@ -236,10 +231,12 @@ def test_live_columns_match_the_full_width_path(true_frames, monkeypatch):
 def test_padded_and_unpadded_features_give_the_same_bytes(block_frames, monkeypatch):
     cfg = M.desk_config()
     mdl = M.build_model(cfg)
-    padded = _desk_pairs(cfg, 20, 5)
-    unpadded = [(FeatureSequence(seq.sample_id, seq.values[:, :seq.true_frames],
-                                 seq.true_frames),
-                 lab) for seq, lab in padded]
+    unpadded = _desk_pairs(cfg, 20, 5)
+    padded = [(FeatureSequence(seq.sample_id, np.pad(
+                   seq.values, ((0, 0), (0, cfg.t_max - seq.num_frames))),
+                   seq.true_frames),
+               lab) for seq, lab in unpadded]
+    assert all(seq.num_frames == seq.true_frames for seq, _ in unpadded)
     assert len({seq.true_frames for seq, _ in unpadded}) > 1
     # the default scores mixed blocks at full width, and 1 one-utterance
     # blocks on their live columns

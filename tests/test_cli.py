@@ -11,6 +11,8 @@ from tdl.errors import NumericError
 from tdl.data import desk_benchmark_spec
 from tdl.model import desk_config
 
+from oracles import pooled_reference
+
 
 def _dir_digest(root):
     h = hashlib.sha256()
@@ -361,6 +363,23 @@ def test_train_reports_a_missing_resume_before_reading_the_data(
     assert not (tmp_path / "run").exists()
 
 
+def test_train_resume_from_a_damaged_checkpoint_names_it(tmp_path,
+                                                        smoke_config_file, capsys):
+    from tdl.model import build_model, encode_checkpoint
+
+    bad = tmp_path / "bad.tdlc"
+    blob = encode_checkpoint(build_model(desk_config(epochs=2, batch_size=2, seed=1)))
+    bad.write_bytes(b"XXXX" + blob[4:])
+    missing = str(tmp_path / "missing")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(smoke_config_file), "--train", missing,
+                     "--dev", missing, "--out", str(tmp_path / "run"),
+                     "--resume", str(bad)]) == 1
+    # the error names the file, and no traceback or output directory is left
+    assert capsys.readouterr().err == f"error: {bad}: bad checkpoint magic b'XXXX'\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_resume_past_the_epoch_budget_exits_one_and_writes_nothing(
         tmp_path, synth_spec_file, smoke_config_file, capsys):
     train_dir = _make_dataset(tmp_path, synth_spec_file, "train", 1)
@@ -501,7 +520,7 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
 
     test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 37)
     config = desk_config()
-    features, annotations = data_mod.load_dataset(test_dir)
+    features, annotations = zip(*data_mod.stream_dataset(test_dir))
     assert len({seq.true_frames for seq in features}) > 1
     assert [len(b) for b in model_mod._blocks(features, config.t_max)] == [16, 16, 5]
 
@@ -519,14 +538,12 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
     assert block_sizes == [16, 16, 5]
 
     model = model_mod.load_checkpoint(checkpoint)
-    scores, labels = [], []
-    for seq, ann in zip(features, annotations):
-        lab = data_mod.compile_frame_labels(ann, config.label_resolution_s,
-                                            config.label_len, config.label_setting)
-        scores.append(model_mod.predict(
-            model, data_mod.pad_features(seq, config.t_max), lab.true_labels))
-        labels.append(lab)
-    expected = metrics_mod.compute_report(metrics_mod.pool_predictions(scores, labels))
+    labels = data_mod.compile_labels(annotations, config.label_resolution_s,
+                                     config.label_len, config.label_setting)
+    scores = [model_mod.predict(model, seq, lab.true_labels)
+              for seq, lab in zip(features, labels)]
+    expected = metrics_mod.compute_report(
+        metrics_mod.EvalPool(*pooled_reference(scores, labels), len(labels)))
     report = json.loads(path.read_bytes())
     assert set(report) == set(expected) | {"metadata"}
     for key, value in expected.items():
@@ -717,7 +734,8 @@ def test_eval_of_an_annotation_that_does_not_tile_exits_one(tmp_path, capsys,
     capsys.readouterr()
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
                      str(test_dir), "--report", str(report)]) == 1
-    assert capsys.readouterr().err == f"error: {entry['id']}: {problem}\n"
+    assert capsys.readouterr().err == (
+        f"error: {test_dir / entry['annotations']}: {entry['id']}: {problem}\n")
     assert not report.exists()
 
 

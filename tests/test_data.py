@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -120,6 +121,14 @@ def test_annotation_json_round_trip(tmp_path):
     assert loaded == ann
 
 
+def test_annotation_file_that_is_not_an_object_is_named(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: malformed "
+                                          "annotation object: "):
+        data.load_annotation_file(path)
+
+
 def test_annotation_is_frozen_with_tuple_segments():
     ann = _ann([(0.0, 0.32, "real"), (0.32, 0.64, "fake")])
     assert isinstance(ann.segments, tuple)
@@ -168,14 +177,14 @@ def test_annotation_that_does_not_tile_its_duration_rejected(segments, message):
 
 def test_compile_exact_tiling():
     ann = _ann([(0.0, 0.32, "real"), (0.32, 0.64, "fake")])
-    labels = data.compile_frame_labels(ann, 0.16, 4, data.REAL1_FAKE0)
+    labels = data.compile_labels([ann], 0.16, 4, data.REAL1_FAKE0)[0]
     assert labels.true_labels == 4
     assert np.array_equal(labels.labels, [1, 1, 0, 0])
 
 
 def test_compile_real0_fake1_complement():
     ann = _ann([(0.0, 0.32, "real"), (0.32, 0.64, "fake")])
-    labels = data.compile_frame_labels(ann, 0.16, 4, data.REAL0_FAKE1)
+    labels = data.compile_labels([ann], 0.16, 4, data.REAL0_FAKE1)[0]
     assert np.array_equal(labels.labels, [0, 0, 1, 1])
 
 
@@ -183,20 +192,20 @@ def test_compile_majority_and_tie_to_fake():
     # frame 0: 90 ms real / 70 ms fake -> real; frame 1: 80/80 tie -> fake
     ann = _ann([(0.0, 0.09, "real"), (0.09, 0.16, "fake"),
                 (0.16, 0.24, "real"), (0.24, 0.32, "fake")])
-    labels = data.compile_frame_labels(ann, 0.16, 2, data.REAL1_FAKE0)
+    labels = data.compile_labels([ann], 0.16, 2, data.REAL1_FAKE0)[0]
     assert np.array_equal(labels.labels, [1, 0])
 
 
 def test_compile_padding_is_zero_in_all_settings():
     ann = _ann([(0.0, 0.32, "fake")])
     for setting in data.LABEL_SETTINGS:
-        labels = data.compile_frame_labels(ann, 0.16, 6, setting)
+        labels = data.compile_labels([ann], 0.16, 6, setting)[0]
         assert not labels.labels[2:].any()
 
 
 def test_compile_boundary1_marks_four_frames():
     segs = [(0.0, 0.64, "real"), (0.64, 1.28, "fake")]
-    labels = data.compile_frame_labels(_ann(segs), 0.16, 8, data.BOUNDARY1)
+    labels = data.compile_labels([_ann(segs)], 0.16, 8, data.BOUNDARY1)[0]
     # transition between frames 3 and 4 -> frames 2..5 set
     assert np.array_equal(labels.labels, [0, 0, 1, 1, 1, 1, 0, 0])
     assert labels.labels.sum() == 4
@@ -204,7 +213,7 @@ def test_compile_boundary1_marks_four_frames():
 
 def test_compile_boundary1_clips_at_edges():
     segs = [(0.0, 0.16, "fake"), (0.16, 1.28, "real")]
-    labels = data.compile_frame_labels(_ann(segs), 0.16, 8, data.BOUNDARY1)
+    labels = data.compile_labels([_ann(segs)], 0.16, 8, data.BOUNDARY1)[0]
     # transition between frames 0 and 1; the left side is clipped
     assert np.array_equal(labels.labels, [1, 1, 1, 0, 0, 0, 0, 0])
 
@@ -212,7 +221,7 @@ def test_compile_boundary1_clips_at_edges():
 def test_compile_padded_len_too_small():
     ann = _ann([(0.0, 0.64, "real")])
     with pytest.raises(ShapeError):
-        data.compile_frame_labels(ann, 0.16, 3, data.REAL1_FAKE0)
+        data.compile_labels([ann], 0.16, 3, data.REAL1_FAKE0)[0]
 
 
 @pytest.mark.parametrize("resolution_s", [0.0, -0.16, float("nan")])
@@ -227,7 +236,7 @@ def test_compile_matches_millisecond_oracle():
     for i in range(100):
         ann = random_ms_annotation(rng, f"r{i}")
         ref = majority_labels_ms(ann, 0.16)
-        labels = data.compile_frame_labels(ann, 0.16, ref.size, data.REAL1_FAKE0)
+        labels = data.compile_labels([ann], 0.16, ref.size, data.REAL1_FAKE0)[0]
         assert labels.true_labels == ref.size
         assert np.array_equal(labels.labels, ref), f"mismatch on {i}"
 
@@ -237,8 +246,8 @@ def test_compile_complement_property_random():
     for i in range(25):
         ann = random_ms_annotation(rng, f"c{i}")
         n = data.num_true_labels(ann.duration_s, 0.16)
-        a = data.compile_frame_labels(ann, 0.16, n + 3, data.REAL1_FAKE0)
-        b = data.compile_frame_labels(ann, 0.16, n + 3, data.REAL0_FAKE1)
+        a = data.compile_labels([ann], 0.16, n + 3, data.REAL1_FAKE0)[0]
+        b = data.compile_labels([ann], 0.16, n + 3, data.REAL0_FAKE1)[0]
         assert np.array_equal(a.labels[:n] + b.labels[:n], np.ones(n, dtype=np.int8))
         assert not a.labels[n:].any() and not b.labels[n:].any()
 
@@ -420,7 +429,7 @@ def test_stats_matches_label_recount():
     total = fake = utts = 0
     for ann in anns:
         n = data.num_true_labels(ann.duration_s, 0.16)
-        labels = data.compile_frame_labels(ann, 0.16, n, data.REAL1_FAKE0)
+        labels = data.compile_labels([ann], 0.16, n, data.REAL1_FAKE0)[0]
         k = n - int(labels.labels[:n].sum())
         total += n
         fake += k

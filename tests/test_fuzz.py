@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from tdl import cli
 from tdl import model as M
 from tdl.data import (SynthSpec, annotation_from_dict, desk_benchmark_spec,
-                      load_dataset, load_feature_file, synth_dataset, write_dataset)
+                      load_feature_file, stream_dataset, synth_dataset, write_dataset)
 from tdl.errors import TdlError
 
 # Hypothesis's pytest plugin caches the constants of local source under
@@ -84,7 +84,7 @@ def test_load_dataset_raises_only_tdl_errors(obj):
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(tmp, *synth_dataset(desk_benchmark_spec(1), 0))
         (Path(tmp) / "manifest.json").write_text(json.dumps(obj), encoding="utf-8")
-        _decodes_or_tdl_error(load_dataset, tmp)
+        _decodes_or_tdl_error(lambda path: list(stream_dataset(path)), tmp)
 
 
 # ---------------------------------------------------------------------------

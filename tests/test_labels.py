@@ -33,15 +33,15 @@ def golden_key(setting, resolution_s):
 
 
 def write_golden(path=GOLDEN):
-    """Rewrite labels_v1.npz from ``compile_frame_labels``, one utterance at
-    a time; each key holds the (400, padded_len) int8 labels of one setting
+    """Rewrite labels_v1.npz from ``compile_labels``, one utterance at a
+    time; each key holds the (400, padded_len) int8 labels of one setting
     and resolution, and ``true_labels@<res>`` their true label counts."""
     anns = golden_annotations()
     arrays = {}
     for res in GOLDEN_RESOLUTIONS:
         padded = golden_padded_len(anns, res)
         for setting in data.LABEL_SETTINGS:
-            labs = [data.compile_frame_labels(a, res, padded, setting) for a in anns]
+            labs = [data.compile_labels([a], res, padded, setting)[0] for a in anns]
             arrays[golden_key(setting, res)] = np.stack([lab.labels for lab in labs])
             arrays[f"true_labels@{res}"] = np.array([lab.true_labels for lab in labs])
     np.savez_compressed(path, **arrays)

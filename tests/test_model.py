@@ -15,9 +15,8 @@ from tdl.data import (
     REAL1_FAKE0,
     FeatureSequence,
     FrameLabels,
-    compile_frame_labels,
+    compile_labels,
     desk_benchmark_spec,
-    pad_features,
     synth_dataset,
 )
 from tdl import nn
@@ -59,12 +58,8 @@ def _tiny_sets(config, n_train=4, n_dev=2, seed=0):
                           2.56 * config.label_len / 16),
     )
     feats, anns = synth_dataset(spec, seed)
-    pairs = [
-        (pad_features(f, config.t_max),
-         compile_frame_labels(a, config.label_resolution_s, config.label_len,
-                              config.label_setting))
-        for f, a in zip(feats, anns)
-    ]
+    pairs = list(zip(feats, compile_labels(anns, config.label_resolution_s,
+                                           config.label_len, config.label_setting)))
     return pairs[:n_train], pairs[n_train:]
 
 
@@ -418,7 +413,7 @@ def test_checkpoint_with_damaged_framing_is_format_error(tmp_path, capsys, damag
     assert cli.main(["eval", "--checkpoint", str(path), "--test",
                      str(tmp_path / "missing"), "--report",
                      str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_checkpoint_cut_short_after_its_size_check_is_format_error():
@@ -750,12 +745,8 @@ def test_train_loss_decreases_on_separable_data():
     spec = desk_benchmark_spec(num_utterances=80)
     feats, anns = synth_dataset(spec, 7)
     cfg = M.desk_config(epochs=10)
-    pairs = [
-        (pad_features(f, cfg.t_max),
-         compile_frame_labels(a, cfg.label_resolution_s, cfg.label_len,
-                              cfg.label_setting))
-        for f, a in zip(feats, anns)
-    ]
+    pairs = list(zip(feats, compile_labels(anns, cfg.label_resolution_s,
+                                           cfg.label_len, cfg.label_setting)))
     result = M.train(cfg, pairs[:60], pairs[60:])
     losses = [r.mean_total for r in result.records]
     assert len(losses) == 10
@@ -837,24 +828,24 @@ def test_train_takes_unpadded_features():
     train_set, dev_set = _tiny_sets(cfg)
     assert any(seq.true_frames < cfg.t_max for seq, _ in train_set + dev_set)
 
-    def unpadded(pairs):
-        return [(FeatureSequence(seq.sample_id, seq.values[:, :seq.true_frames],
-                                 seq.true_frames),
+    def padded(pairs):
+        return [(FeatureSequence(seq.sample_id, np.pad(
+                     seq.values, ((0, 0), (0, cfg.t_max - seq.num_frames))),
+                     seq.true_frames),
                  lab) for seq, lab in pairs]
 
-    want = M.train(cfg, train_set, dev_set).best_checkpoint
-    assert M.train(cfg, unpadded(train_set), unpadded(dev_set)).best_checkpoint == want
+    want = M.train(cfg, padded(train_set), padded(dev_set)).best_checkpoint
+    assert M.train(cfg, train_set, dev_set).best_checkpoint == want
 
 
 def test_labels_at_another_resolution_are_rejected():
     cfg = M.desk_config()
     mdl = M.build_model(cfg)
     feats, anns = synth_dataset(desk_benchmark_spec(num_utterances=4), 2)
-    pairs = [(pad_features(f, cfg.t_max),
-              dataclasses.replace(compile_frame_labels(
-                  a, cfg.label_resolution_s, cfg.label_len, cfg.label_setting),
-                  resolution_s=0.02))
-             for f, a in zip(feats, anns)]
+    labels = compile_labels(anns, cfg.label_resolution_s, cfg.label_len,
+                            cfg.label_setting)
+    pairs = [(f, dataclasses.replace(lab, resolution_s=0.02))
+             for f, lab in zip(feats, labels)]
     seq, lab = pairs[0]
     pattern = rf"^{re.escape(lab.sample_id)}: labels at 0.02 s != label_resolution_s 0.16$"
     with pytest.raises(ValidationError, match=pattern):
