@@ -15,8 +15,9 @@ On-disk formats:
   puts them in file names.
 
 A dataset is read as a stream by ``stream_dataset``: the manifest is
-checked whole, then each sample's two files are read when the stream
-reaches it.
+checked whole (``check_manifest``), then each sample's two files are
+read when the stream reaches it (``read_samples``, which reads any run
+of the checked entries).
 
 Frame labels are compiled a block of annotations at a time by
 ``compile_labels``, one vectorized pass over all their segments.
@@ -245,12 +246,13 @@ def read_utf8(path, error=FormatError) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def parse_json(text: str, where, error=FormatError):
+def parse_json(text: str, where, error=FormatError, object_pairs_hook=None):
     """The JSON value of ``text``; ``error`` (a TdlError class) naming
     ``where`` when it is not JSON, holds an integer too long to parse
-    (ValueError) or nests too deep to decode (RecursionError)."""
+    (ValueError) or nests too deep to decode (RecursionError). A hook
+    builds each object from its (key, value) pairs, as in ``json.loads``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except (ValueError, RecursionError) as exc:
         raise error(f"{where}: invalid JSON: {exc}") from exc
 
@@ -757,13 +759,18 @@ _MANIFEST_KEYS = ("id", "features", "annotations")
 
 def stream_dataset(data_dir):
     """The (features, annotation) pairs of a manifest directory, in
-    manifest order, as an iterator.
+    manifest order, as an iterator: ``read_samples`` of what
+    ``check_manifest`` returns. The manifest is checked before this
+    returns; each sample's two files are read when the iterator reaches
+    that sample."""
+    return read_samples(*check_manifest(data_dir))
 
-    The manifest and every entry in it are checked before this returns,
-    and it must list at least one sample; each sample's feature and
-    annotation files are read, once each, when the iterator reaches that
-    sample.
-    """
+
+def check_manifest(data_dir):
+    """(root, manifest path, entries) of the manifest directory
+    ``data_dir``, once the manifest and every entry in it are checked; it
+    must list at least one sample. ``read_samples`` reads any run of
+    ``entries``."""
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.json"
     if not manifest.exists():
@@ -793,13 +800,14 @@ def stream_dataset(data_dir):
             raise FormatError(
                 f"{manifest}: sample id {brief(entry['id'])} is listed twice")
         seen.add(entry["id"])
-    return _read_samples(str(data_dir), manifest, samples)
+    return str(data_dir), manifest, samples
 
 
-def _read_samples(root: str, manifest: Path, samples: list):
+def read_samples(root: str, manifest: Path, entries):
     """Yield the (features, annotation) pair of each checked manifest
-    entry in ``samples``, its files under the directory ``root``."""
-    for entry in samples:
+    entry in ``entries`` (any iterable), its two files under the directory
+    ``root`` read when the iterator reaches it."""
+    for entry in entries:
         # OSError: a missing or unreadable file; ValueError: a NUL or a
         # lone surrogate in its path
         try:

@@ -512,6 +512,14 @@ def _eval_corpus(tmp_path, dims):
     return test_dir, checkpoint
 
 
+def _one_run(monkeypatch):
+    """Have ``tdl eval`` score its test set in one run, in this process: a
+    forked run's calls are not seen by this process's monkeypatches."""
+    from tdl import model as model_mod
+
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: 1)
+
+
 def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
                                                          capsys):
     from tdl import data as data_mod
@@ -532,6 +540,7 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
         return real_forward_block(model, xv, true_frames)
 
     monkeypatch.setattr(model_mod, "_forward_block", counting_forward_block)
+    _one_run(monkeypatch)
     path = tmp_path / "report.json"
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
                      str(test_dir), "--report", str(path)]) == 0
@@ -571,6 +580,7 @@ def test_eval_checks_each_feature_matrix_and_annotation_once(tmp_path,
     monkeypatch.setattr(data_mod.FeatureSequence, "validate", counting_validate)
     monkeypatch.setattr(data_mod.SegmentAnnotation, "__post_init__",
                         counting_post_init)
+    _one_run(monkeypatch)
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
                      str(test_dir), "--report", str(tmp_path / "r.json")]) == 0
     assert checks == {"features": 20, "annotations": 20}
@@ -644,6 +654,7 @@ def test_eval_opens_each_file_once(tmp_path, monkeypatch, capsys):
         return os_open(path, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", counting_open)
+    _one_run(monkeypatch)
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
                      str(test_dir), "--report", str(tmp_path / "r.json")]) == 0
     samples = json.loads((test_dir / "manifest.json").read_text())["samples"]
@@ -739,6 +750,181 @@ def test_eval_of_an_annotation_that_does_not_tile_exits_one(tmp_path, capsys,
     assert not report.exists()
 
 
+# ---------------------------------------------------------------------------
+# eval runs in forked processes
+# ---------------------------------------------------------------------------
+
+
+def _runs(monkeypatch, workers):
+    """Set the worker count ``tdl eval`` splits its test set by; returns
+    the list that gets the pid of each child it forks."""
+    from tdl import model as model_mod
+
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_eval_report_bytes_do_not_depend_on_the_runs(tmp_path, monkeypatch,
+                                                     capsys):
+    from tdl import model as model_mod
+
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 37)  # blocks 16/16/5
+    model = model_mod.load_checkpoint(checkpoint)
+    one_run = model_mod.score_pool(model, cli._prepared(test_dir, model.config))
+    reports = []
+    for workers in (1, 2, 3):
+        forked = _runs(monkeypatch, workers)
+        path = tmp_path / f"r{workers}.json"
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                         str(test_dir), "--report", str(path)]) == 0
+        assert len(forked) == workers - 1
+        reports.append(path.read_bytes())
+        # the report does not show the frames' order; the pool does
+        pool = cli._scored(model, test_dir)
+        assert pool.scores.tobytes() == one_run.scores.tobytes()
+        assert pool.labels.tobytes() == one_run.labels.tobytes()
+        assert pool.num_utterances == 37
+        _no_child_left()
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", ["one-block", "no-fork", "a-thread-runs"])
+def test_eval_runs_inline_with_no_fork(tmp_path, monkeypatch, capsys, case):
+    import threading
+
+    from tdl import model as model_mod
+
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * (5 if case == "one-block"
+                                                          else 20))
+    want = tmp_path / "want.json"
+    _one_run(monkeypatch)
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(want)]) == 0
+    monkeypatch.setattr(model_mod, "_block_workers", lambda: 3)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "a-thread-runs":
+        thread.start()
+    try:
+        path = tmp_path / "r.json"
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                         str(test_dir), "--report", str(path)]) == 0
+    finally:
+        stop.set()
+        if case == "a-thread-runs":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert path.read_bytes() == want.read_bytes()
+    _no_child_left()
+    capsys.readouterr()
+
+
+def _untiled(path):
+    ann = json.loads(path.read_text())
+    path.write_text(json.dumps({**ann, "segments": []}))
+    return f"{path}: {ann['sample_id']}: no segments"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("damage, key", [(_truncated, "features"),
+                                         (_untiled, "annotations")],
+                         ids=["truncated-tdlf", "untiled-annotation"])
+def test_a_bad_file_in_the_last_run_exits_one_as_one_run_does(
+        tmp_path, late_error_corpus, monkeypatch, capsys, damage, key, workers):
+    import shutil
+
+    source, checkpoint, _ = late_error_corpus
+    test_dir = tmp_path / "test"
+    shutil.copytree(source, test_dir)
+    entry = json.loads((test_dir / "manifest.json").read_text())["samples"][-1]
+    message = damage(test_dir / entry[key])
+    forked = _runs(monkeypatch, workers)
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert len(forked) == workers - 1
+    assert not report.exists()
+    _no_child_left()
+
+
+def test_a_failure_in_run_zero_kills_and_reaps_the_children(
+        tmp_path, late_error_corpus, monkeypatch, capsys):
+    import shutil
+    import signal
+
+    source, checkpoint, _ = late_error_corpus
+    test_dir = tmp_path / "test"
+    shutil.copytree(source, test_dir)
+    entry = json.loads((test_dir / "manifest.json").read_text())["samples"][0]
+    message = _truncated(test_dir / entry["features"])
+    forked = _runs(monkeypatch, 3)
+    killed, kill = [], os.kill
+
+    def recording_kill(pid, sig):
+        killed.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", recording_kill)
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert len(forked) == 2
+    assert killed == [(pid, signal.SIGKILL) for pid in forked]
+    assert not report.exists()
+    _no_child_left()
+
+
+def test_a_run_whose_child_ends_without_a_result_is_scored_here(
+        tmp_path, late_error_corpus, monkeypatch, capsys):
+    from tdl import model as model_mod
+
+    test_dir, checkpoint, good_report = late_error_corpus
+    parent, score_pool, scored_here = os.getpid(), model_mod.score_pool, []
+
+    def failing_in_a_child(model, pairs):
+        if os.getpid() != parent:
+            raise MemoryError("a child ran out of memory")
+        scored_here.append(model)
+        return score_pool(model, pairs)
+
+    monkeypatch.setattr(model_mod, "score_pool", failing_in_a_child)
+    forked = _runs(monkeypatch, 3)
+    report = tmp_path / "r.json"
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(report)]) == 0
+    assert len(forked) == 2 and len(scored_here) == 3
+    assert report.read_bytes() == good_report
+    _no_child_left()
+    capsys.readouterr()
+
+
 def _diverge_in_epoch_one(monkeypatch):
     """Patch model._minibatch_step to raise NumericError at the second step
     of epoch 1; returns a list that gets the encoded model epoch 0 left,
@@ -815,6 +1001,23 @@ def test_key_value_config_sets_each_key_once(tmp_path, capsys, lines, key):
     path.write_text(lines)
     assert cli.main(["params", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}:2: {key} is already set\n"
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("params", '{"lambda": 0.1, "lambda": 0.3}', "lambda"),
+    ("params", '{"seed": 1, "esm": {"tau_same": 0.8, "tau_same": 0.9}}', "tau_same"),
+    ("synth", '{"dim": 16, "num_utterances": 2, "dim": 8}', "dim"),
+], ids=["config", "config-esm-section", "spec"])
+def test_json_config_or_spec_giving_a_key_twice_exits_one(tmp_path, capsys,
+                                                          command, text, key):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = (["params", "--config", str(path)] if command == "params" else
+            ["synth", "--spec", str(path), "--out", str(out), "--seed", "1"])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: key '{key}' is given twice\n"
+    assert not out.exists()
 
 
 _NOT_UTF8 = b"\xff\xfe"
