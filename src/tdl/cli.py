@@ -5,25 +5,18 @@ for memory, 2 numeric failure (training divergence or a failed gradient
 check). Every run prints its resolved configuration and seed before
 doing work; given the same seed, config, and inputs, runs with one BLAS
 thread are bit-reproducible at any core count. ``tdl eval`` scores its
-test set in as many forked processes as the block core has workers,
-each one a contiguous run of whole blocks, and writes the report one
-process would.
+test set through ``model.score_pool``, which reads it one block at a
+time and may score runs of blocks in forked processes; the report holds
+the bytes one process writes.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
-import os
-import pickle
-import signal
 import sys
-import threading
 from pathlib import Path
-
-import numpy as np
 
 from . import data as data_mod
 from . import metrics as metrics_mod
@@ -96,103 +89,34 @@ def _load_train_config(path) -> model_mod.TdlConfig:
     return model_mod.TdlConfig.from_dict(obj)
 
 
+class _LabelledSet:
+    """The dataset in ``data_dir`` as the sequence of (features, labels)
+    pairs for ``config`` that ``model.score_pool`` takes. Its manifest is
+    checked when the set is built; each slice reads its samples' files and
+    compiles their labels to label_len in one pass. Features stay as read:
+    the model pads each block itself, and checks each pair's shapes,
+    feature dim and true frames included, first."""
+
+    def __init__(self, data_dir, config: model_mod.TdlConfig):
+        self.root, self.manifest, self.entries = data_mod.check_manifest(data_dir)
+        self.config = config
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, index: slice) -> list:
+        cfg, pairs = self.config, list(data_mod.read_samples(
+            self.root, self.manifest, self.entries[index]))
+        labels = data_mod.compile_labels([ann for _, ann in pairs], cfg.label_resolution_s,
+                                         cfg.label_len, cfg.label_setting)
+        return [(seq, lab) for (seq, _), lab in zip(pairs, labels)]
+
+
 def _prepared(data_dir, config: model_mod.TdlConfig):
     """Yield each utterance of the dataset in ``data_dir`` as a (features,
-    labels) pair for ``config``; its manifest is checked whole when the
-    first pair is taken, then ``_labelled`` reads it."""
-    yield from _labelled(data_mod.stream_dataset(data_dir), config)
-
-
-def _labelled(pairs, config: model_mod.TdlConfig):
-    """Yield each (features, annotation) pair of ``pairs`` as a (features,
-    labels) pair for ``config``. Each block of the size ``model.score_pool``
-    scores is taken from ``pairs`` when it is reached and its labels
-    compiled to label_len in one pass. Features stay as read: the model
-    pads each block itself, and checks each pair's shapes, feature dim and
-    true frames included, first."""
-    for block in model_mod._blocks(pairs, config.t_max):
-        labels = data_mod.compile_labels(
-            [ann for _, ann in block], config.label_resolution_s,
-            config.label_len, config.label_setting)
-        yield from zip((seq for seq, _ in block), labels)
-
-
-def _scored(model: model_mod.TdlModel, data_dir) -> metrics_mod.EvalPool:
-    """The ``score_pool`` of the test set in ``data_dir``, scored in W
-    contiguous runs of whole blocks, W = min(model._block_workers(), number
-    of blocks). This process scores run 0, and a forked child each other
-    run. An utterance's scores do not depend on its block, so the runs'
-    pools joined in run order hold the arrays one run builds. A run whose
-    child ends without a result is scored here after the runs before it,
-    so the first failing run raises the error one run would, and any
-    children still running are killed and reaped. W is 1 where os.fork is
-    missing or another thread runs (a fork copies only the calling
-    thread)."""
-    config = model.config
-    root, manifest, entries = data_mod.check_manifest(data_dir)
-    blocks = list(model_mod._blocks(entries, config.t_max))  # score_pool's blocks
-    runs = min(model_mod._block_workers(), len(blocks))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        runs = 1
-    cuts = [i * len(blocks) // runs for i in range(runs + 1)]
-
-    def score(run: int):
-        run_entries = itertools.chain.from_iterable(blocks[cuts[run]:cuts[run + 1]])
-        pool = model_mod.score_pool(model, _labelled(
-            data_mod.read_samples(root, manifest, run_entries), config))
-        return pool.scores, pool.labels, pool.num_utterances
-
-    children = {}  # run -> (pid, fd of the pipe its result comes on)
-    try:
-        for run in range(1, runs):
-            children[run] = _forked(score, run)
-        parts = [score(0)]
-        for run in range(1, runs):
-            parts.append(_joined(*children.pop(run)) or score(run))
-    finally:
-        for pid, fd in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.close(fd)
-            os.waitpid(pid, 0)
-    scores, labels, counts = zip(*parts)
-    return metrics_mod.EvalPool(np.concatenate(scores), np.concatenate(labels),
-                                sum(counts))
-
-
-def _forked(fn, *args):
-    """(pid, fd) of a forked child that writes ``fn(*args)`` pickled to the
-    pipe ``fd`` reads and exits with status 0, or exits with status 1 when
-    ``fn`` raises."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            raw = pickle.dumps(fn(*args), pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(raw)
-            status = 0
-        finally:
-            os._exit(status)  # no traceback, atexit handler or stdio flush
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _joined(pid: int, fd: int):
-    """The result of the child ``pid`` that ``_forked`` started, once it
-    has exited, or None when it exits without one."""
-    try:
-        with open(fd, "rb") as pipe:
-            raw = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return pickle.loads(raw) if os.waitstatus_to_exitcode(status) == 0 else None
+    labels) pair for ``config``; the whole ``_LabelledSet`` is read when
+    the first pair is taken."""
+    yield from _LabelledSet(data_dir, config)[:]
 
 
 def _seed(text: str) -> int:
@@ -284,7 +208,7 @@ def run_eval(args) -> int:
     model = model_mod.load_checkpoint(args.checkpoint)
     config = model.config
     _print_resolved(config.to_dict(), config.seed)
-    pool = _scored(model, args.test)
+    pool = model_mod.score_pool(model, _LabelledSet(args.test, config))
     report = metrics_mod.compute_report(pool, threshold=args.threshold)
     text, json_str = metrics_mod.render_report(
         report, metadata={"checkpoint": str(args.checkpoint),

@@ -17,7 +17,8 @@ and the similarity-modulation path.
 One core runs the stack on a block of B utterances, padded or not,
 zero-filled to one (B, C, T) array. Training runs each minibatch through
 it, ``score_pool`` scores and pools a set in blocks for dev EER and ``tdl
-eval``, and ``forward``/``predict``/``total_loss`` call it with B = 1. Every
+eval``, in forked runs of at least RUN_MIN_BLOCKS blocks where the set
+has enough, and ``forward``/``predict``/``total_loss`` call it with B = 1. Every
 primitive computes a block one GEMM per utterance, so an utterance's
 scores do not depend on which other utterances share its block. At full
 scale a block is one utterance, run on its live frame columns only and
@@ -32,11 +33,12 @@ from __future__ import annotations
 
 import ctypes
 import io
-import itertools
 import json
 import math
 import os
+import pickle
 import platform
+import signal
 import struct
 import threading
 import time
@@ -101,6 +103,12 @@ BOUNDARY_BCE_WEIGHT = 100.0
 # column bits depend on its width, and an utterance's scores must be
 # bit-identical alone and in any block.
 BLOCK_FRAMES = 1024
+
+# score_pool gives each process at least this many blocks: forked desk
+# `tdl eval` runs, one per core, read 0.69x the speed of one process at 2
+# blocks, 0.81x at 4, 1.12x at 8, 1.29x at 16 and 1.51x at 32 (2 cores,
+# OPENBLAS_NUM_THREADS=1, medians of 30 alternating in-process pairs).
+RUN_MIN_BLOCKS = 4
 
 # glibc's M_MMAP_THRESHOLD (bytes) while blocks run on a thread pool, and
 # after. Inside, a buffer a worker frees is unmapped instead of staying
@@ -416,14 +424,9 @@ def _check_pair(config: TdlConfig, seq: FeatureSequence,
                               f"label_setting {config.label_setting}")
 
 
-def _blocks(pairs, t_max: int):
-    """Consecutive runs of ``pairs`` (any iterable) that fit in one block
-    each, taken from it one block at a time."""
-    size = max(1, BLOCK_FRAMES // t_max)
-    pairs = iter(pairs)
-    while block := list(itertools.islice(pairs, size)):
-        yield block
-        del block  # see score_pool
+def _block_size(config: TdlConfig) -> int:
+    """The utterances a block holds (see BLOCK_FRAMES)."""
+    return max(1, BLOCK_FRAMES // config.t_max)
 
 
 def _live_width(config: TdlConfig, true_frames) -> int:
@@ -435,7 +438,7 @@ def _live_width(config: TdlConfig, true_frames) -> int:
     kernel//2 further, and the last column must be a padding frame for
     the extend_columns row to repeat. Any other block runs on t_max.
     """
-    if BLOCK_FRAMES // config.t_max > 1:
+    if _block_size(config) > 1:
         return config.t_max
     return min(config.t_max, max(true_frames) + max(1, 2 * (config.kernel // 2)))
 
@@ -784,24 +787,95 @@ def _validate_set(config: TdlConfig, dataset, name: str,
             )
 
 
-def score_pool(model: TdlModel, pairs) -> metrics_mod.EvalPool:
-    """The pooled per-frame scores and labels of (features, labels)
-    ``pairs``, an iterable consumed one block at a time as _blocks forms
-    them. A block's live label frames, the first true_labels of each row,
-    are pooled in row-major order before the next block is taken, so no
-    per-utterance object outlives its block; scores equal ``predict``'s."""
-    cfg, scores, labels, count = model.config, [], [], 0
-    for block in _blocks(pairs, cfg.t_max):
-        xv, true_frames, labs = _stack_block(cfg, block)
-        live = np.arange(cfg.label_len) < [[lab.true_labels] for lab in labs]
-        scores.append(_forward_block(model, xv, true_frames)["scores"][live])
-        labels.append(np.stack([lab.labels for lab in labs])[live])
-        count += len(block)
-        del block, labs, xv  # freed before the next is read: fewer page faults
+def score_pool(model: TdlModel, dataset) -> metrics_mod.EvalPool:
+    """The pooled per-frame scores and labels of ``dataset``, a sequence of
+    (features, labels) pairs whose slices are lists; scores equal
+    ``predict``'s.
+
+    Its B blocks of _block_size utterances are scored in W contiguous
+    runs, run i starting at block i*B//W, W = min(_block_workers(), B //
+    RUN_MIN_BLOCKS) or 1, and 1 where os.fork is missing or another thread
+    runs (a fork copies only the calling thread). This process scores run
+    0 and a forked child each other run. A run slices each block when it
+    reaches it and pools its live label frames (the first true_labels of
+    each row, row-major) before it slices the next, so no per-utterance
+    object outlives its block. Scores do not depend on the block, so the
+    pools joined in run order hold one run's arrays. A run whose child
+    ends without a result is scored here after the runs before it, so the
+    first failing run raises one run's error; children still running are
+    killed and reaped.
+    """
+    cfg, size, count = model.config, _block_size(model.config), len(dataset)
     if not count:
         raise ValidationError("no utterances to score")
+    blocks = -(-count // size)
+    runs = max(1, min(_block_workers(), blocks // RUN_MIN_BLOCKS))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        runs = 1
+    cuts = [i * blocks // runs * size for i in range(runs + 1)]
+
+    def score(run: int):
+        scores, labels = [], []
+        for lo in range(cuts[run], cuts[run + 1], size):
+            block = dataset[lo:lo + size]
+            xv, true_frames, labs = _stack_block(cfg, block)
+            live = np.arange(cfg.label_len) < [[lab.true_labels] for lab in labs]
+            scores.append(_forward_block(model, xv, true_frames)["scores"][live])
+            labels.append(np.stack([lab.labels for lab in labs])[live])
+            del block, labs, xv  # freed before the next is read: fewer page faults
+        return np.concatenate(scores), np.concatenate(labels)
+
+    children = {}  # run -> (pid, fd of the pipe its result comes on)
+    try:
+        for run in range(1, runs):
+            children[run] = _forked(score, run)
+        parts = [score(0)]
+        for run in range(1, runs):
+            parts.append(_joined(*children.pop(run)) or score(run))
+    finally:
+        for pid, fd in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+    scores, labels = zip(*parts)
     return metrics_mod.EvalPool(np.concatenate(scores), np.concatenate(labels),
                                 count)
+
+
+def _forked(fn, *args):
+    """(pid, fd) of a forked child that writes ``fn(*args)`` pickled to the
+    pipe ``fd`` reads and exits with status 0, or exits with status 1 when
+    ``fn`` raises."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            raw = pickle.dumps(fn(*args), pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(raw)
+            status = 0
+        finally:
+            os._exit(status)  # no traceback, atexit handler or stdio flush
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _joined(pid: int, fd: int):
+    """The result of the child ``pid`` that ``_forked`` started, once it
+    has exited, or None when it exits without one."""
+    try:
+        with open(fd, "rb") as pipe:
+            raw = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return pickle.loads(raw) if os.waitstatus_to_exitcode(status) == 0 else None
 
 
 def dev_eer(model: TdlModel, dev_set) -> float:
@@ -857,7 +931,8 @@ def _block_losses(model: TdlModel, batch):
     weight tasks, in block order, so the results do not depend on the
     worker count.
     """
-    blocks = list(_blocks(batch, model.config.t_max))
+    size = _block_size(model.config)
+    blocks = [batch[lo:lo + size] for lo in range(0, len(batch), size)]
     workers = min(len(blocks), _block_workers())
     run = lambda block, submit=None: _loss_block(
         model, *_stack_block(model.config, block), submit=submit)

@@ -76,18 +76,31 @@ def test_scores_bit_identical_alone_and_in_a_mixed_block():
         assert np.array_equal(alone, reordered[len(seqs) - 1 - b]), f"utterance {b}"
 
 
+def _stacked_sizes(monkeypatch):
+    """Score in one run, in this process; returns the list that gets the
+    utterance count of each block it stacks."""
+    monkeypatch.setattr(M, "_block_workers", lambda: 1)
+    sizes, stack = [], M._stack_block
+    monkeypatch.setattr(M, "_stack_block",
+                        lambda cfg, pairs: sizes.append(len(pairs)) or stack(cfg, pairs))
+    return sizes
+
+
 def test_dev_eer_does_not_depend_on_the_block_size(monkeypatch):
     cfg = M.desk_config()
     pairs = _desk_pairs(cfg, 20, 3)
     mdl = M.build_model(cfg)
+    sizes = _stacked_sizes(monkeypatch)
     default = M.dev_eer(mdl, pairs)
-    assert len(list(M._blocks(pairs, cfg.t_max))) == 2
+    assert len(sizes) == 2
     monkeypatch.setattr(M, "BLOCK_FRAMES", 3 * cfg.t_max)
-    assert [len(b) for b in M._blocks(pairs, cfg.t_max)] == [3] * 6 + [2]
+    sizes.clear()
     assert M.dev_eer(mdl, pairs) == default
+    assert sizes == [3] * 6 + [2]
     monkeypatch.setattr(M, "BLOCK_FRAMES", 1)  # never less than one utterance
-    assert len(list(M._blocks(pairs, cfg.t_max))) == 20
+    sizes.clear()
     assert M.dev_eer(mdl, pairs) == default
+    assert len(sizes) == 20
 
 
 def test_score_pool_pools_each_block_and_keeps_no_labels():
@@ -97,17 +110,24 @@ def test_score_pool_pools_each_block_and_keeps_no_labels():
     want_scores, want_labels = pooled_reference(
         [M.predict(mdl, seq, lab.true_labels) for seq, lab in pairs],
         [lab for _, lab in pairs])
-    refs, alive = [], []
+    refs, alive, sliced = [], [], []
 
-    def stream():  # fresh labels, so that only score_pool can keep them
-        for seq, lab in pairs:
-            alive.append(sum(ref() is not None for ref in refs))
-            lab = dataclasses.replace(lab)
-            refs.append(weakref.ref(lab))
-            yield seq, lab
+    class Fresh:  # fresh labels, so that only score_pool can keep them
+        def __len__(self):
+            return len(pairs)
 
-    pool = M.score_pool(mdl, stream())
-    assert [len(b) for b in M._blocks(pairs, cfg.t_max)] == [16, 16, 5]
+        def __getitem__(self, index):
+            out = []
+            for seq, lab in pairs[index]:
+                alive.append(sum(ref() is not None for ref in refs))
+                lab = dataclasses.replace(lab)
+                refs.append(weakref.ref(lab))
+                out.append((seq, lab))
+            sliced.append(len(out))
+            return out
+
+    pool = M.score_pool(mdl, Fresh())
+    assert sliced == [16, 16, 5]
     # the labels of a scored block are gone before the next block is read
     assert max(alive) == 15
     assert pool.scores.tobytes() == want_scores.tobytes()
@@ -118,7 +138,7 @@ def test_score_pool_pools_each_block_and_keeps_no_labels():
 def test_score_pool_of_no_utterances_says_so():
     mdl = M.build_model(M.desk_config())
     with pytest.raises(ValidationError) as info:
-        M.score_pool(mdl, iter([]))
+        M.score_pool(mdl, [])
     assert str(info.value) == "no utterances to score"
 
 
@@ -242,7 +262,9 @@ def test_padded_and_unpadded_features_give_the_same_bytes(block_frames, monkeypa
     # blocks on their live columns
     monkeypatch.setattr(M, "BLOCK_FRAMES", block_frames)
     assert M._live_width(cfg, [1]) == (cfg.t_max if block_frames > 1 else 3)
-    for block in M._blocks(unpadded, cfg.t_max):  # true frames, then zeros
+    size = M._block_size(cfg)
+    for lo in range(0, len(unpadded), size):  # true frames, then zeros
+        block = unpadded[lo:lo + size]
         xv, true_frames, _ = M._stack_block(cfg, block)
         for row, (seq, _) in zip(xv, block):
             assert row[:, :seq.true_frames].tobytes() == seq.values.astype(float).tobytes()
@@ -417,6 +439,70 @@ def test_default_blas_threads_keep_blocks_sequential(monkeypatch):
     assert M._block_workers() == 2
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP's
     assert M._block_workers() == 4
+
+
+# ---------------------------------------------------------------------------
+# runs of blocks in forked processes
+# ---------------------------------------------------------------------------
+
+
+_FORK = os.fork
+
+
+def _forks(monkeypatch):
+    """The list that gets the pid of each child os.fork starts from now on."""
+    forked = []
+
+    def recording_fork():
+        pid = _FORK()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("utterances", [1, 2, 3, 5, 8, 9])
+def test_score_pool_runs_equal_one_run(utterances, monkeypatch):
+    cfg = M.desk_config()
+    mdl = M.build_model(cfg)
+    pairs = _desk_pairs(cfg, utterances, 17)
+    monkeypatch.setattr(M, "BLOCK_FRAMES", 2 * cfg.t_max)  # two utterances a block
+    monkeypatch.setattr(M, "RUN_MIN_BLOCKS", 1)
+    blocks = -(-utterances // 2)
+    _workers(monkeypatch, 1)
+    want = M.score_pool(mdl, pairs)
+    for workers in (1, 2, 3, 4):
+        _workers(monkeypatch, workers)
+        forked = _forks(monkeypatch)
+        pool = M.score_pool(mdl, pairs)
+        assert len(forked) == min(workers, blocks) - 1, workers
+        assert pool.scores.tobytes() == want.scores.tobytes()
+        assert pool.labels.tobytes() == want.labels.tobytes()
+        assert pool.num_utterances == utterances
+        _no_child_left()
+
+
+def test_training_with_a_forked_dev_eer_is_bit_identical(monkeypatch):
+    cfg = M.desk_config(epochs=2, batch_size=8)
+    pairs = _desk_pairs(cfg, 144, 19)
+    train_set, dev_set = pairs[:16], pairs[16:]  # a dev set of 8 blocks
+    assert -(-len(dev_set) // M._block_size(cfg)) == 2 * M.RUN_MIN_BLOCKS
+    runs, forks = [], []
+    for cores in (1, 2):
+        _workers(monkeypatch, cores)
+        forks.append(_forks(monkeypatch))
+        runs.append(M.train(cfg, train_set, dev_set))
+    assert [len(forked) for forked in forks] == [0, cfg.epochs]
+    assert runs[1].best_checkpoint == runs[0].best_checkpoint
+    assert _records(runs[1]) == _records(runs[0])
+    _no_child_left()
 
 
 # ---------------------------------------------------------------------------

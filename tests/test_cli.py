@@ -530,7 +530,7 @@ def test_block_eval_report_matches_per_utterance_predict(tmp_path, monkeypatch,
     config = desk_config()
     features, annotations = zip(*data_mod.stream_dataset(test_dir))
     assert len({seq.true_frames for seq in features}) > 1
-    assert [len(b) for b in model_mod._blocks(features, config.t_max)] == [16, 16, 5]
+    assert model_mod._block_size(config) == 16  # blocks 16/16/5
 
     block_sizes = []
     real_forward_block = model_mod._forward_block
@@ -755,12 +755,13 @@ def test_eval_of_an_annotation_that_does_not_tile_exits_one(tmp_path, capsys,
 # ---------------------------------------------------------------------------
 
 
-def _runs(monkeypatch, workers):
-    """Set the worker count ``tdl eval`` splits its test set by; returns
-    the list that gets the pid of each child it forks."""
+def _runs(monkeypatch, workers, run_min_blocks=1):
+    """Set the worker count and the blocks per run ``score_pool`` splits
+    a set by; returns the list that gets the pid of each child it forks."""
     from tdl import model as model_mod
 
     monkeypatch.setattr(model_mod, "_block_workers", lambda: workers)
+    monkeypatch.setattr(model_mod, "RUN_MIN_BLOCKS", run_min_blocks)
     forked, fork = [], os.fork
 
     def recording_fork():
@@ -784,7 +785,7 @@ def test_eval_report_bytes_do_not_depend_on_the_runs(tmp_path, monkeypatch,
 
     test_dir, checkpoint = _eval_corpus(tmp_path, [16] * 37)  # blocks 16/16/5
     model = model_mod.load_checkpoint(checkpoint)
-    one_run = model_mod.score_pool(model, cli._prepared(test_dir, model.config))
+    one_run = model_mod.score_pool(model, cli._LabelledSet(test_dir, model.config))
     reports = []
     for workers in (1, 2, 3):
         forked = _runs(monkeypatch, workers)
@@ -794,12 +795,33 @@ def test_eval_report_bytes_do_not_depend_on_the_runs(tmp_path, monkeypatch,
         assert len(forked) == workers - 1
         reports.append(path.read_bytes())
         # the report does not show the frames' order; the pool does
-        pool = cli._scored(model, test_dir)
+        pool = model_mod.score_pool(model, cli._LabelledSet(test_dir, model.config))
         assert pool.scores.tobytes() == one_run.scores.tobytes()
         assert pool.labels.tobytes() == one_run.labels.tobytes()
         assert pool.num_utterances == 37
         _no_child_left()
     assert reports[1] == reports[0] and reports[2] == reports[0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("blocks", [7, 8])
+def test_eval_forks_once_each_run_has_run_min_blocks(tmp_path, monkeypatch,
+                                                      capsys, blocks):
+    from tdl import model as model_mod
+
+    assert model_mod.RUN_MIN_BLOCKS == 4
+    test_dir, checkpoint = _eval_corpus(tmp_path, [16] * (16 * blocks))
+    want = tmp_path / "want.json"
+    _one_run(monkeypatch)
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(want)]) == 0
+    forked = _runs(monkeypatch, 2, model_mod.RUN_MIN_BLOCKS)
+    path = tmp_path / "r.json"
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
+                     str(test_dir), "--report", str(path)]) == 0
+    assert len(forked) == blocks // 8  # 8 blocks: two runs of 4
+    assert path.read_bytes() == want.read_bytes()
+    _no_child_left()
     capsys.readouterr()
 
 
@@ -816,6 +838,7 @@ def test_eval_runs_inline_with_no_fork(tmp_path, monkeypatch, capsys, case):
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",
                      str(test_dir), "--report", str(want)]) == 0
     monkeypatch.setattr(model_mod, "_block_workers", lambda: 3)
+    monkeypatch.setattr(model_mod, "RUN_MIN_BLOCKS", 1)
 
     def no_fork():
         raise AssertionError("forked")
@@ -906,15 +929,15 @@ def test_a_run_whose_child_ends_without_a_result_is_scored_here(
     from tdl import model as model_mod
 
     test_dir, checkpoint, good_report = late_error_corpus
-    parent, score_pool, scored_here = os.getpid(), model_mod.score_pool, []
+    parent, stack_block, scored_here = os.getpid(), model_mod._stack_block, []
 
-    def failing_in_a_child(model, pairs):
+    def failing_in_a_child(config, pairs):  # each run is one block
         if os.getpid() != parent:
             raise MemoryError("a child ran out of memory")
-        scored_here.append(model)
-        return score_pool(model, pairs)
+        scored_here.append(pairs)
+        return stack_block(config, pairs)
 
-    monkeypatch.setattr(model_mod, "score_pool", failing_in_a_child)
+    monkeypatch.setattr(model_mod, "_stack_block", failing_in_a_child)
     forked = _runs(monkeypatch, 3)
     report = tmp_path / "r.json"
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--test",

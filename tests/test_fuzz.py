@@ -234,7 +234,7 @@ def test_streamed_eval_raises_only_tdl_errors(damage):
         path = Path(tmp) / entry[key]
         path.write_bytes(path.read_bytes()[:cut] if new is None else new)
         _decodes_or_tdl_error(
-            lambda: M.score_pool(M.build_model(cfg), cli._prepared(tmp, cfg)))
+            lambda: M.score_pool(M.build_model(cfg), cli._LabelledSet(tmp, cfg)))
 
 
 # ---------------------------------------------------------------------------
