@@ -23,10 +23,10 @@ primitive computes a block one GEMM per utterance, so an utterance's
 scores do not depend on which other utterances share its block. At full
 scale a block is one utterance, run on its live frame columns only and
 widened to t_max before the fc, and a minibatch's blocks run on a thread
-pool when single-threaded BLAS leaves cores free. Each layer row of a
-pooled block hands its weight gradient to the same pool as a task of
-its own, and no task waits on another; gradients are still added in
-block order.
+pool, at most workers + 1 unfinished at a time, when single-threaded
+BLAS leaves cores free. Each layer row of a pooled block hands its
+weight gradient to the same pool as a task of its own, and no task
+waits on another; gradients are still added in block order.
 """
 
 from __future__ import annotations
@@ -97,11 +97,16 @@ BOUNDARY_BCE_WEIGHT = 100.0
 # A block holds whole utterances and at most this many frame columns, or
 # a single utterance that is longer on its own. At full scale (t_max
 # 1050) that is one utterance per block, so a block run in turn holds one
-# utterance's activations whatever the batch size; the pool, which queues
-# every block of a minibatch at once, still grows with it. Only a
-# one-utterance block is cut to its live columns (_live_width): a GEMM's
-# column bits depend on its width, and an utterance's scores must be
-# bit-identical alone and in any block.
+# utterance's activations whatever the batch size, and so does the pool,
+# which keeps at most workers + 1 blocks unfinished: train() on 8
+# full-scale utterances on 2 workers peaked at 531-554 MB at batch 8 and
+# 546-553 MB at batch 2 (693-709 MB at batch 8 queueing every block at
+# once). The spare block is queued before the first blocks' weight tasks:
+# with at most workers unfinished, train() on 3 full-scale utterances took
+# 2.61-2.81 s, with workers + 1 2.14-2.45 s (2 cores, one BLAS thread).
+# Only a one-utterance block is cut to its live columns (_live_width): a
+# GEMM's column bits depend on its width, and an utterance's scores must
+# be bit-identical alone and in any block.
 BLOCK_FRAMES = 1024
 
 # score_pool gives each process at least this many blocks: forked desk
@@ -885,13 +890,15 @@ def dev_eer(model: TdlModel, dev_set) -> float:
 
 def _block_workers() -> int:
     """Blocks that can run at once: the usable cores over the BLAS threads
-    one GEMM takes, which is every core unless OPENBLAS_NUM_THREADS or
-    OMP_NUM_THREADS gives a count."""
+    one GEMM takes, which is every core unless OPENBLAS_NUM_THREADS, or
+    else OMP_NUM_THREADS, is a positive count in ASCII digits."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    per_call = int(blas) if blas and blas.isdigit() and int(blas) > 0 else cores
-    return max(1, cores // per_call)
+    counts = [os.environ.get(name, "").lstrip("0")
+              for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    per_call = next((c for c in counts if c.isascii() and c.isdigit()), str(cores))
+    # ten digits or more are past any core count (and past int()'s limit)
+    return max(1, cores // int(per_call)) if len(per_call) < 10 else 1
 
 
 def _mmap_threshold(nbytes: int) -> None:
@@ -908,28 +915,18 @@ def _mmap_threshold(nbytes: int) -> None:
         mallopt(-1, nbytes)  # M_TRIM_THRESHOLD
 
 
-def _resolved(result):
-    """A pooled block's (TdlLoss, gradients) once its rows' weight tasks
-    are done: the Future of (weights, bias) under a layer row's two keys
-    is replaced by each key's array."""
-    losses, grads = result
-    return losses, {key: grad if isinstance(grad, np.ndarray)
-                    else grad.result()[1 if key.endswith(".bias") else 0]
-                    for key, grad in grads.items()}
-
-
 def _block_losses(model: TdlModel, batch):
     """(TdlLoss, parameter gradients) of each block of ``batch``, in order.
 
-    A minibatch of several blocks maps them over a thread pool, at most
-    one block per worker at a time. Each block's layer rows
-    submit their weight gradients to the same pool and go on down the
-    input-gradient chain. The pool runs tasks in the order they were
-    queued, and no block starts before every block is queued, so a free
-    worker takes a waiting block before any weight task. No task waits
-    on another task: this thread waits for each block and then its
-    weight tasks, in block order, so the results do not depend on the
-    worker count.
+    A minibatch of several blocks runs on a thread pool with at most
+    workers + 1 blocks unfinished, weight tasks included (see
+    BLOCK_FRAMES): the first workers + 1 are submitted back to back, and
+    the next each time this thread has a block's gradients. Each block's
+    layer rows submit their weight gradients to the same pool, which
+    runs tasks in the order queued. No task waits on another: this
+    thread waits for each block and then its weight tasks, in block
+    order, so the results do not depend on the worker count. An
+    exception cancels the blocks still queued.
     """
     size = _block_size(model.config)
     blocks = [batch[lo:lo + size] for lo in range(0, len(batch), size)]
@@ -939,23 +936,24 @@ def _block_losses(model: TdlModel, batch):
     if workers == 1:
         yield from map(run, blocks)
         return
-    _mmap_threshold(_POOL_MMAP_THRESHOLD)
     # imported here, as only a pooled minibatch needs it (and the logging
     # module it loads)
     from concurrent.futures import ThreadPoolExecutor
-    queued = threading.Event()
-
-    def run_queued(block):
-        queued.wait()
-        return run(block, pool.submit)
+    pool = ThreadPoolExecutor(workers)
+    _mmap_threshold(_POOL_MMAP_THRESHOLD)
     try:
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                results = pool.map(run_queued, blocks)
-            finally:
-                queued.set()
-            yield from map(_resolved, results)
+        start = lambda block: pool.submit(run, block, pool.submit)
+        window = [start(block) for block in blocks[:workers + 1]]
+        for i in range(len(blocks)):
+            losses, grads = window.pop(0).result()
+            # a layer row's two keys hold the Future of its (weights, bias)
+            grads = {key: grad.result()[1 if key.endswith(".bias") else 0]
+                     for key, grad in grads.items()}
+            if i + workers + 1 < len(blocks):
+                window.append(start(blocks[i + workers + 1]))
+            yield losses, grads
     finally:
+        pool.shutdown(cancel_futures=True)  # what an exception left queued
         _mmap_threshold(_AFTER_POOL_MMAP_THRESHOLD)
 
 
@@ -1028,13 +1026,13 @@ def train(config: TdlConfig, train_set, dev_set,
     (diverged=True). A resumed model must have epochs left to train;
     that is checked before either set is read.
 
-    A minibatch of several blocks runs them on a thread pool when the
-    usable cores exceed the BLAS threads per call (see _block_workers).
-    The weight-gradient GEMMs (one per tap) and bias sum of each of
-    their conv and tconv rows are a pool task too, queued behind the
-    blocks, so a worker left without a block computes them while the
-    last block runs; no task waits on another, and gradients are added
-    in block order, so the result does not depend on the worker count.
+    A minibatch of several blocks runs them on a thread pool, at most
+    workers + 1 unfinished at a time, when the usable cores exceed the
+    BLAS threads per call (see _block_workers). The weight-gradient GEMMs
+    (one per tap) and bias sum of each of their conv and tconv rows are a
+    pool task too, so a worker left without a block computes them while
+    the last block runs; no task waits on another, and gradients are
+    added in block order, so the result does not depend on the worker count.
     The first such minibatch changes malloc settings for the whole
     process under glibc: the dynamic mmap threshold is switched off and
     left at _AFTER_POOL_MMAP_THRESHOLD, and the trim threshold with it,

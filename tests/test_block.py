@@ -9,7 +9,6 @@ import concurrent.futures
 import dataclasses
 import os
 import threading
-import time
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -392,30 +391,58 @@ def test_pooled_rows_submit_their_weight_gradients_as_pool_tasks(monkeypatch):
     assert rows == {name: 3 for name in M.LAYERS}
 
 
-def test_every_block_is_queued_before_any_block_runs(monkeypatch):
-    _workers(monkeypatch, 2)
-    main, submitted = threading.current_thread(), []
+def test_at_most_workers_plus_one_blocks_are_unfinished(monkeypatch):
+    main, lock, local = threading.current_thread(), threading.Lock(), threading.local()
+    events, tasks = [], []  # tasks[i]: block i's own task and weight tasks not yet done
+    widths = []  # unfinished blocks as each task is submitted
 
     class Recording(ThreadPoolExecutor):
         def submit(self, fn, *args, **kwargs):
-            block = threading.current_thread() is main
-            submitted.append("block" if block else "weights")
-            future = super().submit(fn, *args, **kwargs)
-            if submitted == ["block"]:
-                # a busy machine can stall this thread after the first
-                # block is queued: give that block time to queue weight tasks
-                deadline = time.monotonic() + 0.5
-                while "weights" not in submitted and time.monotonic() < deadline:
-                    time.sleep(0.001)
+            with lock:
+                if threading.current_thread() is main:
+                    events.append("block")
+                    block = len(tasks)
+                    tasks.append(0)
+                else:  # a weight task of the block this worker runs
+                    events.append("weights")
+                    block = local.block
+                tasks[block] += 1
+                widths.append(sum(map(bool, tasks)))
+
+            def task():
+                local.block = block
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    with lock:
+                        tasks[block] -= 1
+
+            future = super().submit(task)
+            result = future.result
+
+            def waited(*args):
+                if threading.current_thread() is main:
+                    events.append("wait")
+                return result(*args)
+
+            future.result = waited
             return future
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    cfg = M.desk_config(batch_size=3)
+    cfg = M.desk_config(batch_size=7)
     monkeypatch.setattr(M, "BLOCK_FRAMES", cfg.t_max)  # one utterance per block
+    pairs = _desk_pairs(cfg, 7, 13)
+    _workers(monkeypatch, 1)
+    alone = M.build_model(cfg)
+    M._minibatch_step(alone, pairs, 0)
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     model = M.build_model(cfg)
-    M._minibatch_step(model, _desk_pairs(cfg, 3, 13), 0)
-    assert submitted[:3] == ["block"] * 3
-    assert submitted.count("weights") == 3 * len(M.LAYERS)
+    M._minibatch_step(model, pairs, 0)
+    assert events.count("block") == 7
+    assert max(widths) <= 3  # workers + 1
+    assert events[:events.index("wait")].count("block") == 3
+    assert events.count("weights") == 7 * len(M.LAYERS)
+    assert model.flat.tobytes() == alone.flat.tobytes()
 
 
 def test_desk_minibatches_never_build_a_pool(monkeypatch):
@@ -439,6 +466,13 @@ def test_default_blas_threads_keep_blocks_sequential(monkeypatch):
     assert M._block_workers() == 2
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP's
     assert M._block_workers() == 4
+    # a digit outside ASCII counts as unset, so OMP's is read
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "²")
+    assert M._block_workers() == 2
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    assert M._block_workers() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "9" * 5000)  # past int()'s digit limit
+    assert M._block_workers() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +549,7 @@ def test_training_with_a_forked_dev_eer_is_bit_identical(monkeypatch):
     for pooled in (False, True) for poisoned in (0, 3, 6)])
 def test_non_finite_utterance_in_a_block_restores_last_good_epoch(
         poisoned, pooled, monkeypatch):
-    if pooled:  # one utterance per block, two blocks at a time
+    if pooled:  # one utterance per block, two workers
         monkeypatch.setattr(M, "BLOCK_FRAMES", 1)
         pools = _workers(monkeypatch, 2)
     threads = set(threading.enumerate())
@@ -534,8 +568,19 @@ def test_non_finite_utterance_in_a_block_restores_last_good_epoch(
     poisoned_set = list(train_set)
     poisoned_set[poisoned] = (bad, labels)
 
+    stacked, stack = [], M._stack_block
+    monkeypatch.setattr(M, "_stack_block", lambda config, pairs: stacked.extend(
+        seq.sample_id for seq, _ in pairs) or stack(config, pairs))
     result = M.train(M.desk_config(epochs=2, batch_size=4), poisoned_set,
                      dev_set, init_model=M.decode_checkpoint(good))
+    # epoch 1's order: the poisoned block's window is itself and, pooled,
+    # the two blocks after it in its minibatch; one block holds it unpooled
+    order = list(np.random.default_rng([cfg.seed, M._STREAM_BATCH, 1]).permutation(8))
+    at = order.index(poisoned)
+    end = min(at + 3, at // 4 * 4 + 4) if pooled else at // 4 * 4 + 4
+    allowed = {train_set[i][0].sample_id for i in order[:end]}
+    assert train_set[poisoned][0].sample_id in stacked
+    assert set(stacked) <= allowed, set(stacked) - allowed
     assert result.diverged
     assert not result.records
     restored = result.last_model
