@@ -159,6 +159,17 @@ def run_synth(args) -> int:
     return EXIT_OK
 
 
+def _write_run(out_dir: Path, model, records: list, best: bool) -> None:
+    """Write last.tdlc, best.tdlc when ``best``, then train_log.jsonl, each renamed."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model_mod.save_checkpoint(model, out_dir / "last.tdlc")
+    if best:
+        model_mod.save_checkpoint(model, out_dir / "best.tdlc")
+    data_mod.write_atomic(out_dir / "train_log.jsonl", "".join(
+        json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        for record in records).encode("utf-8"))
+
+
 def run_train(args) -> int:
     # a file where the output directory goes would fail only after training
     out_dir = Path(args.out)
@@ -168,31 +179,30 @@ def run_train(args) -> int:
     config = _load_train_config(args.config)
     _print_resolved(config.to_dict(), config.seed)
     # a bad checkpoint, or a model past memory, is reported before the data
-    # is read, and so is a checkpoint train() cannot resume
+    # is read, and so is a resume that epochs() refuses
     if args.resume:
-        init_model = model_mod.load_checkpoint(args.resume)
-        print(f"resuming from {args.resume} at epoch {init_model.epoch}")
+        model = model_mod.load_checkpoint(args.resume)
+        print(f"resuming from {args.resume} at epoch {model.epoch}")
     else:
-        init_model = model_mod.build_model(config)
-    result = model_mod.train(config, _prepared(args.train, config),
-                             _prepared(args.dev, config), init_model=init_model)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data_mod.write_atomic(out_dir / "best.tdlc", result.best_checkpoint)
-    model_mod.save_checkpoint(result.last_model, out_dir / "last.tdlc")
-    data_mod.write_atomic(out_dir / "train_log.jsonl", "".join(
-        json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        for record in result.records).encode("utf-8"))
-
-    for record in result.records:
+        model = model_mod.build_model(config)
+    records, best_eer, best_epoch = [], math.inf, model.epoch
+    for record in model_mod.epochs(config, _prepared(args.train, config),
+                                   _prepared(args.dev, config), model):
+        records.append(record)
+        if record.dev_eer_pct < best_eer:
+            best_eer, best_epoch = record.dev_eer_pct, record.epoch
+        _write_run(out_dir, model, records, best_epoch == record.epoch)
         print(f"epoch {record.epoch:3d}  loss {record.mean_total:.6f}  "
               f"bce {record.mean_bce:.6f}  esm {record.mean_esm_total:.6f}  "
-              f"lr {record.learning_rate:.2e}  dev EER {record.dev_eer_pct:.3f} %")
-    if result.diverged:
+              f"lr {record.learning_rate:.2e}  dev EER {record.dev_eer_pct:.3f} %",
+              flush=True)
+    if not records:  # diverged in its first epoch: the restored model is both
+        _write_run(out_dir, model, records, True)
+    if model.epoch < config.epochs:
         print("training diverged: loss went non-finite; "
               "last good checkpoint written", file=sys.stderr)
         return EXIT_NUMERIC
-    print(f"best dev EER {result.best_dev_eer:.3f} % at epoch {result.best_epoch}")
+    print(f"best dev EER {best_eer:.3f} % at epoch {best_epoch}")
     print(f"checkpoints in {out_dir}")
     return EXIT_OK
 

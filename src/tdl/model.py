@@ -1009,9 +1009,9 @@ class _Snapshot:
         model.flat[rows:] = 0.0
 
 
-def train(config: TdlConfig, train_set, dev_set,
-          init_model: TdlModel | None = None) -> TrainResult:
-    """Seeded full-batch-shuffled minibatch training.
+def epochs(config: TdlConfig, train_set, dev_set, model: TdlModel):
+    """Seeded full-batch-shuffled minibatch training of ``model`` in place,
+    yielding each completed epoch's TrainRecord after its dev EER.
 
     Datasets are iterables of (FeatureSequence, FrameLabels), features
     of at most t_max true frames, padded or not, and labels padded to
@@ -1020,10 +1020,10 @@ def train(config: TdlConfig, train_set, dev_set,
     gradients are averaged over its utterances in one flat buffer that
     lives only as long as the step, and one adam_step updates the
     model's (3, N) buffer of parameters, m and v (TdlModel.flat) from it.
-    Per-epoch dev EER is recorded, and the model is encoded as the best
-    checkpoint whenever it improves. If the loss goes non-finite the run
-    stops and the last completed epoch's state is restored
-    (diverged=True). A resumed model must have epochs left to train;
+    If the loss goes non-finite the last completed epoch's state is
+    restored and the generator returns, so a run diverged when it leaves
+    ``model.epoch < config.epochs``. ``model`` must have epochs left to
+    train under a config that differs from its own in ``epochs`` at most;
     that is checked before either set is read.
 
     A minibatch of several blocks runs them on a thread pool, at most
@@ -1038,29 +1038,21 @@ def train(config: TdlConfig, train_set, dev_set,
     left at _AFTER_POOL_MMAP_THRESHOLD, and the trim threshold with it,
     as glibc cannot report the previous settings to restore.
     """
-    if init_model is not None:
-        # resuming may extend the epoch budget but nothing else
-        a, b = init_model.config.to_dict(), config.to_dict()
-        a.pop("epochs"), b.pop("epochs")
-        if a != b:
-            raise ConfigError("resume checkpoint config differs from run config")
-        if init_model.epoch >= config.epochs:
-            raise ConfigError(
-                f"resume checkpoint is at epoch {init_model.epoch}, which leaves "
-                f"nothing to train in epochs {config.epochs}")
+    # resuming may extend the epoch budget but nothing else
+    a, b = model.config.to_dict(), config.to_dict()
+    a.pop("epochs"), b.pop("epochs")
+    if a != b:
+        raise ConfigError("resume checkpoint config differs from run config")
+    if model.epoch >= config.epochs:
+        raise ConfigError(
+            f"resume checkpoint is at epoch {model.epoch}, which leaves "
+            f"nothing to train in epochs {config.epochs}")
     train_set, dev_set = list(train_set), list(dev_set)
     _validate_set(config, train_set, "train")
     _validate_set(config, dev_set, "dev", both_classes=True)
-    model = init_model if init_model is not None else build_model(config)
     model.config = config
     n = len(train_set)
-
-    records = []
-    best_bytes = None
-    best_eer = float("inf")
-    best_epoch = model.epoch
     last_good = _Snapshot()
-    diverged = False
 
     for epoch in range(model.epoch, config.epochs):
         last_good.take(model)
@@ -1075,14 +1067,13 @@ def train(config: TdlConfig, train_set, dev_set,
                 sums += _minibatch_step(model, batch, epoch)
         except NumericError:
             last_good.restore(model)
-            diverged = True
-            break
+            return
 
         if epoch + 1 == config.epochs:
             last_good = None  # freed before the last dev pass and encode
         model.epoch = epoch + 1
         eer_pct = dev_eer(model, dev_set)
-        records.append(TrainRecord(
+        yield TrainRecord(
             epoch=epoch,
             mean_bce=sums[0] / n,
             mean_esm_real=sums[1] / n,
@@ -1093,25 +1084,27 @@ def train(config: TdlConfig, train_set, dev_set,
             learning_rate=config.optimizer.lr_for_epoch(epoch),
             wall_time_s=time.perf_counter() - start,
             dev_eer_pct=eer_pct,
-        ))
-        if eer_pct < best_eer:
-            best_eer = eer_pct
-            best_epoch = epoch
+        )
+
+
+def train(config: TdlConfig, train_set, dev_set,
+          init_model: TdlModel | None = None) -> TrainResult:
+    """``epochs`` run to the end on ``init_model``, or on a model built
+    from ``config``, with the model encoded as the best checkpoint
+    whenever dev EER improves (the last model when no epoch completed)."""
+    model = init_model if init_model is not None else build_model(config)
+    records, best_bytes, best_eer, best_epoch = [], None, math.inf, model.epoch
+    for record in epochs(config, train_set, dev_set, model):
+        records.append(record)
+        if record.dev_eer_pct < best_eer:
+            best_eer, best_epoch = record.dev_eer_pct, record.epoch
             best_bytes = None  # freed before the new one is encoded
             best_bytes = encode_checkpoint(model)
-
-    if best_bytes is None:  # no epoch completed
-        best_bytes = encode_checkpoint(model)
+    diverged = model.epoch < config.epochs
     if diverged and not records:
-        best_eer = float("nan")
-    return TrainResult(
-        last_model=model,
-        best_checkpoint=best_bytes,
-        best_epoch=best_epoch,
-        best_dev_eer=best_eer,
-        records=records,
-        diverged=diverged,
-    )
+        best_eer = math.nan
+    return TrainResult(model, best_bytes or encode_checkpoint(model), best_epoch,
+                       best_eer, records, diverged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import signal
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -309,7 +312,7 @@ def test_train_refuses_a_file_as_out_before_training(tmp_path, synth_spec_file,
     def no_training(*args, **kw):
         raise AssertionError("trained before checking --out")
 
-    monkeypatch.setattr(model_mod, "train", no_training)
+    monkeypatch.setattr(model_mod, "epochs", no_training)
     capsys.readouterr()
     assert cli.main(["train", "--config", str(smoke_config_file),
                      "--train", str(data_dir), "--dev", str(data_dir),
@@ -980,6 +983,85 @@ def test_train_that_diverges_exits_two_and_keeps_the_last_good_model(
                                        "last good checkpoint written\n")
     assert (out / "last.tdlc").read_bytes() == epoch_ends[0]
     assert len((out / "train_log.jsonl").read_text().splitlines()) == 1
+
+
+def test_train_that_diverges_in_its_first_epoch_writes_the_initial_model(
+        tmp_path, synth_spec_file, smoke_config_file, monkeypatch, capsys):
+    from tdl import model as model_mod
+
+    train_dir = _make_dataset(tmp_path, synth_spec_file, "train", 1)
+    dev_dir = _make_dataset(tmp_path, synth_spec_file, "dev", 2)
+    step, steps = model_mod._minibatch_step, []
+
+    def diverging(model, batch, epoch):
+        if steps:  # the first step of epoch 0 has moved every row
+            raise NumericError("diverged")
+        steps.append(epoch)
+        return step(model, batch, epoch)
+
+    monkeypatch.setattr(model_mod, "_minibatch_step", diverging)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(smoke_config_file), "--train",
+                     str(train_dir), "--dev", str(dev_dir), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("training diverged: loss went non-finite; "
+                            "last good checkpoint written\n")
+    assert "epoch " not in captured.out and steps == [0]
+    initial = model_mod.encode_checkpoint(
+        model_mod.build_model(desk_config(epochs=2, batch_size=2, seed=1)))
+    assert (out / "best.tdlc").read_bytes() == initial
+    assert (out / "last.tdlc").read_bytes() == initial
+    assert (out / "train_log.jsonl").read_bytes() == b""
+
+
+def _tdl_child(*argv) -> dict:
+    """Popen arguments that run ``python -m tdl.cli ARGV`` in a child
+    process that imports this tdl."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(args=[sys.executable, "-m", "tdl.cli", *argv], text=True,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+
+
+def test_a_killed_train_keeps_each_epoch_and_resumes_to_the_same_bytes(
+        tmp_path, synth_spec_file):
+    from tdl.model import load_checkpoint
+
+    train_dir = _make_dataset(tmp_path, synth_spec_file, "train", 1)
+    dev_dir = _make_dataset(tmp_path, synth_spec_file, "dev", 2)
+    budget = 20  # epochs; the killed run asks for 1,000 and dies after its first
+
+    def argv(epochs, out, *resume):
+        config = tmp_path / f"config{epochs}.json"
+        config.write_text(json.dumps(
+            desk_config(epochs=epochs, batch_size=2, seed=1).to_dict()))
+        return ["train", "--config", str(config), "--train", str(train_dir),
+                "--dev", str(dev_dir), "--out", str(tmp_path / out), *resume]
+
+    killed = tmp_path / "killed"
+    with subprocess.Popen(**_tdl_child(*argv(1000, "killed"))) as proc:
+        watchdog = threading.Timer(120, proc.kill)  # a child that prints no epoch
+        watchdog.start()
+        try:
+            line = next((ln for ln in proc.stdout if ln.startswith("epoch ")), "")
+            # the epoch's files are on disk before its line is printed
+            written = [(killed / name).is_file()
+                       for name in ("last.tdlc", "train_log.jsonl")]
+        finally:
+            watchdog.cancel()
+        proc.kill()
+    watchdog.join()
+    assert proc.returncode == -signal.SIGKILL
+    assert line.startswith("epoch   0 ") and written == [True, True]
+    assert 1 <= load_checkpoint(killed / "last.tdlc").epoch < budget
+
+    resume = ("--resume", str(killed / "last.tdlc"))
+    for out, more in (("full", ()), ("resumed", resume)):
+        assert subprocess.run(**_tdl_child(*argv(budget, out, *more)),
+                              timeout=120).returncode == 0
+    assert (tmp_path / "resumed" / "last.tdlc").read_bytes() == \
+        (tmp_path / "full" / "last.tdlc").read_bytes()
 
 
 def test_numeric_error_out_of_a_command_exits_two(tmp_path, synth_spec_file,

@@ -741,6 +741,28 @@ def test_divergence_in_the_first_epoch_returns_the_initial_model(resumed):
     assert M.encode_checkpoint(result.last_model) == before
 
 
+def test_epochs_hands_each_epoch_to_its_caller():
+    cfg = tiny_config(epochs=4)
+    train_set, dev_set = _tiny_sets(cfg)
+
+    def fields(records):
+        return [{**record.to_dict(), "wall_time_s": None} for record in records]
+
+    mdl = M.build_model(cfg)
+    run = M.epochs(cfg, train_set, dev_set, mdl)
+    first = [next(run), next(run)]
+    run.close()  # the caller stops after 2 epochs
+    want = M.train(tiny_config(epochs=2), train_set, dev_set)
+    assert fields(first) == fields(want.records)
+    assert (mdl.epoch, mdl.step) == (want.last_model.epoch, want.last_model.step)
+    assert mdl.flat.tobytes() == want.last_model.flat.tobytes()
+
+    mdl = M.build_model(cfg)
+    assert fields(M.epochs(cfg, train_set, dev_set, mdl)) == \
+        fields(M.train(cfg, train_set, dev_set).records)
+    assert mdl.epoch == cfg.epochs
+
+
 def test_train_loss_decreases_on_separable_data():
     spec = desk_benchmark_spec(num_utterances=80)
     feats, anns = synth_dataset(spec, 7)
