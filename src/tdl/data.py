@@ -12,7 +12,7 @@ On-disk formats:
 * Dataset manifest: ``{"samples": [{"id", "features", "annotations"}]}``
   with paths relative to the manifest's directory. Sample ids are
   unique and at most MAX_ID_BYTES UTF-8 bytes, since ``write_dataset``
-  puts them in file names.
+  puts them in file names; it writes only ids that are plain file names.
 
 A dataset is read as a stream by ``stream_dataset``: the manifest is
 checked whole (``check_manifest``), then each sample's two files are
@@ -105,7 +105,8 @@ class FeatureSequence:
         if not np.isfinite(self.values).all():
             raise ValidationError(f"{self.sample_id}: non-finite feature values")
         # every value is finite here, so any() is "some value != 0.0"
-        if self.values[:, self.true_frames:].any():
+        padding = self.values[:, self.true_frames:]
+        if padding.size and padding.any():
             raise ValidationError(f"{self.sample_id}: nonzero padding columns")
 
 
@@ -374,15 +375,14 @@ def load_annotation_file(path) -> SegmentAnnotation:
 
 def _tolerant_ceil(x: float) -> int:
     """ceil that forgives sub-nanosecond float noise below an integer."""
-    return int(np.ceil(x - _TIME_EPS))
+    return math.ceil(x - _TIME_EPS)
 
 
 def num_true_labels(duration_s: float, resolution_s: float) -> int:
     return _tolerant_ceil(duration_s / resolution_s)
 
 
-def _majority_real(anns, resolution_s: float, true_labels: np.ndarray,
-                   padded_len: int) -> np.ndarray:
+def _majority_real(anns, resolution_s: float, counts, padded_len: int) -> np.ndarray:
     """(N, padded_len) bool: True where real occupancy strictly exceeds fake.
 
     Exact 50/50 ties go to fake (conservative for a security task); padding
@@ -390,24 +390,30 @@ def _majority_real(anns, resolution_s: float, true_labels: np.ndarray,
     pass, and each frame sums its overlaps in segment order, so a frame's
     label does not depend on the other annotations in ``anns``.
     """
-    segs = [seg for ann in anns for seg in ann.segments]
-    utt = np.repeat(np.arange(len(anns)), [len(ann.segments) for ann in anns])
-    start = np.array([seg.start_s for seg in segs])
-    end = np.array([seg.end_s for seg in segs])
-    fake = np.array([seg.label == LABEL_FAKE for seg in segs], dtype=np.int64)
-    # segment s covers frames j0[s] <= j < j1[s]; the flat arrays from
-    # seg_of on hold one (segment, frame) pair per entry
-    j0 = np.maximum(0, np.floor(start / resolution_s + _TIME_EPS)).astype(np.int64)
-    j1 = np.minimum(true_labels[utt],
-                    np.ceil(end / resolution_s - _TIME_EPS).astype(np.int64))
-    width = np.maximum(j1 - j0, 0)
-    seg_of = np.repeat(np.arange(len(segs)), width)
-    js = np.arange(seg_of.size) - np.repeat(np.cumsum(width) - width - j0, width)
-    lo = np.maximum(js * resolution_s, start[seg_of])
-    hi = np.minimum((js + 1) * resolution_s, end[seg_of])
+    # one column per segment: its times, its utterance's label count and
+    # its first (class, utterance) cell; float64 holds these integers
+    # exactly, as bincount could not hold 2**53 cells
+    rows = []
+    for u, (ann, n) in enumerate(zip(anns, counts)):
+        for seg in ann.segments:
+            rows += (seg.start_s, seg.end_s, n,
+                     ((seg.label == LABEL_FAKE) * len(anns) + u) * padded_len)
+    table = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    start, end, count, _ = table
+    # segment s covers frames j0[s] <= j < j1[s]
+    j0 = np.maximum(np.floor(start / resolution_s + _TIME_EPS), 0.0)
+    j1 = np.minimum(np.ceil(end / resolution_s - _TIME_EPS), count)
+    width = np.maximum(j1 - j0, 0.0).astype(np.int64)
+    # the count row now holds each segment's first pair index less j0; the
+    # flat arrays from here hold one (segment, frame) pair per entry
+    table[2] = width.cumsum() - width - j0
+    start, end, offset, first_cell = table.repeat(width, axis=1)
+    js = np.arange(offset.size) - offset
+    lo = np.maximum(js * resolution_s, start)
+    hi = np.minimum((js + 1) * resolution_s, end)
     overlap = np.maximum(hi - lo, 0.0)
     # one (class, utterance, frame) cell per pair; bincount adds in pair order
-    cell = (fake[seg_of] * len(anns) + utt[seg_of]) * padded_len + js
+    cell = (first_cell + js).astype(np.int64)
     sums = np.bincount(cell, weights=overlap, minlength=2 * len(anns) * padded_len)
     real_t, fake_t = sums.reshape(2, len(anns), padded_len)
     return real_t > fake_t + _TIME_EPS
@@ -435,22 +441,20 @@ def compile_labels(anns, resolution_s: float, padded_len: int,
         if padded_len < n:
             raise ShapeError(
                 f"{ann.sample_id}: padded_len {padded_len} < true_labels {n}")
-    true_labels = np.array(counts, dtype=np.int64)
-    real = _majority_real(anns, resolution_s, true_labels, padded_len)
-    live = np.arange(padded_len) < true_labels[:, None]
-    if setting == REAL1_FAKE0:
-        labels = real
-    elif setting == REAL0_FAKE1:
-        labels = ~real & live
-    else:  # BOUNDARY1
-        side = BOUNDARY_FRAMES_PER_SIDE
-        # flips[:, i]: frames i and i + 1 differ; it marks frames
-        # i - side + 1 .. i + side, which sit at marks[:, i + 1 .. i + 2 * side]
-        flips = (real[:, :-1] != real[:, 1:]) & live[:, 1:]
-        marks = np.zeros((len(anns), padded_len + 2 * side), dtype=bool)
-        for d in range(1, 2 * side + 1):
-            marks[:, d:d + padded_len - 1] |= flips
-        labels = marks[:, side:side + padded_len] & live
+    labels = _majority_real(anns, resolution_s, counts, padded_len)
+    if setting != REAL1_FAKE0:  # real is False on padding already
+        live = np.arange(padded_len) < np.array(counts)[:, None]
+        if setting == REAL0_FAKE1:
+            labels = ~labels & live
+        else:  # BOUNDARY1
+            side = BOUNDARY_FRAMES_PER_SIDE
+            # flips[:, i]: frames i and i + 1 differ; it marks frames
+            # i - side + 1 .. i + side, which sit at marks[:, i + 1 .. i + 2 * side]
+            flips = (labels[:, :-1] != labels[:, 1:]) & live[:, 1:]
+            marks = np.zeros((len(anns), padded_len + 2 * side), dtype=bool)
+            for d in range(1, 2 * side + 1):
+                marks[:, d:d + padded_len - 1] |= flips
+            labels = marks[:, side:side + padded_len] & live
     labels = labels.astype(np.int8)
     return [FrameLabels(ann.sample_id, resolution_s, row, n, setting)
             for ann, row, n in zip(anns, labels, counts)]
@@ -603,10 +607,9 @@ def desk_benchmark_spec(num_utterances: int = 300, **overrides) -> SynthSpec:
     return SynthSpec(**base)
 
 
-def _synth_annotation(spec: SynthSpec, rng: np.random.Generator,
-                      sample_id: str) -> SegmentAnnotation:
-    lo_ms = int(round(spec.duration_range_s[0] * 1000))
-    hi_ms = int(round(spec.duration_range_s[1] * 1000))
+def _synth_annotation(spec: SynthSpec, rng: np.random.Generator, sample_id: str,
+                      lo_ms: int, hi_ms: int) -> SegmentAnnotation:
+    """Draws a duration in [lo_ms, hi_ms] ms, then its fake segments."""
     dur_ms = int(rng.integers(lo_ms, hi_ms + 1))
 
     cmin, cmax = spec.fake_segment_count_range
@@ -616,49 +619,42 @@ def _synth_annotation(spec: SynthSpec, rng: np.random.Generator,
     # at most as many fake segments as fit with their interior gaps
     n = min(n, max(1, (dur_ms + _MIN_SEG_MS) // (2 * _MIN_SEG_MS)))
 
-    if n == 0:
-        segs = [Segment(0.0, dur_ms / 1000.0, LABEL_REAL)]
-        return SegmentAnnotation(sample_id, dur_ms / 1000.0, segs)
-
-    frac = rng.uniform(*spec.fake_fraction_range)
-    fake_ms = int(round(frac * dur_ms))
-    fake_ms = max(fake_ms, n * _MIN_SEG_MS)
-    fake_ms = min(fake_ms, dur_ms - (n - 1) * _MIN_SEG_MS)
-
-    seg_ms = _MIN_SEG_MS + rng.multinomial(
-        fake_ms - n * _MIN_SEG_MS, np.full(n, 1.0 / n)
-    )
-    real_ms = dur_ms - fake_ms
-    gap_extra = rng.multinomial(
-        real_ms - (n - 1) * _MIN_SEG_MS, np.full(n + 1, 1.0 / (n + 1))
-    )
-    gaps = gap_extra.copy()
-    gaps[1:n] += _MIN_SEG_MS  # interior gaps keep segments separated
-
-    segs = []
-    pos = 0
-    for j in range(n):
-        if gaps[j] > 0:
-            segs.append(Segment(pos / 1000.0, (pos + gaps[j]) / 1000.0, LABEL_REAL))
-            pos += int(gaps[j])
-        segs.append(Segment(pos / 1000.0, (pos + seg_ms[j]) / 1000.0, LABEL_FAKE))
-        pos += int(seg_ms[j])
-    if gaps[n] > 0:
-        segs.append(Segment(pos / 1000.0, (pos + gaps[n]) / 1000.0, LABEL_REAL))
-        pos += int(gaps[n])
+    pieces = [(dur_ms, LABEL_REAL)]  # (length in ms, label), in time order
+    if n:
+        frac = rng.uniform(*spec.fake_fraction_range)
+        fake_ms = int(round(frac * dur_ms))
+        fake_ms = max(fake_ms, n * _MIN_SEG_MS)
+        fake_ms = min(fake_ms, dur_ms - (n - 1) * _MIN_SEG_MS)
+        seg_ms = rng.multinomial(fake_ms - n * _MIN_SEG_MS, [1.0 / n] * n).tolist()
+        gaps = rng.multinomial(dur_ms - fake_ms - (n - 1) * _MIN_SEG_MS,
+                               [1.0 / (n + 1)] * (n + 1)).tolist()
+        for j in range(1, n):  # interior gaps keep segments separated
+            gaps[j] += _MIN_SEG_MS
+        pieces = [(gaps[0], LABEL_REAL)]
+        for extra_ms, gap_ms in zip(seg_ms, gaps[1:]):
+            pieces += [(_MIN_SEG_MS + extra_ms, LABEL_FAKE), (gap_ms, LABEL_REAL)]
+    segs, pos = [], 0
+    for ms, label in pieces:
+        if ms > 0:
+            segs.append(Segment(pos / 1000.0, (pos + ms) / 1000.0, label))
+            pos += ms
     return SegmentAnnotation(sample_id, dur_ms / 1000.0, segs)
 
 
-def _synth_features(spec: SynthSpec, rng: np.random.Generator,
-                    ann: SegmentAnnotation) -> FeatureSequence:
+def _synth_features(spec: SynthSpec, rng: np.random.Generator, ann: SegmentAnnotation,
+                    shift: np.ndarray, centers: np.ndarray) -> FeatureSequence:
+    """Noise draws for ``ann``'s frames. A fake frame, one whose center
+    lies in a fake segment, is moved by the (dim, 1) column ``shift``;
+    ``centers`` holds frame centers in seconds, at least one per frame."""
     frames = _tolerant_ceil(ann.duration_s * spec.frame_rate_hz)
-    centers = (np.arange(frames) + 0.5) / spec.frame_rate_hz
-    fake = np.zeros(frames, dtype=bool)
-    for start, end in ann.fake_intervals():
-        fake |= (centers >= start) & (centers < end)
-    direction = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
+    # frames lo <= t < hi have start <= centers[t] < end
+    edges = centers[:frames].searchsorted(
+        [t for interval in ann.fake_intervals() for t in interval]).tolist()
+    fake = np.zeros(frames)
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        fake[lo:hi] = 1.0
     values = spec.noise_scale * rng.standard_normal((spec.dim, frames))
-    values += spec.separation * direction[:, None] * fake[None, :]
+    values += shift * fake
     return FeatureSequence(ann.sample_id, values.astype(np.float32), frames)
 
 
@@ -668,13 +664,18 @@ def synth_dataset(spec: SynthSpec, rng_seed: int):
     Each utterance draws from its own child seed, so results do not
     depend on generation order.
     """
+    lo_ms, hi_ms = (int(round(s * 1000)) for s in spec.duration_range_s)
+    shift = np.full((spec.dim, 1), spec.separation * (1.0 / math.sqrt(spec.dim)))
+    # no utterance has more frames than one of hi_ms
+    most = _tolerant_ceil(hi_ms / 1000.0 * spec.frame_rate_hz)
+    centers = (np.arange(most) + 0.5) / spec.frame_rate_hz
     root = np.random.SeedSequence(rng_seed)
     features, annotations = [], []
     for i, child in enumerate(root.spawn(spec.num_utterances)):
         rng = np.random.default_rng(child)
         sample_id = f"{spec.sample_prefix}{i:05d}"
-        ann = _synth_annotation(spec, rng, sample_id)
-        features.append(_synth_features(spec, rng, ann))
+        ann = _synth_annotation(spec, rng, sample_id, lo_ms, hi_ms)
+        features.append(_synth_features(spec, rng, ann, shift, centers))
         annotations.append(ann)
     return features, annotations
 
@@ -724,15 +725,25 @@ def dataset_stats(anns, resolution_s: float = DEFAULT_RESOLUTION_S) -> DatasetSt
 # ---------------------------------------------------------------------------
 
 
+def _plain_name(name: str) -> bool:
+    """True when ``name`` is one plain file-name component: not empty,
+    ``.`` or ``..``, and holding no path separator or NUL."""
+    return name not in ("", ".", "..") and not any(
+        sep in name for sep in ("/", "\0", os.sep, os.altsep) if sep)
+
+
 def write_dataset(out_dir, features, annotations) -> Path:
     """Write TDLF files, annotation sidecars, and a manifest; returns
-    the manifest path."""
+    the manifest path. Every id is checked before anything is written."""
     pairs, seen = list(zip(features, annotations, strict=True)), set()
     for seq, ann in pairs:
         if seq.sample_id != ann.sample_id:
             raise ValidationError(
                 f"feature/annotation id mismatch: {seq.sample_id} vs {ann.sample_id}"
             )
+        if not _plain_name(seq.sample_id):  # it names the sample's two files
+            raise ValidationError(
+                f"sample id {brief(seq.sample_id)} is not a plain file name")
         if seq.sample_id in seen:  # its files would overwrite the first's
             raise ValidationError(f"sample id {brief(seq.sample_id)} is repeated")
         seen.add(seq.sample_id)

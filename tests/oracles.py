@@ -4,11 +4,14 @@ Everything here is written as plain loops straight from the defining
 formulas, with no code shared with the package. Cosines accumulate
 channel terms sequentially (left to right), which matches how numpy
 reduces over the channel axis, so pair-scan comparisons can be exact.
+``synth_reference`` is the synthetic corpus generator as first written;
+being in the tests rather than a pinned digest, it stays valid under a
+numpy whose Generator streams differ.
 """
 
 import numpy as np
 
-from tdl.data import Segment, SegmentAnnotation
+from tdl.data import FeatureSequence, Segment, SegmentAnnotation
 
 
 def conv1d_reference(weights, bias, x):
@@ -260,3 +263,77 @@ def adam_reference(config, step, epoch, theta, grad, m, v):
     v += (1.0 - config.beta2) * (g * g)
     theta -= (config.lr_for_epoch(epoch) * (m / (1.0 - config.beta1 ** step))
               / (np.sqrt(v / (1.0 - config.beta2 ** step)) + config.eps))
+
+
+def synth_reference(spec, rng_seed):
+    """The (features, annotations) of a SynthSpec as first written, with
+    its two helpers below: numpy scalars and arrays for every draw and
+    time, each spec constant computed again per utterance, and the fake
+    frames found by comparing every frame center with every fake segment.
+    Each utterance draws from its own child of SeedSequence(rng_seed)."""
+    root = np.random.SeedSequence(rng_seed)
+    features, annotations = [], []
+    for i, child in enumerate(root.spawn(spec.num_utterances)):
+        rng = np.random.default_rng(child)
+        sample_id = f"{spec.sample_prefix}{i:05d}"
+        ann = _synth_annotation_reference(spec, rng, sample_id)
+        features.append(_synth_features_reference(spec, rng, ann))
+        annotations.append(ann)
+    return features, annotations
+
+
+_MIN_SEG_MS_REFERENCE = 10  # shortest fake segment / interior real gap
+
+
+def _synth_annotation_reference(spec, rng, sample_id):
+    lo_ms = int(round(spec.duration_range_s[0] * 1000))
+    hi_ms = int(round(spec.duration_range_s[1] * 1000))
+    dur_ms = int(rng.integers(lo_ms, hi_ms + 1))
+
+    cmin, cmax = spec.fake_segment_count_range
+    n = int(rng.integers(cmin, cmax + 1))
+    if rng.random() >= spec.spoof_probability:
+        n = 0
+    min_ms = _MIN_SEG_MS_REFERENCE
+    n = min(n, max(1, (dur_ms + min_ms) // (2 * min_ms)))
+
+    if n == 0:
+        segs = [Segment(0.0, dur_ms / 1000.0, "real")]
+        return SegmentAnnotation(sample_id, dur_ms / 1000.0, segs)
+
+    frac = rng.uniform(*spec.fake_fraction_range)
+    fake_ms = int(round(frac * dur_ms))
+    fake_ms = max(fake_ms, n * min_ms)
+    fake_ms = min(fake_ms, dur_ms - (n - 1) * min_ms)
+
+    seg_ms = min_ms + rng.multinomial(fake_ms - n * min_ms, np.full(n, 1.0 / n))
+    real_ms = dur_ms - fake_ms
+    gap_extra = rng.multinomial(
+        real_ms - (n - 1) * min_ms, np.full(n + 1, 1.0 / (n + 1)))
+    gaps = gap_extra.copy()
+    gaps[1:n] += min_ms
+
+    segs = []
+    pos = 0
+    for j in range(n):
+        if gaps[j] > 0:
+            segs.append(Segment(pos / 1000.0, (pos + gaps[j]) / 1000.0, "real"))
+            pos += int(gaps[j])
+        segs.append(Segment(pos / 1000.0, (pos + seg_ms[j]) / 1000.0, "fake"))
+        pos += int(seg_ms[j])
+    if gaps[n] > 0:
+        segs.append(Segment(pos / 1000.0, (pos + gaps[n]) / 1000.0, "real"))
+        pos += int(gaps[n])
+    return SegmentAnnotation(sample_id, dur_ms / 1000.0, segs)
+
+
+def _synth_features_reference(spec, rng, ann):
+    frames = int(np.ceil(ann.duration_s * spec.frame_rate_hz - 1e-9))
+    centers = (np.arange(frames) + 0.5) / spec.frame_rate_hz
+    fake = np.zeros(frames, dtype=bool)
+    for start, end in ann.fake_intervals():
+        fake |= (centers >= start) & (centers < end)
+    direction = np.full(spec.dim, 1.0 / np.sqrt(spec.dim))
+    values = spec.noise_scale * rng.standard_normal((spec.dim, frames))
+    values += spec.separation * direction[:, None] * fake[None, :]
+    return FeatureSequence(ann.sample_id, values.astype(np.float32), frames)

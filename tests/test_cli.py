@@ -250,6 +250,20 @@ def test_wrong_typed_config_value_exits_one(tmp_path, capsys, command, name, tex
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prefix", ["../../esc", "a\0b"], ids=["climbs-out", "nul"])
+def test_synth_with_an_unsafe_sample_prefix_exits_one_and_writes_nothing(
+        tmp_path, capsys, prefix):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dim": 4, "num_utterances": 2, "sample_prefix": prefix}))
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(["synth", "--out", str(tmp_path / "sub" / "ds"), "--spec", str(spec),
+                   "--seed", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: sample id {prefix + '00000'!r} is not a plain file name\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from tdl import data
 from tdl.errors import AnnotationError, ConfigError, FormatError, ShapeError, ValidationError
 
-from oracles import majority_labels_ms, random_ms_annotation
+from oracles import majority_labels_ms, random_ms_annotation, synth_reference
 
 
 def _seq(values, true_frames=None, sample_id="s"):
@@ -391,6 +391,51 @@ def test_synth_fake_frames_carry_mean_shift():
     assert np.mean(fake_proj) - np.mean(real_proj) > 6.0
 
 
+# (spec, seed) pairs that synth_dataset must generate as synth_reference does
+_REFERENCE_CASES = {
+    **{f"desk-seed{seed}": (data.desk_benchmark_spec(200), seed) for seed in range(4)},
+    "noise-0": (data.desk_benchmark_spec(40, noise_scale=0.0), 4),
+    "spoof-0": (data.desk_benchmark_spec(40, spoof_probability=0.0), 5),
+    "spoof-1": (data.desk_benchmark_spec(40, spoof_probability=1.0), 6),
+    "negative-separation": (data.desk_benchmark_spec(40, separation=-2.0), 7),
+    "short-many-fakes": (data.desk_benchmark_spec(
+        40, duration_range_s=(0.03, 0.4), fake_segment_count_range=(0, 9)), 8),
+    "dim-1024": (data.SynthSpec(dim=1024, num_utterances=2, frame_rate_hz=50.0,
+                                duration_range_s=(15.0, 21.0), spoof_probability=1.0), 1),
+}
+
+
+def _label_rows(labels):
+    return [(lab.sample_id, lab.true_labels, lab.labels.tobytes()) for lab in labels]
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_synth_dataset_and_its_labels_match_the_reference(case):
+    spec, seed = _REFERENCE_CASES[case]
+    feats, anns = data.synth_dataset(spec, seed)
+    ref_feats, ref_anns = synth_reference(spec, seed)
+    assert len(feats) == len(ref_feats) == spec.num_utterances
+    for seq, ref in zip(feats, ref_feats):
+        assert (seq.sample_id, seq.true_frames, seq.values.dtype, seq.values.shape) == (
+            ref.sample_id, ref.true_frames, ref.values.dtype, ref.values.shape)
+        assert seq.values.tobytes() == ref.values.tobytes()
+    assert ([json.dumps(data.annotation_to_dict(a), sort_keys=True) for a in anns]
+            == [json.dumps(data.annotation_to_dict(a), sort_keys=True) for a in ref_anns])
+    res = data.DEFAULT_RESOLUTION_S
+    padded_len = 1 + max(data.num_true_labels(a.duration_s, res) for a in anns)
+    for setting in data.LABEL_SETTINGS:
+        want = _label_rows(data.compile_labels(ref_anns, res, padded_len, setting))
+        one = [data.compile_labels([a], res, padded_len, setting)[0] for a in anns]
+        blocks = [lab for i in range(0, len(anns), 16)
+                  for lab in data.compile_labels(anns[i:i + 16], res, padded_len, setting)]
+        assert _label_rows(one) == want
+        assert _label_rows(blocks) == want
+        if setting == data.REAL1_FAKE0:
+            for ann, lab in zip(anns, one):
+                assert np.array_equal(lab.labels[:lab.true_labels],
+                                      majority_labels_ms(ann, res))
+
+
 # ---------------------------------------------------------------------------
 # dataset stats
 # ---------------------------------------------------------------------------
@@ -479,6 +524,21 @@ def test_write_dataset_refuses_a_repeated_id_before_writing(tmp_path):
     with pytest.raises(ValidationError, match="^sample id 'utt00000' is repeated$"):
         data.write_dataset(tmp_path / "ds", f1 + f2, a1 + a2)
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("bad_id", [
+    "", ".", "..", "../../esc00000", "a/b", "/abs", "a\0b", "utt" + os.sep,
+] + ([f"a{os.altsep}b"] if os.altsep else []))
+def test_write_dataset_refuses_an_id_that_is_not_a_plain_file_name(tmp_path, bad_id):
+    (seq,), (ann,) = data.synth_dataset(data.desk_benchmark_spec(1), 1)
+    bad = (data.FeatureSequence(bad_id, seq.values, seq.true_frames),
+           data.SegmentAnnotation(bad_id, ann.duration_s, ann.segments))
+    # the bad sample comes last, so nothing may be written for the good one
+    out = tmp_path / "sub" / "ds"
+    with pytest.raises(ValidationError, match=re.escape(
+            f"sample id {bad_id!r} is not a plain file name")):
+        data.write_dataset(out, [seq, bad[0]], [ann, bad[1]])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stream_dataset_refuses_an_id_listed_twice(tmp_path):
