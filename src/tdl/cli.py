@@ -160,11 +160,16 @@ def run_synth(args) -> int:
 
 
 def _write_run(out_dir: Path, model, records: list, best: bool) -> None:
-    """Write last.tdlc, best.tdlc when ``best``, then train_log.jsonl, each renamed."""
+    """Write last.tdlc, best.tdlc when ``best``, then train_log.jsonl, each
+    renamed; best.tdlc is a hard link to that last.tdlc, or a second copy
+    on a file system without hard links."""
     out_dir.mkdir(parents=True, exist_ok=True)
     model_mod.save_checkpoint(model, out_dir / "last.tdlc")
     if best:
-        model_mod.save_checkpoint(model, out_dir / "best.tdlc")
+        try:
+            data_mod.link_atomic(out_dir / "last.tdlc", out_dir / "best.tdlc")
+        except OSError:
+            model_mod.save_checkpoint(model, out_dir / "best.tdlc")
     data_mod.write_atomic(out_dir / "train_log.jsonl", "".join(
         json.dumps(record.to_dict(), sort_keys=True) + "\n"
         for record in records).encode("utf-8"))
@@ -196,9 +201,13 @@ def run_train(args) -> int:
               f"bce {record.mean_bce:.6f}  esm {record.mean_esm_total:.6f}  "
               f"lr {record.learning_rate:.2e}  dev EER {record.dev_eer_pct:.3f} %",
               flush=True)
-    if not records:  # diverged in its first epoch: the restored model is both
+    diverged = model.epoch < config.epochs
+    if not records:  # diverged in its first epoch: the model it started from is both
+        model = (model_mod.load_checkpoint(args.resume) if args.resume
+                 else model_mod.build_model(config))
+        model.config = config  # as epochs() set it: a resume may add epochs
         _write_run(out_dir, model, records, True)
-    if model.epoch < config.epochs:
+    if diverged:
         print("training diverged: loss went non-finite; "
               "last good checkpoint written", file=sys.stderr)
         return EXIT_NUMERIC

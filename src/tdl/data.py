@@ -258,23 +258,38 @@ def parse_json(text: str, where, error=FormatError, object_pairs_hook=None):
         raise error(f"{where}: invalid JSON: {exc}") from exc
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write the bytes-like ``chunks`` one after another to ``path``
-    through a temporary file in the same directory and a rename, so a
-    failed or killed write never leaves a truncated file under ``path``
-    (the data is not fsynced, so this does not guard against a power cut).
-    The temporary name keeps at most 32 characters (128 bytes) of
-    ``path``'s name, so any name the file system takes can be written."""
+def _renamed_over(path, make) -> None:
+    """``make(tmp)`` makes a file under a temporary name in ``path``'s
+    directory, which is then renamed over ``path``, so a failed or killed
+    write never leaves a truncated file under ``path`` (the data is not
+    fsynced, so this does not guard against a power cut). The temporary
+    name keeps at most 32 characters (128 bytes) of ``path``'s name, so
+    any name the file system takes can be written."""
     path = Path(path)
     tmp = path.with_name(f".{path.name[:32]}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        make(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_atomic(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` one after another to ``path``
+    through a temporary file and a rename (see _renamed_over)."""
+    def write(tmp):
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    _renamed_over(path, write)
+
+
+def link_atomic(target, path) -> None:
+    """Make ``path`` a hard link to the file ``target`` through a link
+    under a temporary name and a rename (see _renamed_over); OSError, with
+    ``path`` as it was, where the file system has no hard links."""
+    _renamed_over(path, lambda tmp: os.link(target, tmp))
 
 
 # ---------------------------------------------------------------------------

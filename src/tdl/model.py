@@ -988,16 +988,16 @@ def _minibatch_step(model: TdlModel, batch, epoch: int) -> np.ndarray:
 
 
 class _Snapshot:
-    """The training state a divergence restores, copied into a buffer that
-    the first copy allocates. Adam's moments are 0 before its first step,
-    and only the parameters are copied then."""
+    """The training state a divergence restores, first copied from ``model``
+    into a buffer allocated once. Adam's moments are 0 before its first
+    step, and only the parameters are copied then."""
 
-    buffer = None
+    def __init__(self, model: TdlModel):
+        self.buffer = np.empty_like(model.flat)
+        self.take(model)
 
     def take(self, model: TdlModel) -> None:
         self.counters = model.epoch, model.step
-        if self.buffer is None:
-            self.buffer = np.empty_like(model.flat)
         rows = 3 if model.step else 1
         np.copyto(self.buffer[:rows], model.flat[:rows])
 
@@ -1020,8 +1020,8 @@ def epochs(config: TdlConfig, train_set, dev_set, model: TdlModel):
     gradients are averaged over its utterances in one flat buffer that
     lives only as long as the step, and one adam_step updates the
     model's (3, N) buffer of parameters, m and v (TdlModel.flat) from it.
-    If the loss goes non-finite the last completed epoch's state is
-    restored and the generator returns, so a run diverged when it leaves
+    A non-finite loss returns with ``model`` at its last good step, as no
+    step changes it before its checks pass; so a run diverged when it leaves
     ``model.epoch < config.epochs``. ``model`` must have epochs left to
     train under a config that differs from its own in ``epochs`` at most;
     that is checked before either set is read.
@@ -1052,10 +1052,8 @@ def epochs(config: TdlConfig, train_set, dev_set, model: TdlModel):
     _validate_set(config, dev_set, "dev", both_classes=True)
     model.config = config
     n = len(train_set)
-    last_good = _Snapshot()
 
     for epoch in range(model.epoch, config.epochs):
-        last_good.take(model)
         start = time.perf_counter()
         order = np.random.default_rng(
             [config.seed, _STREAM_BATCH, epoch]
@@ -1066,11 +1064,8 @@ def epochs(config: TdlConfig, train_set, dev_set, model: TdlModel):
                 batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
                 sums += _minibatch_step(model, batch, epoch)
         except NumericError:
-            last_good.restore(model)
             return
 
-        if epoch + 1 == config.epochs:
-            last_good = None  # freed before the last dev pass and encode
         model.epoch = epoch + 1
         eer_pct = dev_eer(model, dev_set)
         yield TrainRecord(
@@ -1091,20 +1086,26 @@ def train(config: TdlConfig, train_set, dev_set,
           init_model: TdlModel | None = None) -> TrainResult:
     """``epochs`` run to the end on ``init_model``, or on a model built
     from ``config``, with the model encoded as the best checkpoint
-    whenever dev EER improves (the last model when no epoch completed)."""
+    whenever dev EER improves (the last model when no epoch completed).
+    Each epoch's start is kept in a _Snapshot, which a divergence restores."""
     model = init_model if init_model is not None else build_model(config)
     records, best_bytes, best_eer, best_epoch = [], None, math.inf, model.epoch
+    last_good = _Snapshot(model)
     for record in epochs(config, train_set, dev_set, model):
         records.append(record)
+        if model.epoch == config.epochs:
+            last_good = None  # freed before the last encode
         if record.dev_eer_pct < best_eer:
             best_eer, best_epoch = record.dev_eer_pct, record.epoch
             best_bytes = None  # freed before the new one is encoded
             best_bytes = encode_checkpoint(model)
+        if last_good is not None:
+            last_good.take(model)
     diverged = model.epoch < config.epochs
-    if diverged and not records:
-        best_eer = math.nan
+    if diverged:
+        last_good.restore(model)
     return TrainResult(model, best_bytes or encode_checkpoint(model), best_epoch,
-                       best_eer, records, diverged)
+                       best_eer if records else math.nan, records, diverged)
 
 
 # ---------------------------------------------------------------------------

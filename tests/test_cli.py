@@ -1029,6 +1029,59 @@ def test_train_that_diverges_in_its_first_epoch_writes_the_initial_model(
     assert (out / "train_log.jsonl").read_bytes() == b""
 
 
+def test_a_resume_that_diverges_in_its_first_epoch_writes_the_resume_checkpoint(
+        tmp_path, synth_spec_file, smoke_config_file, monkeypatch, capsys):
+    train_dir = _make_dataset(tmp_path, synth_spec_file, "train", 1)
+    dev_dir = _make_dataset(tmp_path, synth_spec_file, "dev", 2)
+    argv = ["train", "--config", str(smoke_config_file), "--train",
+            str(train_dir), "--dev", str(dev_dir), "--out"]
+    _diverge_in_epoch_one(monkeypatch)
+    assert cli.main([*argv, str(tmp_path / "first")]) == 2
+    resume = tmp_path / "first" / "last.tdlc"  # at epoch 1 of 2
+    monkeypatch.undo()
+    epoch_ends = _diverge_in_epoch_one(monkeypatch)
+    out = tmp_path / "resumed"
+    capsys.readouterr()
+    assert cli.main([*argv, str(out), "--resume", str(resume)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.endswith(f"resuming from {resume} at epoch 1\n")
+    assert captured.err == ("training diverged: loss went non-finite; "
+                            "last good checkpoint written\n")
+    # one good step moved the model before the second one diverged
+    assert epoch_ends == [resume.read_bytes()]
+    assert (out / "best.tdlc").read_bytes() == resume.read_bytes()
+    assert (out / "last.tdlc").read_bytes() == resume.read_bytes()
+    assert (out / "train_log.jsonl").read_bytes() == b""
+
+
+def test_best_tdlc_links_to_its_last_tdlc_and_outlives_the_next(tmp_path, monkeypatch):
+    from tdl import model as model_mod
+
+    model, out = model_mod.build_model(desk_config()), tmp_path / "run"
+    first = model_mod.encode_checkpoint(model)
+    cli._write_run(out, model, [], True)
+    assert (out / "last.tdlc").read_bytes() == first
+    assert (out / "best.tdlc").read_bytes() == first
+    assert (out / "best.tdlc").samefile(out / "last.tdlc")
+
+    model.epoch += 1  # an epoch that does not improve the dev EER
+    second = model_mod.encode_checkpoint(model)
+    cli._write_run(out, model, [], False)
+    assert (out / "last.tdlc").read_bytes() == second != first
+    assert (out / "best.tdlc").read_bytes() == first
+
+    def no_hard_links(target, path):
+        raise OSError(1, "hard links are not supported")
+
+    monkeypatch.setattr(os, "link", no_hard_links)  # a second copy instead
+    cli._write_run(out, model, [], True)
+    assert (out / "last.tdlc").read_bytes() == second
+    assert (out / "best.tdlc").read_bytes() == second
+    assert not (out / "best.tdlc").samefile(out / "last.tdlc")
+    assert sorted(path.name for path in out.iterdir()) == [
+        "best.tdlc", "last.tdlc", "train_log.jsonl"]
+
+
 def _tdl_child(*argv) -> dict:
     """Popen arguments that run ``python -m tdl.cli ARGV`` in a child
     process that imports this tdl."""

@@ -607,6 +607,39 @@ def test_divergence_restores_into_the_flat_buffers(monkeypatch):
     assert got.flat.tobytes() == want.flat.tobytes()
 
 
+def test_a_divergence_ends_epochs_at_its_last_good_step(monkeypatch):
+    cfg = tiny_config(epochs=3)
+    train_set, dev_set = _tiny_sets(cfg)
+    first = M.train(tiny_config(epochs=1), train_set, dev_set)
+    epoch_0 = first.last_model.flat.tobytes()
+    # epoch 0, then the first minibatch of epoch 1 (two per epoch)
+    want = first.last_model
+    order = np.random.default_rng([cfg.seed, M._STREAM_BATCH, 1]).permutation(
+        len(train_set))
+    M._minibatch_step(want, [train_set[i] for i in order[:cfg.batch_size]], 1)
+    step, steps = M._minibatch_step, []
+
+    def diverging(model, batch, epoch):
+        if 1 in steps:  # the second step of epoch 1
+            raise NumericError("diverged")
+        steps.append(epoch)
+        return step(model, batch, epoch)
+
+    monkeypatch.setattr(M, "_minibatch_step", diverging)
+    mdl = M.build_model(cfg)
+    records = list(M.epochs(cfg, train_set, dev_set, mdl))
+    assert [record.epoch for record in records] == [0] and steps == [0, 0, 1]
+    assert (mdl.epoch, mdl.step) == (1, 3)
+    assert mdl.flat.tobytes() == want.flat.tobytes()
+
+    steps.clear()
+    result = M.train(cfg, train_set, dev_set)
+    assert result.diverged and steps == [0, 0, 1]
+    assert [record.epoch for record in result.records] == [0]
+    assert (result.last_model.epoch, result.last_model.step) == (1, 2)
+    assert result.last_model.flat.tobytes() == epoch_0
+
+
 def test_flat_adam_steps_equal_per_array_updates(monkeypatch):
     cfg = tiny_config()
     train_set, _ = _tiny_sets(cfg)
