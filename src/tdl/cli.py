@@ -242,8 +242,10 @@ def run_eval(args) -> int:
 def run_stats(args) -> int:
     _print_resolved({"data": str(args.data), "resolution_s": args.resolution},
                     "none")
+    root, manifest, entries = data_mod.check_manifest(args.data)
     stats = data_mod.dataset_stats(
-        (ann for _, ann in data_mod.stream_dataset(args.data)), args.resolution)
+        (data_mod.read_annotation(root, manifest, entry) for entry in entries),
+        args.resolution)
     print(f"{'subset':>12} {'frame-level':>12} {'utterance-level':>16}")
     print(f"{Path(str(args.data)).name:>12} {stats.frame_fake_pct:>12.2f} "
           f"{stats.utterance_fake_pct:>16.2f}")
@@ -310,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=_finite("threshold"), default=0.5)
     p.set_defaults(func=run_eval)
 
-    p = sub.add_parser("stats", help="dataset fake-class statistics")
+    p = sub.add_parser("stats", help="dataset fake-class statistics, from the "
+                       "manifest and annotations; no feature file is checked")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--resolution", type=_finite("resolution", positive=True),
                    default=data_mod.DEFAULT_RESOLUTION_S)

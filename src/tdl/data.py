@@ -17,7 +17,8 @@ On-disk formats:
 A dataset is read as a stream by ``stream_dataset``: the manifest is
 checked whole (``check_manifest``), then each sample's two files are
 read when the stream reaches it (``read_samples``, which reads any run
-of the checked entries).
+of the checked entries). ``read_annotation`` reads an entry's sidecar
+alone, for statistics that need no features.
 
 Frame labels are compiled a block of annotations at a time by
 ``compile_labels``, one vectorized pass over all their segments.
@@ -394,7 +395,14 @@ def _tolerant_ceil(x: float) -> int:
 
 
 def num_true_labels(duration_s: float, resolution_s: float) -> int:
-    return _tolerant_ceil(duration_s / resolution_s)
+    """The label count of ``duration_s`` at ``resolution_s``; a count past
+    _MAX_CELLS, or not finite, is a ValidationError."""
+    count = duration_s / resolution_s
+    if not count <= _MAX_CELLS:  # inf and NaN fail too
+        raise ValidationError(
+            f"label count {brief(count)} ({duration_s} s at resolution "
+            f"{resolution_s} s) exceeds {_MAX_CELLS}")
+    return _tolerant_ceil(count)
 
 
 def _majority_real(anns, resolution_s: float, counts, padded_len: int) -> np.ndarray:
@@ -829,24 +837,37 @@ def check_manifest(data_dir):
     return str(data_dir), manifest, samples
 
 
+def _entry_file(load, root: str, manifest: Path, entry: dict, key: str):
+    """``load`` of the file that the checked manifest ``entry`` names at
+    ``key``, under the directory ``root``. A missing or unreadable file
+    (OSError) or a NUL or lone surrogate in its path (ValueError) is a
+    FormatError naming the entry."""
+    try:
+        return load(os.path.join(root, entry[key]))
+    except (OSError, ValueError) as exc:
+        raise FormatError(
+            f"{manifest}: sample entry {brief(entry['id'])}: {exc}") from exc
+
+
+def read_annotation(root: str, manifest: Path, entry: dict) -> SegmentAnnotation:
+    """The annotation sidecar of the checked manifest ``entry``, whose id
+    must be the entry's."""
+    ann = _entry_file(load_annotation_file, root, manifest, entry, "annotations")
+    if ann.sample_id != entry["id"]:
+        raise FormatError(
+            f"{manifest}: annotation id {brief(ann.sample_id)} != "
+            f"{brief(entry['id'])}"
+        )
+    return ann
+
+
 def read_samples(root: str, manifest: Path, entries):
     """Yield the (features, annotation) pair of each checked manifest
     entry in ``entries`` (any iterable), its two files under the directory
     ``root`` read when the iterator reaches it."""
     for entry in entries:
-        # OSError: a missing or unreadable file; ValueError: a NUL or a
-        # lone surrogate in its path
-        try:
-            seq = load_feature_file(os.path.join(root, entry["features"]))
-            ann = load_annotation_file(os.path.join(root, entry["annotations"]))
-        except (OSError, ValueError) as exc:
-            raise FormatError(
-                f"{manifest}: sample entry {brief(entry['id'])}: {exc}") from exc
-        if ann.sample_id != entry["id"]:
-            raise FormatError(
-                f"{manifest}: annotation id {brief(ann.sample_id)} != "
-                f"{brief(entry['id'])}"
-            )
+        seq = _entry_file(load_feature_file, root, manifest, entry, "features")
+        ann = read_annotation(root, manifest, entry)
         # TDLF carries no id; trust the manifest
         seq.sample_id = entry["id"]
         yield seq, ann

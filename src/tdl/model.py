@@ -987,28 +987,6 @@ def _minibatch_step(model: TdlModel, batch, epoch: int) -> np.ndarray:
     return sums
 
 
-class _Snapshot:
-    """The training state a divergence restores, first copied from ``model``
-    into a buffer allocated once. Adam's moments are 0 before its first
-    step, and only the parameters are copied then."""
-
-    def __init__(self, model: TdlModel):
-        self.buffer = np.empty_like(model.flat)
-        self.take(model)
-
-    def take(self, model: TdlModel) -> None:
-        self.counters = model.epoch, model.step
-        rows = 3 if model.step else 1
-        np.copyto(self.buffer[:rows], model.flat[:rows])
-
-    def restore(self, model: TdlModel) -> None:
-        """Copy the snapshot back into ``model``'s own buffers."""
-        model.epoch, model.step = self.counters
-        rows = 3 if model.step else 1
-        np.copyto(model.flat[:rows], self.buffer[:rows])
-        model.flat[rows:] = 0.0
-
-
 def epochs(config: TdlConfig, train_set, dev_set, model: TdlModel):
     """Seeded full-batch-shuffled minibatch training of ``model`` in place,
     yielding each completed epoch's TrainRecord after its dev EER.
@@ -1084,27 +1062,29 @@ def epochs(config: TdlConfig, train_set, dev_set, model: TdlModel):
 
 def train(config: TdlConfig, train_set, dev_set,
           init_model: TdlModel | None = None) -> TrainResult:
-    """``epochs`` run to the end on ``init_model``, or on a model built
-    from ``config``, with the model encoded as the best checkpoint
-    whenever dev EER improves (the last model when no epoch completed).
-    Each epoch's start is kept in a _Snapshot, which a divergence restores."""
+    """``epochs`` run to the end on ``init_model`` or ``build_model(config)``,
+    holding what ``tdl train`` writes: the last completed epoch's encoding and
+    the best one, the same bytes when the last epoch is best. A divergence
+    returns the last completed epoch decoded or, if none completed, the model
+    it started from (``init_model`` as encoded before the loop, or built
+    again), with ``config`` as its config either way; ``init_model`` itself is
+    left at its last good step."""
+    start = None if init_model is None else encode_checkpoint(init_model)
     model = init_model if init_model is not None else build_model(config)
-    records, best_bytes, best_eer, best_epoch = [], None, math.inf, model.epoch
-    last_good = _Snapshot(model)
+    records, last, best, best_eer, best_epoch = [], None, None, math.inf, model.epoch
     for record in epochs(config, train_set, dev_set, model):
         records.append(record)
-        if model.epoch == config.epochs:
-            last_good = None  # freed before the last encode
-        if record.dev_eer_pct < best_eer:
-            best_eer, best_epoch = record.dev_eer_pct, record.epoch
-            best_bytes = None  # freed before the new one is encoded
-            best_bytes = encode_checkpoint(model)
-        if last_good is not None:
-            last_good.take(model)
-    diverged = model.epoch < config.epochs
-    if diverged:
-        last_good.restore(model)
-    return TrainResult(model, best_bytes or encode_checkpoint(model), best_epoch,
+        start = last = None  # freed before the new encoding, and best if beaten
+        if improved := record.dev_eer_pct < best_eer:
+            best, best_eer, best_epoch = None, record.dev_eer_pct, record.epoch
+        last = encode_checkpoint(model)
+        best = last if improved else best
+    if diverged := model.epoch < config.epochs:  # fall back as tdl train does
+        back = last or start
+        model = decode_checkpoint(back) if back else build_model(config)
+        model.config = config  # as epochs() set it: a resume may add epochs
+        last = last or encode_checkpoint(model)
+    return TrainResult(model, best or last, best_epoch,
                        best_eer if records else math.nan, records, diverged)
 
 

@@ -584,6 +584,8 @@ def test_non_finite_utterance_in_a_block_restores_last_good_epoch(
     assert result.diverged
     assert not result.records
     restored = result.last_model
+    assert restored.config.epochs == 2  # the run's config, not the checkpoint's
+    assert result.best_checkpoint == M.encode_checkpoint(restored)
     restored.config = cfg  # the resumed run's config differs in epochs only
     assert M.encode_checkpoint(restored) == good
     if pooled:  # the worker's NumericError ended its pool, threads and all

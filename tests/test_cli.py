@@ -84,29 +84,27 @@ def test_stats_reports_corpus_composition(tmp_path, synth_spec_file, capsys):
     assert "frame-level" in stdout and "utterance-level" in stdout
 
 
-def test_stats_holds_one_feature_file_at_a_time(tmp_path, synth_spec_file,
-                                                monkeypatch, capsys):
-    import weakref
-
-    from tdl import data as data_mod
-
+def test_stats_opens_no_feature_file(tmp_path, synth_spec_file, monkeypatch,
+                                    capsys):
     out = _make_dataset(tmp_path, synth_spec_file, "ds", 4)
-    refs, alive = [], []
-    real_load = data_mod.load_feature_file
-
-    def tracked_load(path):
-        alive.append(sum(ref() is not None for ref in refs))
-        seq = real_load(path)
-        refs.append(weakref.ref(seq))
-        return seq
-
-    monkeypatch.setattr(data_mod, "load_feature_file", tracked_load)
+    samples = json.loads((out / "manifest.json").read_text())["samples"]
     capsys.readouterr()
     assert cli.main(["stats", "--data", str(out)]) == 0
-    assert "utterances: 8" in capsys.readouterr().out
-    # every feature file is still read and checked, but only the last
-    # sample's matrix is alive when the next file is read
-    assert len(refs) == 8 and max(alive) <= 1
+    want = capsys.readouterr().out
+    assert "utterances: 8" in want
+    opened, os_open = [], os.open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path))
+        return os_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    for entry in samples:
+        (out / entry["features"]).unlink()  # not even checked for existence
+    assert cli.main(["stats", "--data", str(out)]) == 0
+    assert capsys.readouterr().out == want
+    assert opened == [out / "manifest.json"] + [
+        out / entry["annotations"] for entry in samples]
 
 
 def test_stats_missing_manifest_exits_one(tmp_path, capsys):
@@ -1267,7 +1265,7 @@ def _numeric_input(case, tmp_path, data_dir):
     """Write the input for ``case``; returns the argv that reads it."""
     if case.startswith("stats-resolution"):
         return ["stats", "--data", str(data_dir),
-                "--resolution", case.rsplit("-", 1)[1]]
+                "--resolution", case.split("-", 2)[2]]
     if case.startswith("synth"):
         obj = desk_benchmark_spec(num_utterances=2).to_dict()
         if case == "synth-segment-count-past-int64":
@@ -1320,15 +1318,17 @@ def _numeric_input(case, tmp_path, data_dir):
             obj["esm"].update(pair_budget=4, sample_seed=-1)
         elif case == "train-kernel-negative":
             obj["kernel"] = -1
-        else:
-            obj["label_resolution_s"] = float("nan")
+        else:  # train-resolution-<value>
+            obj["label_resolution_s"] = float(case.split("-", 2)[2])
         config.write_text(json.dumps(obj))
     return ["train", "--config", str(config), "--train", str(data_dir),
             "--dev", str(data_dir), "--out", str(tmp_path / "run")]
 
 
 @pytest.mark.parametrize("case", [
-    "stats-resolution-0", "stats-resolution-nan", "synth-seed", "gradcheck-seed",
+    "stats-resolution-0", "stats-resolution-nan", "stats-resolution-1e-300",
+    "stats-resolution-5e-324", "train-resolution-5e-324", "train-resolution-1e-300",
+    "synth-seed", "gradcheck-seed",
     "gradcheck-tolerance-inf", "gradcheck-tolerance-nan", "gradcheck-tolerance-0",
     "eval-threshold-nan", "eval-threshold-inf",
     "params-seed", "train-sample-seed", "train-resolution-nan",
@@ -1346,6 +1346,8 @@ def test_bad_numeric_input_exits_one(tmp_path, synth_spec_file, capsys, case):
     assert "error:" in err and "Traceback" not in err
     if "kernel" in case:
         assert "kernel" in err
+    if case.endswith(("e-300", "e-324")):  # a label count past _MAX_CELLS
+        assert err.startswith("error: label count ") and len(err.encode()) < 200
     if "past-memory" in case:
         assert "error: out of memory" in err
         assert not (tmp_path / "run").exists() and not (tmp_path / "o").exists()

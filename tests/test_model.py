@@ -755,18 +755,27 @@ def test_train_divergence_keeps_last_good_checkpoint():
     assert M.encode_checkpoint(result.last_model) == before
 
 
-@pytest.mark.parametrize("resumed", [False, True])
-def test_divergence_in_the_first_epoch_returns_the_initial_model(resumed):
+@pytest.mark.parametrize("resumed", [False, True, None])
+def test_divergence_in_the_first_epoch_returns_the_initial_model(resumed, monkeypatch):
     cfg = tiny_config(epochs=3)
     train_set, dev_set = _tiny_sets(cfg)
-    if resumed:  # at epoch 1, with Adam moments
-        mdl = M.train(tiny_config(epochs=1), train_set, dev_set).last_model
-        mdl.config = cfg
+    if resumed is None:  # no init_model: the model is built again
+        mdl, start, before = None, 0, M.encode_checkpoint(M.build_model(cfg))
+        first_step = M._minibatch_step
+
+        def diverge(model, batch, epoch):
+            first_step(model, batch, epoch)  # Adam has moved the model
+            raise NumericError("non-finite loss")
+        monkeypatch.setattr(M, "_minibatch_step", diverge)
     else:
-        mdl = M.build_model(cfg)
-    start = mdl.epoch
-    mdl.layers["conv_a"].weights[0, 0, 0] = np.nan
-    before = M.encode_checkpoint(mdl)
+        if resumed:  # at epoch 1, with Adam moments
+            mdl = M.train(tiny_config(epochs=1), train_set, dev_set).last_model
+            mdl.config = cfg
+        else:
+            mdl = M.build_model(cfg)
+        start = mdl.epoch
+        mdl.layers["conv_a"].weights[0, 0, 0] = np.nan
+        before = M.encode_checkpoint(mdl)
     result = M.train(cfg, train_set, dev_set, init_model=mdl)
     assert result.diverged
     assert result.best_checkpoint == before
